@@ -27,7 +27,7 @@ from .fock_oracle import FockOracle, apply_body, state_add, state_project, state
 from . import vertex_fock as vf
 from .reports import Report, certification_floor
 
-__all__ = ["RunConfig", "UsageError", "load_config_file", "main"]
+__all__ = ["RunConfig", "UsageError", "SweepReport", "load_config_file", "main", "oracle_sweep"]
 
 
 class UsageError(ValueError):
@@ -237,13 +237,46 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
 # -- verify-fock ---------------------------------------------------------------
 
 
-def _engine_column(result, key, level_max, npart_max):
-    # matrix semantics: the oracle projects after every factor, so the
-    # closed form has to be compared after the same final projection
-    col = apply_body({key: Fraction(1)}, result.bilinear_part.body, result.bilinear_part.mode)
-    if result.anomaly != 0:
-        state_add(col, {key: Fraction(1)}, result.anomaly)
-    return state_project(col, level_max, npart_max)
+@dataclass(frozen=True)
+class SweepReport:
+    """Outcome of one engine-versus-oracle sweep."""
+
+    pairs: int
+    columns: int
+    mismatches: int
+    first_mismatch: str = ""
+
+
+def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs) -> SweepReport:
+    """Compare the closed-form commutator with the oscillator oracle.
+
+    Every unordered pair of families at every mode pair (m, n), column by
+    column on every safe key.  The oracle projects after every factor
+    (matrix semantics), so the closed-form column goes through the same
+    final projection before the exact comparison.
+    """
+    oracle = FockOracle(fams, level_max, npart_max)
+    labels = sorted(fams)
+    pairs = columns = mismatches = 0
+    first_mismatch = ""
+    for i, lab1 in enumerate(labels):
+        for lab2 in labels[i:]:
+            for m, n in mode_pairs:
+                engine = wc.mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
+                body, mode = engine.bilinear_part.body, engine.bilinear_part.mode
+                for key in oracle.safe_keys(flavors, m, n):
+                    want = apply_body({key: Fraction(1)}, body, mode)
+                    if engine.anomaly != 0:
+                        state_add(want, {key: Fraction(1)}, engine.anomaly)
+                    want = state_project(want, level_max, npart_max)
+                    got = oracle.commutator_column(lab1, m, lab2, n, key)
+                    columns += 1
+                    if not states_equal(got, want):
+                        mismatches += 1
+                        if not first_mismatch:
+                            first_mismatch = f"[{lab1}@{m}, {lab2}@{n}] on {key}"
+                pairs += 1
+    return SweepReport(pairs, columns, mismatches, first_mismatch)
 
 
 def cmd_verify_fock(cfg: RunConfig) -> tuple:
@@ -275,37 +308,20 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
         )
         return report, False
 
-    fams = wc.build_currents(sc, N)
-    flavors = wc.flavors_for(sc.dim, N)
-    oracle = FockOracle(fams, cfg.level, cfg.current_cap)
-    labels = sorted(fams)
     W = cfg.mode_window
     mode_pairs = [(m, n) for m in range(-W, W + 1) for n in range(m, W + 1)]
-
-    pairs = columns = mismatches = 0
-    first_bad = ""
-    for i, lab1 in enumerate(labels):
-        for lab2 in labels[i:]:
-            for m, n in mode_pairs:
-                engine = wc.mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
-                for key in oracle.safe_keys(flavors, m, n):
-                    want = _engine_column(engine, key, cfg.level, cfg.current_cap)
-                    got = oracle.commutator_column(lab1, m, lab2, n, key)
-                    columns += 1
-                    if not states_equal(got, want):
-                        mismatches += 1
-                        if not first_bad:
-                            first_bad = f"[{lab1}@{m}, {lab2}@{n}] on {key}"
-                pairs += 1
-    if mismatches:
+    sweep = oracle_sweep(
+        wc.build_currents(sc, N), wc.flavors_for(sc.dim, N), cfg.level, cfg.current_cap, mode_pairs
+    )
+    if sweep.mismatches:
         ok = False
     sweep_rows = [
-        ("bracket_evaluations", pairs),
-        ("columns_compared", columns),
-        ("mismatches", mismatches),
+        ("bracket_evaluations", sweep.pairs),
+        ("columns_compared", sweep.columns),
+        ("mismatches", sweep.mismatches),
     ]
-    if first_bad:
-        sweep_rows.append(("first_mismatch", first_bad))
+    if sweep.first_mismatch:
+        sweep_rows.append(("first_mismatch", sweep.first_mismatch))
     report.add("oracle_sweep", sweep_rows)
 
     km_rows = wc.check_km_table(sc, N)
@@ -343,23 +359,6 @@ def _measure_space(cfg: RunConfig, sc) -> vf.VertexSpace:
         N=cfg.dim, L=cfg.level, P=P, M=2, current_cap=cfg.current_cap
     )
     return vf.VertexSpace(sc, spec)
-
-
-def _sweep_momenta(cfg: RunConfig, N: int):
-    if cfg.momentum_window == 1:
-        return None  # module default, the acceptance window
-    window = list(range(-cfg.momentum_window, cfg.momentum_window + 1))
-
-    def grid(depth):
-        if depth == 0:
-            yield ()
-            return
-        for head in window:
-            for tail in grid(depth - 1):
-                yield (head,) + tail
-
-    vecs = [tuple(v) for v in grid(N)]
-    return [(mv, nv) for mv in vecs for nv in vecs]
 
 
 def cmd_measure(cfg: RunConfig) -> tuple:
@@ -402,10 +401,9 @@ def cmd_measure(cfg: RunConfig) -> tuple:
     }
 
     charges = {"k": float(k), "c1": fit.c1, "c2": fit.c2}
-    momenta = _sweep_momenta(cfg, cfg.dim)
     numeric_tables = [t for t in cfg.tables if t in ("CLASSICAL_MF", "EMB2", "DIFF_EXT")]
     for table_name in numeric_tables:
-        rows = vf.check_table_numeric(table_name, space, momenta=momenta, charges=charges)
+        rows = vf.check_table_numeric(table_name, space, window=cfg.momentum_window, charges=charges)
         worst = max(rows, key=lambda r: r.deviation)
         key = f"sweep_{table_name}"
         residuals[key] = max(worst.deviation, floor)

@@ -40,7 +40,6 @@ __all__ = [
     "key_level",
     "key_npart",
     "state_add",
-    "state_scale",
     "state_project",
     "states_equal",
     "apply_oscillator",
@@ -94,12 +93,6 @@ def state_add(dst: State, src: State, factor=1) -> None:
             dst[key] = new
 
 
-def state_scale(state: State, factor) -> State:
-    if factor == 0:
-        return {}
-    return {key: amp * factor for key, amp in state.items()}
-
-
 def state_project(state: State, level_max: int, npart_max: int) -> State:
     return {
         key: amp
@@ -150,7 +143,6 @@ def _candidate_modes(key: BasisKey, A, B, m: int):
     ks = set()
     if m <= -1:
         ks.update(range(m, 0))  # both parts create
-    occ = dict(key)
     lo = max(m, 0)
     for (fl, barred, s), _ in key:
         if fl == B and not barred and -s >= lo:
@@ -158,20 +150,25 @@ def _candidate_modes(key: BasisKey, A, B, m: int):
         if fl == A and barred and m + s <= -1:
             ks.add(m + s)  # A_{m-k} annihilates an occupied slot
     if m >= 1:
+        occ = dict(key)
         for k in range(0, m):  # both parts annihilate
             if occ.get((B, False, -k)) and occ.get((A, True, k - m)):
                 ks.add(k)
     return ks
 
 
-def apply_bilinear(state: State, A, B, m: int) -> State:
-    """sum_k :A_{m-k} Bbar_k: applied exactly (no cutoff inside the sum)."""
-    out: State = {}
-    for key, amp in state.items():
+def body_terms(key: BasisKey, body: dict, m: int):
+    """Every term of sum_k :A_{m-k} Bbar_k: over ``body`` on one basis key.
+
+    Yields ``(new_key, coeff, count)``: the body coefficient of the pair and
+    the integer product of the two oscillator amplitudes, so each caller
+    keeps its own arithmetic (exact here, complex in the vertex space).
+    Terms come in body order, then candidate-mode order, and are not merged.
+    """
+    for (A, B), coeff in body.items():
         for k in _candidate_modes(key, A, B, m):
             a_mode, b_mode = m - k, k
-            a_creates, b_creates = a_mode <= 0, b_mode <= -1
-            if (not a_creates) and b_creates:
+            if a_mode > 0 and b_mode <= -1:
                 first, second = ((A, False, a_mode), (B, True, b_mode))
             else:
                 first, second = ((B, True, b_mode), (A, False, a_mode))
@@ -183,8 +180,17 @@ def apply_bilinear(state: State, A, B, m: int) -> State:
             if hit is None:
                 continue
             new_key, f2 = hit
+            yield new_key, coeff, f1 * f2
+
+
+def apply_body(state: State, body: dict, m: int) -> State:
+    """sum over ``body`` of sum_k :A_{m-k} Bbar_k:, exact, no cutoff inside the sum."""
+    out: State = {}
+    for key, amp in state.items():
+        for new_key, coeff, count in body_terms(key, body, m):
+            term = amp * count * coeff
             cur = out.get(new_key)
-            new = amp * f1 * f2 if cur is None else cur + amp * f1 * f2
+            new = term if cur is None else cur + term
             if new == 0:
                 out.pop(new_key, None)
             else:
@@ -192,11 +198,9 @@ def apply_bilinear(state: State, A, B, m: int) -> State:
     return out
 
 
-def apply_body(state: State, body: dict, m: int) -> State:
-    out: State = {}
-    for (A, B), coeff in body.items():
-        state_add(out, apply_bilinear(state, A, B, m), coeff)
-    return out
+def apply_bilinear(state: State, A, B, m: int) -> State:
+    """sum_k :A_{m-k} Bbar_k: applied exactly (no cutoff inside the sum)."""
+    return apply_body(state, {(A, B): 1}, m)
 
 
 def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:

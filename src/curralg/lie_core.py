@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .scalars import Scalar, format_scalar, parse_scalar, sqrt_scalar
 
@@ -40,10 +39,6 @@ def _cadd(x, y):
 
 def _cmul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cscale(s, x):
-    return (s * x[0], s * x[1])
 
 
 def _mat_mul(a, b):
@@ -155,11 +150,12 @@ class StructureConstants:
         if self.dim < 1:
             raise ValueError("dim must be positive")
         for name, tensor in (("f", self.f), ("d", self.d)):
-            for key, val in list(tensor.items()):
+            for key in tensor:
                 if len(key) != 3 or not all(1 <= i <= self.dim for i in key):
                     raise ValueError(f"{name}{key}: indices must lie in 1..{self.dim}")
-                if val == 0:
-                    del tensor[key]
+        # filtered copies: the caller's dicts are left as they were passed
+        self.f = {key: val for key, val in self.f.items() if val != 0}
+        self.d = {key: val for key, val in self.d.items() if val != 0}
         if self.metric is not None:
             for (a, b), val in self.metric.items():
                 expect = 1 if a == b else 0
@@ -349,7 +345,3 @@ def verify_identities(sc: StructureConstants) -> IdentityReport:
         _check_quartic("jacobi-fd", f_rows, dd, n, +1),
     )
     return IdentityReport(dim=n, checks=checks)
-
-
-def iter_nonzero(tensor: dict) -> Iterator[tuple[tuple[int, int, int], Scalar]]:
-    return iter(sorted(tensor.items()))

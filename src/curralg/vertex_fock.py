@@ -26,10 +26,12 @@ everything upstream is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .fock_oracle import _key_with, _osc_key, body_terms, key_level, key_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, flavors_for, measure_level
 
@@ -42,7 +44,6 @@ __all__ = [
     "OperatorMatrix",
     "VertexSpace",
     "build_vertex",
-    "realize_generators",
     "RealizedGenerators",
     "default_probe_keys",
     "boundary_probe_keys",
@@ -102,40 +103,17 @@ class TruncationSpec:
 
 # -- basis bookkeeping ----------------------------------------------------
 # A full basis key is (qp_key, w, cur_key): trajectory oscillator
-# occupations, the lattice point, and current-sector occupations.  Slot
-# conventions follow curralg.fock_oracle: a q slot is ((traj, mu), False, -k)
+# occupations, the lattice point, and current-sector occupations.  Both
+# occupation keys use the slot conventions of curralg.fock_oracle, whose
+# oscillator core this module calls: a q slot is ((traj, mu), False, -k)
 # and a p slot ((traj, mu), True, -k), k >= 1, so the oscillator CCR maps
 # onto the same creator/annihilator amplitude rules.
 
 VACUUM_QP: tuple = ()
 
 
-def qp_level(qp_key: tuple) -> int:
-    return sum(-slot[2] * cnt for slot, cnt in qp_key)
-
-
-def cur_level(cur_key: tuple) -> int:
-    return sum(-slot[2] * cnt for slot, cnt in cur_key)
-
-
-def cur_npart(cur_key: tuple) -> int:
-    return sum(cnt for _, cnt in cur_key)
-
-
 def total_level(key: tuple) -> int:
-    return qp_level(key[0]) + cur_level(key[2])
-
-
-def _occ_add(occ_key: tuple, slot, delta: int):
-    d = dict(occ_key)
-    new = d.get(slot, 0) + delta
-    if new < 0:
-        return None
-    if new == 0:
-        d.pop(slot, None)
-    else:
-        d[slot] = new
-    return tuple(sorted(d.items()))
+    return key_level(key[0]) + key_level(key[2])
 
 
 def _state_add(dst: dict, key, amp: complex) -> None:
@@ -145,13 +123,6 @@ def _state_add(dst: dict, key, amp: complex) -> None:
         dst.pop(key, None)
     else:
         dst[key] = new
-
-
-def _state_merge(dst: dict, src: dict, factor: complex = 1.0) -> None:
-    if factor == 0:
-        return
-    for key, amp in src.items():
-        _state_add(dst, key, amp * factor)
 
 
 @lru_cache(maxsize=None)
@@ -180,11 +151,6 @@ def _creator_multisets(N: int, M: int, level: int) -> tuple:
     return tuple(out)
 
 
-_FACT = [1.0]
-for _i in range(1, 40):
-    _FACT.append(_FACT[-1] * _i)
-
-
 class VertexSpace:
     """Shared context: structure constants, current bodies, and the cutoffs."""
 
@@ -207,9 +173,9 @@ class VertexSpace:
             qp_key, w, cur_key = key
             if not self.in_window(w):
                 continue
-            if qp_level(qp_key) + cur_level(cur_key) > sp.L:
+            if key_level(qp_key) + key_level(cur_key) > sp.L:
                 continue
-            if cur_npart(cur_key) > sp.current_cap:
+            if key_npart(cur_key) > sp.current_cap:
                 continue
             out[key] = amp
         return out
@@ -229,16 +195,10 @@ class VertexSpace:
         out: dict = {}
         fl = (_TRAJ, mu)
         for (qp_key, w, cur_key), amp in state.items():
-            if mode <= -1:
-                new = _occ_add(qp_key, (fl, is_p, mode), +1)
-                _state_add(out, (new, w, cur_key), amp)
-            else:
-                target = (fl, not is_p, -mode)
-                cnt = dict(qp_key).get(target, 0)
-                if cnt == 0:
-                    continue
-                new = _occ_add(qp_key, target, -1)
-                _state_add(out, (new, w, cur_key), amp * (cnt if is_p else -cnt))
+            hit = _osc_key(qp_key, fl, is_p, mode)
+            if hit is not None:
+                new, factor = hit
+                _state_add(out, (new, w, cur_key), amp * factor)
         return out
 
     def apply_vertex(self, m: tuple, j: int, state: dict) -> dict:
@@ -264,10 +224,10 @@ class VertexSpace:
                     for lam in _creator_multisets(self.spec.N, self.spec.M, level):
                         c2, key2 = coeff, key
                         for (mu, k), r in lam:
-                            c2 *= (1j * m[mu - 1]) ** r / _FACT[r]
+                            c2 *= (1j * m[mu - 1]) ** r / math.factorial(r)
                             if c2 == 0:
                                 break
-                            key2 = _occ_add(key2, ((_TRAJ, mu), False, -k), r)
+                            key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
                         else:
                             _state_add(out, (key2, w2, cur_key), amp * c2)
                     return
@@ -278,10 +238,10 @@ class VertexSpace:
                 c, fall = coeff, 1.0
                 for r in range(1, cnt + 1):
                     fall *= -(cnt - r + 1)  # q_k on a p slot: -count per quantum
-                    c = coeff * ((1j * m[mu - 1]) ** r / _FACT[r]) * fall
+                    c = coeff * ((1j * m[mu - 1]) ** r / math.factorial(r)) * fall
                     if c == 0:
                         break
-                    ann(i + 1, mode_sum + k * r, c, _occ_add(key, slot, -r))
+                    ann(i + 1, mode_sum + k * r, c, _key_with(key, slot, -r))
 
             ann(0, 0, 1.0, qp_key)
         return out
@@ -304,12 +264,12 @@ class VertexSpace:
         out: dict = {}
         for key, amp in state.items():
             sub = {key: amp}
-            lo = -cur_level(key[2])
-            hi = qp_level(key[0])  # p annihilation bounds the positive modes
+            lo = -key_level(key[2])
+            hi = key_level(key[0])  # p annihilation bounds the positive modes
             for j in range(lo, hi + 1):
                 mid = self.apply_current(label, -j, sub)
                 if mid:
-                    _state_merge(out, self.apply_vertex(m, j, mid))
+                    state_add(out, self.apply_vertex(m, j, mid))
         return out
 
     def apply_J(self, a: int, m: tuple, state: dict) -> dict:
@@ -329,7 +289,7 @@ class VertexSpace:
                 continue
             mid = self.apply_vertex(m, -k, state)
             if mid:
-                _state_merge(out, self._qp_osc(mid, rho, False, k), 1j * k)
+                state_add(out, self._qp_osc(mid, rho, False, k), 1j * k)
         return out
 
     def apply_L(self, mu: int, m: tuple, state: dict, include_T: bool = True) -> dict:
@@ -345,70 +305,31 @@ class VertexSpace:
             # p_{mu,-k} V_{m,k}: vertex first, then the p creator
             mid = self.apply_vertex(m, k, state)
             if mid:
-                _state_merge(out, self._qp_osc(mid, mu, True, -k), -1j)
+                state_add(out, self._qp_osc(mid, mu, True, -k), -1j)
             # V_{m,-k} p_{mu,k}: the p annihilator first
             mid = self._qp_osc(state, mu, True, k)
             if mid:
-                _state_merge(out, self.apply_vertex(m, -k, mid), -1j)
+                state_add(out, self.apply_vertex(m, -k, mid), -1j)
         diag = {key: amp * (1j * key[1][mu - 1]) for key, amp in state.items() if key[1][mu - 1] != 0}
         if diag:
-            _state_merge(out, self.apply_vertex(m, 0, diag), -1j)
+            state_add(out, self.apply_vertex(m, 0, diag), -1j)
         if include_T:
             for nu in range(1, self.spec.N + 1):
                 if m[nu - 1] == 0:
                     continue
-                _state_merge(out, self._dressed_current(("T", nu, mu), m, state), m[nu - 1])
+                state_add(out, self._dressed_current(("T", nu, mu), m, state), m[nu - 1])
         return out
 
 
 def _apply_body_to_key(body: CurrentBody, mode: int, cur_key: tuple) -> list:
     """Exact bilinear application on a current-sector occupation key.
 
-    Mirrors the oracle mechanics (same slot conventions) but works on bare
-    keys with complex factors, and is memoised by the callers per operator.
+    The terms come from the oscillator core of :mod:`curralg.fock_oracle`;
+    this merges them per key in complex arithmetic, in the order they come.
     """
-    results: list = []
-    occ = dict(cur_key)
-    for (A, B), coeff in body.items():
-        ks = set()
-        if mode <= -1:
-            ks.update(range(mode, 0))
-        for (fl, barred, s), _ in cur_key:
-            if fl == B and not barred and -s >= max(mode, 0):
-                ks.add(-s)
-            if fl == A and barred and mode + s <= -1:
-                ks.add(mode + s)
-        if mode >= 1:
-            for k in range(0, mode):
-                if occ.get((B, False, -k)) and occ.get((A, True, k - mode)):
-                    ks.add(k)
-        for k in ks:
-            a_mode, b_mode = mode - k, k
-            if a_mode > 0 and b_mode <= -1:
-                first, second = ((A, False, a_mode), (B, True, b_mode))
-            else:
-                first, second = ((B, True, b_mode), (A, False, a_mode))
-            factor = 1
-            key2 = cur_key
-            dead = False
-            for fl_s, barred_s, mode_s in (first, second):
-                creates = mode_s <= -1 if barred_s else mode_s <= 0
-                if creates:
-                    key2 = _occ_add(key2, (fl_s, barred_s, mode_s), +1)
-                else:
-                    target = (fl_s, not barred_s, -mode_s)
-                    cnt = dict(key2).get(target, 0)
-                    if cnt == 0:
-                        dead = True
-                        break
-                    factor *= cnt if barred_s else -cnt
-                    key2 = _occ_add(key2, target, -1)
-            if dead:
-                continue
-            results.append((key2, complex(coeff) * factor))
     merged: dict = {}
-    for key2, factor in results:
-        merged[key2] = merged.get(key2, 0.0) + factor
+    for key2, coeff, count in body_terms(cur_key, body, mode):
+        merged[key2] = merged.get(key2, 0.0) + complex(coeff) * count
     return [(k, v) for k, v in merged.items() if v != 0]
 
 
@@ -444,7 +365,7 @@ class OperatorMatrix:
     def apply(self, state: dict) -> dict:
         out: dict = {}
         for key, amp in state.items():
-            _state_merge(out, self.column(key), amp)
+            state_add(out, self.column(key), amp)
         return out
 
     def matrix_element(self, row_key: tuple, col_key: tuple) -> complex:
@@ -452,7 +373,7 @@ class OperatorMatrix:
 
     def commutator_column(self, other: "OperatorMatrix", key: tuple) -> dict:
         out = self.apply(other.column(key))
-        _state_merge(out, other.apply(self.column(key)), -1.0)
+        state_add(out, other.apply(self.column(key)), -1.0)
         return out
 
 
@@ -530,12 +451,6 @@ class RealizedGenerators:
         return out
 
 
-def realize_generators(sc: StructureConstants, spec: TruncationSpec, include_T: bool = True):
-    """Convenience constructor: space plus generator factory."""
-    space = VertexSpace(sc, spec)
-    return space, RealizedGenerators(space, include_T=include_T)
-
-
 def p_slot_key(mu: int, k: int = 1) -> tuple:
     """Occupation key for a single p_{mu,-k} quantum."""
     return ((((_TRAJ, mu), True, -k), 1),)
@@ -597,7 +512,7 @@ def _s1_reference_column(gens: RealizedGenerators, m: tuple, n: tuple, probe: tu
     for rho in range(1, space.spec.N + 1):
         if m[rho - 1] == 0:
             continue
-        _state_merge(out, gens.operator(("S1", rho), r).column(probe), m[rho - 1])
+        state_add(out, gens.operator(("S1", rho), r).column(probe), m[rho - 1])
     return out
 
 
@@ -656,9 +571,9 @@ def measure_c1_c2(space: VertexSpace, include_T: bool = True, tol: float = 1e-9)
             col = op_m.commutator_column(op_n, probe)
             # subtract the bilinear part: n_mu L_nu(m+n) - m_nu L_mu(m+n)
             if n[mu - 1] != 0:
-                _state_merge(col, gens.operator(("L", nu), r).column(probe), -n[mu - 1])
+                state_add(col, gens.operator(("L", nu), r).column(probe), -n[mu - 1])
             if m[nu - 1] != 0:
-                _state_merge(col, gens.operator(("L", mu), r).column(probe), m[nu - 1])
+                state_add(col, gens.operator(("L", mu), r).column(probe), m[nu - 1])
             ref = _s1_reference_column(gens, m, n, probe)
             c, resid = _column_ratio(col, ref)
             vals.append(c)
@@ -758,7 +673,7 @@ def _expected_column(
             continue
         arg = _numeric_momentum(term.arg, vectors)
         op = gens.operator(_operator_label(term), arg)
-        _state_merge(out, op.column(probe), coeff)
+        state_add(out, op.column(probe), coeff)
     return out
 
 
@@ -782,14 +697,14 @@ _NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
 def check_table_numeric(
     table_name: str,
     space: VertexSpace,
-    momenta: Optional[list] = None,
+    window: int = 1,
     probes: Optional[list] = None,
     charges: Optional[dict] = None,
 ) -> list:
     """Compare every realized bracket of a one-chain table with its closed form.
 
-    Sweeps all unordered generator pairs over the configured momenta and
-    probe states; returns one BracketDeviation per generator pair holding
+    Sweeps all unordered generator pairs over every momentum pair with
+    components in [-window, window], and over the probe states; returns one BracketDeviation per generator pair holding
     the worst deviation found.  Only the tables whose species are all
     realized here are accepted (the three-chain tables are not).
     """
@@ -802,10 +717,8 @@ def check_table_numeric(
     gens = RealizedGenerators(space)
     if charges is None:
         charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
-    if momenta is None:
-        window = [-1, 0, 1]
-        vecs = [tuple(v) for v in _grid(window, N)]
-        momenta = [(mv, nv) for mv in vecs for nv in vecs]
+    vecs = list(_grid(range(-window, window + 1), N))
+    momenta = [(mv, nv) for mv in vecs for nv in vecs]
     if probes is None:
         probes = default_probe_keys(space)
     labels = gens.labels(table.species)
@@ -826,7 +739,7 @@ def check_table_numeric(
     return rows
 
 
-def _grid(window: list, N: int):
+def _grid(window, N: int):
     if N == 0:
         yield ()
         return
@@ -945,7 +858,7 @@ def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False, tol: 
         coeffs = []
         for probe in _degeneration_probes(space, m, n):
             col = op_m.commutator_column(op_n, probe)
-            _state_merge(col, gens.operator(("L", 1), r).column(probe), -(n - m))
+            state_add(col, gens.operator(("L", 1), r).column(probe), -(n - m))
             ref = ref_op.column(probe)
             if not col and not ref:
                 continue

@@ -37,7 +37,6 @@ from .lie_core import StructureConstants
 from .scalars import Scalar, format_scalar
 
 __all__ = [
-    "OscillatorId",
     "CurrentBody",
     "CurrentFamily",
     "CurrentMode",
@@ -70,44 +69,6 @@ class SpaceMismatchError(ValueError):
 
 class AnomalyPatternError(ValueError):
     """Raised when a measured anomaly does not match its declared index pattern."""
-
-
-@dataclass(frozen=True)
-class OscillatorId:
-    """A single oscillator mode.
-
-    ``species`` is one of phi/psi/zeta with an optional ``_bar`` suffix;
-    ``indices`` is () for phi, (mu,) for psi and (mu, nu) with mu < nu for
-    zeta.  The frequency split makes exactly one member of each conjugate
-    pair an annihilator for every mode.
-    """
-
-    species: str
-    adjoint: int
-    indices: tuple
-    mode: int
-
-    def __post_init__(self):
-        base = self.species.removesuffix("_bar")
-        arity = {"phi": 0, "psi": 1, "zeta": 2}
-        if base not in arity:
-            raise ValueError(f"unknown species {self.species!r}")
-        if len(self.indices) != arity[base]:
-            raise ValueError(f"{self.species} takes {arity[base]} indices")
-        if base == "zeta" and not self.indices[0] < self.indices[1]:
-            raise ValueError("zeta indices must satisfy mu < nu")
-
-    @property
-    def barred(self) -> bool:
-        return self.species.endswith("_bar")
-
-    @property
-    def annihilates(self) -> bool:
-        return self.mode >= 0 if self.barred else self.mode > 0
-
-    @property
-    def flavor(self) -> Flavor:
-        return (self.species.removesuffix("_bar"), self.adjoint, *self.indices)
 
 
 def zeta_flavor(a: int, mu: int, nu: int):

@@ -9,6 +9,7 @@ Run with ``pytest -v`` (one line per criterion from the node ids) or
 import time
 from fractions import Fraction
 
+from curralg.cli import oracle_sweep
 from curralg.lie_core import build_su, verify_identities
 from curralg.formal_algebra import (
     emb1_obstruction,
@@ -22,13 +23,6 @@ from curralg.wick_currents import (
     measure_k1_k2,
     measure_level,
     mode_commutator,
-)
-from curralg.fock_oracle import (
-    FockOracle,
-    apply_body,
-    state_add,
-    state_project,
-    states_equal,
 )
 from curralg.vertex_fock import (
     VACUUM_QP,
@@ -103,29 +97,10 @@ def test_criterion_5_wick_oracle_equivalence():
     t0 = time.perf_counter()
     sc, N, L, cap = SU2, 2, 4, 3
     fams = build_currents(sc, N)
-    flavors = flavors_for(sc.dim, N)
-    oracle = FockOracle(fams, L, cap)
     labels = sorted(fams)
-
-    ok = True
-    columns = 0
-    for i, lab1 in enumerate(labels):
-        for lab2 in labels[i:]:
-            for m in range(-2, 3):
-                for n in range(m, 3):
-                    engine = mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
-                    for key in oracle.safe_keys(flavors, m, n):
-                        want = apply_body(
-                            {key: Fraction(1)}, engine.bilinear_part.body,
-                            engine.bilinear_part.mode,
-                        )
-                        if engine.anomaly != 0:
-                            state_add(want, {key: Fraction(1)}, engine.anomaly)
-                        want = state_project(want, L, cap)
-                        got = oracle.commutator_column(lab1, m, lab2, n, key)
-                        ok = ok and states_equal(got, want)
-                        columns += 1
-    ok = ok and columns > 100000
+    mode_pairs = [(m, n) for m in range(-2, 3) for n in range(m, 3)]
+    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, mode_pairs)
+    ok = sweep.mismatches == 0 and sweep.columns > 100000
 
     # anomaly location and shape among the current-family brackets
     km_labels = [lab for lab in labels if lab[0] in ("J", "G", "H")]

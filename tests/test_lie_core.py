@@ -174,6 +174,13 @@ def test_su1_rejected():
         build_su(1)
 
 
+def test_zero_entries_leave_the_callers_dict_alone():
+    f = {(1, 2, 3): Fraction(1), (1, 1, 1): Fraction(0)}
+    sc = StructureConstants(dim=3, f=f)
+    assert f == {(1, 2, 3): Fraction(1), (1, 1, 1): Fraction(0)}
+    assert sc.f == {(1, 2, 3): Fraction(1)}
+
+
 def test_metric_must_be_kronecker():
     with pytest.raises(ValueError, match="Kronecker"):
         StructureConstants(dim=2, metric={(1, 2): 1})

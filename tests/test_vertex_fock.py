@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import pytest
@@ -125,6 +126,16 @@ def test_vertex_creator_mode_on_vacuum():
     assert _dist(col, want) == 0
     assert build_vertex(m, 1, space).column(vac) == {}
     assert build_vertex(m, 2, space).column(vac) == {}
+
+
+def test_vertex_mode_beyond_level_39():
+    # (V_m)_{-40}|0> at N = M = 1 is the single state (q_{-1})^40 |m>,
+    # weighted (i m)^40 / 40!; the amplitude needs 40!, past any short table.
+    space = VertexSpace(SU2, TruncationSpec(N=1, L=40, P=2, M=1))
+    col = space.apply_vertex((1,), -40, {space.vacuum_key(): 1.0})
+    q40 = ((((("traj", 1), False, -1), 40),), (1,), ())
+    assert list(col) == [q40]
+    assert col[q40] == pytest.approx(1 / math.factorial(40))
 
 
 def test_vertex_momentum_window_enforced():
@@ -359,9 +370,9 @@ def test_boundary_probe_keys_sit_on_the_boundary():
     space = _space()
     keys = boundary_probe_keys(space)
     assert any(key[1][0] == space.spec.P for key in keys)
-    from curralg.vertex_fock import cur_npart
+    from curralg.fock_oracle import key_npart
 
-    assert any(cur_npart(key[2]) == space.spec.current_cap - 1 for key in keys)
+    assert any(key_npart(key[2]) == space.spec.current_cap - 1 for key in keys)
 
 
 # -- N = 1 degeneration --------------------------------------------------------

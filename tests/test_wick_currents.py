@@ -13,9 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from curralg.cli import oracle_sweep
 from curralg.lie_core import build_su
 from curralg.fock_oracle import (
-    FockOracle,
     apply_body,
     apply_bilinear,
     apply_oscillator,
@@ -126,36 +126,16 @@ def test_oracle_enumeration_small_window():
 MODE_PAIRS = ((1, -1), (2, -2), (3, -3), (2, -1), (1, 1))
 
 
-def _engine_column(result, key):
-    col = apply_body({key: Fraction(1)}, result.bilinear_part.body, result.bilinear_part.mode)
-    if result.anomaly != 0:
-        state_add(col, {key: Fraction(1)}, result.anomaly)
-    return col
-
-
 def test_wick_engine_matches_matrix_oracle_everywhere():
     """su(2), N=2, L=4: every family pair, every safe column, exact match."""
     t0 = time.time()
     sc, N, L, cap = SU2, 2, 4, 3
     fams = build_currents(sc, N)
-    flavors = flavors_for(sc.dim, N)
-    oracle = FockOracle(fams, L, cap)
-    labels = sorted(fams)
-
-    pairs = columns = 0
-    for i, lab1 in enumerate(labels):
-        for lab2 in labels[i:]:
-            for m, n in MODE_PAIRS:
-                engine = mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
-                for key in oracle.safe_keys(flavors, m, n):
-                    want = _engine_column(engine, key)
-                    got = oracle.commutator_column(lab1, m, lab2, n, key)
-                    assert states_equal(got, want), (lab1, lab2, m, n, key)
-                    columns += 1
-                pairs += 1
+    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, MODE_PAIRS)
     elapsed = time.time() - t0
-    assert pairs == len(labels) * (len(labels) + 1) // 2 * len(MODE_PAIRS)
-    assert columns > 50000
+    assert sweep.mismatches == 0, sweep.first_mismatch
+    assert sweep.pairs == len(fams) * (len(fams) + 1) // 2 * len(MODE_PAIRS)
+    assert sweep.columns > 50000
     assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
 
 
