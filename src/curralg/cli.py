@@ -125,11 +125,15 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _split_tables(value: str) -> tuple:
+    return tuple(t.strip().upper() for t in value.split(",") if t.strip())
+
+
 def _parse_config_value(key: str, value: str, where: str):
     kind = RunConfig.__dataclass_fields__[key].type
     try:
         if key == "tables":
-            return tuple(t.strip().upper() for t in value.split(",") if t.strip())
+            return _split_tables(value)
         if key == "timestamp":
             low = value.lower()
             if low in _TRUE:
@@ -169,6 +173,14 @@ def cmd_verify_lie(cfg: RunConfig) -> tuple:
     report.add("identities", rows)
     report.add("result", [("status", "PASS" if idrep.passed else "FAIL")])
     return report, idrep.passed
+
+
+def _invalid_constants(report: Report, idrep) -> tuple:
+    """Close ``report`` with the first failed structure constant identity."""
+    bad = next(c for c in idrep.checks if not c.passed)
+    reason = f"structure constants invalid: {bad.name} at {bad.first_violation}"
+    report.add("result", [("status", "FAIL"), ("reason", reason)])
+    return report, False
 
 
 # -- verify-tables -------------------------------------------------------------
@@ -298,15 +310,7 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
 
     idrep = verify_identities(sc)
     if not idrep.passed:
-        bad = next(c for c in idrep.checks if not c.passed)
-        report.add(
-            "result",
-            [
-                ("status", "FAIL"),
-                ("reason", f"structure constants invalid: {bad.name} at {bad.first_violation}"),
-            ],
-        )
-        return report, False
+        return _invalid_constants(report, idrep)
 
     W = cfg.mode_window
     mode_pairs = [(m, n) for m in range(-W, W + 1) for n in range(m, W + 1)]
@@ -367,16 +371,7 @@ def cmd_measure(cfg: RunConfig) -> tuple:
     sc, name = resolve_algebra(cfg)
     idrep = verify_identities(sc)
     if not idrep.passed:
-        bad = next(c for c in idrep.checks if not c.passed)
-        report = Report("charge measurement")
-        report.add(
-            "result",
-            [
-                ("status", "FAIL"),
-                ("reason", f"structure constants invalid: {bad.name} at {bad.first_violation}"),
-            ],
-        )
-        return report, False
+        return _invalid_constants(Report("charge measurement"), idrep)
     tol = cfg.tolerance or 1e-8
 
     k = wc.measure_level(sc, cfg.dim)
@@ -547,7 +542,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             if key == "tables":
-                flag = tuple(t.strip().upper() for t in flag.split(",") if t.strip())
+                flag = _split_tables(flag)
             values[key] = flag
     return RunConfig(**values).validated()
 

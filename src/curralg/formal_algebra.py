@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .lie_core import StructureConstants
 from .poly import Poly, format_poly
-from .scalars import Scalar
 
 __all__ = [
     "MomentumSymbol",
@@ -717,6 +716,25 @@ class JacobiReport:
         return "\n".join(lines)
 
 
+def _triples(table: AlgebraTable):
+    """Unordered generator triples (with repetition) at symbols m, n, r.
+
+    Yields three (label, expression) pairs, at m, n and r in that order,
+    following the order of ``all_generators``.
+    """
+    gens = [all_generators(table, MomentumSymbol(s, table.N)) for s in ("m", "n", "r")]
+    n_gen = len(gens[0])
+    for i in range(n_gen):
+        for jdx in range(i, n_gen):
+            for kdx in range(jdx, n_gen):
+                yield gens[0][i], gens[1][jdx], gens[2][kdx]
+
+
+def _generator(expr: Expression) -> GeneratorTerm:
+    """The generator of a single-generator expression such as J(a, m)."""
+    return next(iter(expr.terms))[0]
+
+
 def jacobi_sweep(table: AlgebraTable, max_failures: int = 20) -> JacobiReport:
     """Exhaustive Jacobiator check over unordered generator triples.
 
@@ -725,38 +743,29 @@ def jacobi_sweep(table: AlgebraTable, max_failures: int = 20) -> JacobiReport:
     orderings.  In CONCRETE_3D mode delta-supported coefficients are
     evaluated on support before the zero test.
     """
-    syms = [MomentumSymbol(s, table.N) for s in ("m", "n", "r")]
-    gens = [all_generators(table, s) for s in syms]
     count = 0
     failures: list = []
-    n_gen = len(gens[0])
-    for i in range(n_gen):
-        for jdx in range(i, n_gen):
-            for kdx in range(jdx, n_gen):
-                lab_x, x = gens[0][i]
-                lab_y, y = gens[1][jdx]
-                lab_z, z = gens[2][kdx]
-                jac = jacobiator(table, x, y, z)
-                if table.chain_mode == "CONCRETE_3D":
-                    jac = jac.discharged()
-                count += 1
-                if not jac.is_zero:
-                    if len(failures) < max_failures:
-                        failures.append((f"({lab_x}, {lab_y}, {lab_z})", jac.render()))
+    for (lab_x, x), (lab_y, y), (lab_z, z) in _triples(table):
+        jac = jacobiator(table, x, y, z)
+        if table.chain_mode == "CONCRETE_3D":
+            jac = jac.discharged()
+        count += 1
+        if not jac.is_zero:
+            if len(failures) < max_failures:
+                failures.append((f"({lab_x}, {lab_y}, {lab_z})", jac.render()))
     return JacobiReport(table.name, table.N, table.chain_mode, table.sc.dim, count, failures)
 
 
-def emb1_expected_obstruction(table: AlgebraTable, a: int, b: int, c: int, mu: int, nu: int,
-                              m: MomentumSymbol, n: MomentumSymbol, r: MomentumSymbol) -> Expression:
-    """d^{abc} m_rho S3^{mu nu rho}(m+n+r) for the (J, G, G) triple, in the
-    table's chain mode."""
-    tot = Momentum.of(m) + n + r
-    dval = table.sc.d_at(a, b, c)
+def emb1_expected_obstruction(table: AlgebraTable, x: Expression, y: Expression, z: Expression) -> Expression:
+    """d^{abc} m_rho S3^{mu nu rho}(m+n+r) for the (J^a(m), G^{b mu}(n),
+    G^{c nu}(r)) triple, in the table's chain mode."""
+    tx, ty, tz = _generator(x), _generator(y), _generator(z)
+    tot = tx.arg + ty.arg + tz.arg
+    dval = table.sc.d_at(tx.adjoint, ty.adjoint, tz.adjoint)
     out = _Out(table)
     if dval != 0:
-        mm = Momentum.of(m)
         for rho in range(1, table.N + 1):
-            out.add("S3", 0, (mu, nu, rho), tot, mm.component(rho) * dval)
+            out.add("S3", 0, (ty.sidx[0], tz.sidx[0], rho), tot, tx.arg.component(rho) * dval)
     return out.expression()
 
 
@@ -793,63 +802,36 @@ def emb1_obstruction(table: AlgebraTable, max_failures: int = 20) -> Obstruction
     d^{abc} m_rho S3^{mu nu rho}(m+n+r) exactly.  In CONCRETE_3D mode both
     sides are compared after on-support evaluation and the report records
     whether any obstruction survives on the support (it does iff d != 0).
+    Mismatches are listed in sweep order.
     """
     if table.name != "EMB1":
         raise ValueError("obstruction sweep is defined for the EMB1 table")
-    m, n, r = (MomentumSymbol(s, table.N) for s in ("m", "n", "r"))
-    dim = table.sc.dim
     concrete = table.chain_mode == "CONCRETE_3D"
-
     jgg = other = 0
     mismatches: list = []
     nonzero_support = False
-
-    # (J, G, G) triples against the expected pattern
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            for mu in range(1, table.N + 1):
-                for c in range(b, dim + 1):
-                    for nu in range(1, table.N + 1):
-                        if c == b and nu < mu:
-                            continue
-                        jac = jacobiator(table, J(a, m), G(b, mu, n), G(c, nu, r))
-                        want = emb1_expected_obstruction(table, a, b, c, mu, nu, m, n, r)
-                        if concrete:
-                            jac = jac.discharged()
-                            want = want.discharged()
-                        jgg += 1
-                        if not jac.is_zero:
-                            nonzero_support = nonzero_support or concrete
-                        if jac != want:
-                            if len(mismatches) < max_failures:
-                                mismatches.append(
-                                    (f"(J^{a}(m), G^{b}{{{mu}}}(n), G^{c}{{{nu}}}(r))",
-                                     "got:\n" + jac.render() + "\nwant:\n" + want.render())
-                                )
-
-    # all other unordered triples must vanish
-    syms = (m, n, r)
-    gens = [all_generators(table, s) for s in syms]
-    n_gen = len(gens[0])
-    labels = [lab for lab, _ in gens[0]]
-    kind_of = [next(iter(e.terms))[0].species for _, e in gens[0]]
-    for i in range(n_gen):
-        for jdx in range(i, n_gen):
-            for kdx in range(jdx, n_gen):
-                if (kind_of[i], kind_of[jdx], kind_of[kdx]) == ("J", "G", "G"):
-                    continue  # handled above with the expected pattern
-                jac = jacobiator(table, gens[0][i][1], gens[1][jdx][1], gens[2][kdx][1])
-                if concrete:
-                    jac = jac.discharged()
-                other += 1
-                if not jac.is_zero:
-                    if len(mismatches) < max_failures:
-                        mismatches.append(
-                            (f"({labels[i]}, {gens[1][jdx][0]}, {gens[2][kdx][0]})",
-                             "expected zero, got:\n" + jac.render())
-                        )
+    for (lab_x, x), (lab_y, y), (lab_z, z) in _triples(table):
+        jac = jacobiator(table, x, y, z)
+        if concrete:
+            jac = jac.discharged()
+        is_jgg = (_generator(x).species, _generator(y).species, _generator(z).species) == ("J", "G", "G")
+        if is_jgg:
+            jgg += 1
+            want = emb1_expected_obstruction(table, x, y, z)
+            if concrete:
+                want = want.discharged()
+            nonzero_support = nonzero_support or (concrete and not jac.is_zero)
+        else:
+            other += 1
+            want = Expression()
+        if jac != want and len(mismatches) < max_failures:
+            if is_jgg:
+                detail = "got:\n" + jac.render() + "\nwant:\n" + want.render()
+            else:
+                detail = "expected zero, got:\n" + jac.render()
+            mismatches.append((f"({lab_x}, {lab_y}, {lab_z})", detail))
     return ObstructionReport(
-        table.name, table.N, table.chain_mode, dim, jgg, other, mismatches, nonzero_support
+        table.name, table.N, table.chain_mode, table.sc.dim, jgg, other, mismatches, nonzero_support
     )
 
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, SurdSum, format_scalar
 
 __all__ = ["Poly", "format_poly"]
 
 Monomial = tuple  # tuple[tuple[str, int], ...], sorted by variable name
 
 _ONE: Monomial = ()
+
+_COEFF_TYPES = (int, Fraction, SurdSum)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -58,7 +60,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "SurdSum":
+        if isinstance(other, _COEFF_TYPES):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -73,7 +75,7 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "SurdSum":
+        if isinstance(other, _COEFF_TYPES):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -83,7 +85,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "SurdSum":
+        if isinstance(other, _COEFF_TYPES):
             if other == 0:
                 return Poly()
             return Poly({m: c * other for m, c in self.terms.items()})
@@ -122,7 +124,7 @@ class Poly:
         return self.terms.get(mono, Fraction(0))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) or type(other).__name__ == "SurdSum":
+        if isinstance(other, _COEFF_TYPES):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented

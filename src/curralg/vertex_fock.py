@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from . import formal_algebra as fa
 from .fock_oracle import _key_with, _osc_key, body_terms, key_level, key_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, flavors_for, measure_level
@@ -272,15 +273,6 @@ class VertexSpace:
                     state_add(out, self.apply_vertex(m, j, mid))
         return out
 
-    def apply_J(self, a: int, m: tuple, state: dict) -> dict:
-        return self._dressed_current(("J", a), m, state)
-
-    def apply_G(self, a: int, mu: int, m: tuple, state: dict) -> dict:
-        return self._dressed_current(("G", a, mu), m, state)
-
-    def apply_H(self, a: int, mu: int, nu: int, m: tuple, state: dict) -> dict:
-        return self._dressed_current(("H", a, mu, nu), m, state)
-
     def apply_S1(self, rho: int, m: tuple, state: dict) -> dict:
         """The closed one-chain: sum_{k != 0} (-ik) q^rho_k V_{m,-k}."""
         out: dict = {}
@@ -338,8 +330,7 @@ class OperatorMatrix:
 
     ``column(key)`` is the exact application to one basis state followed by
     projection onto the truncated space, so operator products compose with
-    matrix semantics (project after every factor).  ``boundary_loss``
-    reports how much a column lost to the projection: zero on safe states.
+    matrix semantics (project after every factor).
     """
 
     def __init__(self, space: VertexSpace, label: str, apply_fn: Callable[[dict], dict]):
@@ -347,20 +338,13 @@ class OperatorMatrix:
         self.label = label
         self._apply_fn = apply_fn
         self._columns: dict = {}
-        self._losses: dict = {}
 
     def column(self, key: tuple) -> dict:
         hit = self._columns.get(key)
         if hit is None:
-            raw = self._apply_fn({key: 1.0})
-            hit = self.space.project(raw)
+            hit = self.space.project(self._apply_fn({key: 1.0}))
             self._columns[key] = hit
-            self._losses[key] = sum(abs(a) for k, a in raw.items() if k not in hit)
         return hit
-
-    def boundary_loss(self, key: tuple) -> float:
-        self.column(key)
-        return self._losses[key]
 
     def apply(self, state: dict) -> dict:
         out: dict = {}
@@ -409,12 +393,8 @@ class RealizedGenerators:
             return hit
         sp = self.space
         kind = label[0]
-        if kind == "J":
-            fn = lambda st, a=label[1]: sp.apply_J(a, m, st)
-        elif kind == "G":
-            fn = lambda st, a=label[1], mu=label[2]: sp.apply_G(a, mu, m, st)
-        elif kind == "H":
-            fn = lambda st, a=label[1], mu=label[2], nu=label[3]: sp.apply_H(a, mu, nu, m, st)
+        if kind in ("J", "G", "H"):
+            fn = lambda st: sp._dressed_current(label, m, st)
         elif kind == "S1":
             fn = lambda st, rho=label[1]: sp.apply_S1(rho, m, st)
         elif kind == "L":
@@ -607,20 +587,10 @@ class BracketDeviation:
 
 
 def _formal_generator(label: tuple, arg):
-    from . import formal_algebra as fa
-
-    kind = label[0]
-    if kind == "J":
-        return fa.J(label[1], arg)
-    if kind == "G":
-        return fa.G(label[1], label[2], arg)
-    if kind == "H":
-        return fa.H(label[1], label[2], label[3], arg)
-    if kind == "S1":
-        return fa.S1(label[1], arg)
-    if kind == "L":
-        return fa.L(label[1], arg)
-    raise ValueError(f"no formal counterpart for {label!r}")
+    make = {"J": fa.J, "G": fa.G, "H": fa.H, "S1": fa.S1, "L": fa.L}.get(label[0])
+    if make is None:
+        raise ValueError(f"no formal counterpart for {label!r}")
+    return make(*label[1:], arg)
 
 
 def _numeric_momentum(arg, vectors: dict) -> tuple:
@@ -650,8 +620,6 @@ def _expected_column(
     probe: tuple,
 ) -> dict:
     """Realize the closed form of one formal bracket as a numeric column."""
-    from . import formal_algebra as fa
-
     N = gens.space.spec.N
     ms = fa.MomentumSymbol("m", N)
     ns = fa.MomentumSymbol("n", N)
@@ -694,6 +662,25 @@ def default_charges(space: VertexSpace, include_c: bool = False) -> dict:
 _NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
 
 
+def _numeric_context(table_name: str, space: VertexSpace, charges: Optional[dict]) -> tuple:
+    """(table, generators, charges) for a numeric sweep of one table."""
+    if table_name not in _NUMERIC_TABLES:
+        raise ValueError(f"numeric sweep supports {_NUMERIC_TABLES}, not {table_name!r}")
+    table = fa.make_table(table_name, space.sc, space.spec.N)
+    if charges is None:
+        charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
+    return table, RealizedGenerators(space), charges
+
+
+def _deviation(gens: RealizedGenerators, table, charges: dict, lab1: tuple, m: tuple, lab2: tuple, n: tuple,
+               probe: tuple) -> float:
+    """Distance between the realized commutator column and the projected
+    closed form of the same bracket, on one probe state."""
+    lhs = gens.operator(lab1, m).commutator_column(gens.operator(lab2, n), probe)
+    rhs = gens.space.project(_expected_column(gens, table, charges, lab1, m, lab2, n, probe))
+    return _column_distance(lhs, rhs)
+
+
 def check_table_numeric(
     table_name: str,
     space: VertexSpace,
@@ -704,21 +691,18 @@ def check_table_numeric(
     """Compare every realized bracket of a one-chain table with its closed form.
 
     Sweeps all unordered generator pairs over every momentum pair with
-    components in [-window, window], and over the probe states; returns one BracketDeviation per generator pair holding
-    the worst deviation found.  Only the tables whose species are all
-    realized here are accepted (the three-chain tables are not).
+    components in [-window, window], and over the probe states; returns one
+    BracketDeviation per generator pair holding the worst deviation found.
+    Only the tables whose species are all realized here are accepted (the
+    three-chain tables are not); a negative window or an empty probe list
+    would check nothing and is rejected.
     """
-    if table_name not in _NUMERIC_TABLES:
-        raise ValueError(f"numeric sweep supports {_NUMERIC_TABLES}, not {table_name!r}")
-    from .formal_algebra import make_table
-
-    N = space.spec.N
-    table = make_table(table_name, space.sc, N)
-    gens = RealizedGenerators(space)
-    if charges is None:
-        charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
-    vecs = list(_grid(range(-window, window + 1), N))
-    momenta = [(mv, nv) for mv in vecs for nv in vecs]
+    if window < 0:
+        raise ValueError(f"window must not be negative, got {window}")
+    if probes is not None and not probes:
+        raise ValueError("probe list is empty")
+    table, gens, charges = _numeric_context(table_name, space, charges)
+    vecs = list(_grid(range(-window, window + 1), space.spec.N))
     if probes is None:
         probes = default_probe_keys(space)
     labels = gens.labels(table.species)
@@ -726,15 +710,12 @@ def check_table_numeric(
     for i, lab1 in enumerate(labels):
         for lab2 in labels[i:]:
             worst = BracketDeviation(lab1, lab2, (), (), 0.0)
-            for mv, nv in momenta:
-                op1 = gens.operator(lab1, mv)
-                op2 = gens.operator(lab2, nv)
-                for probe in probes:
-                    lhs = op1.commutator_column(op2, probe)
-                    rhs = space.project(_expected_column(gens, table, charges, lab1, mv, lab2, nv, probe))
-                    dev = _column_distance(lhs, rhs)
-                    if dev > worst.deviation:
-                        worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
+            for mv in vecs:
+                for nv in vecs:
+                    for probe in probes:
+                        dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)
+                        if dev > worst.deviation:
+                            worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
             rows.append(worst)
     return rows
 
@@ -782,20 +763,18 @@ def stage_deviations(
     elements: list,
     charges: Optional[dict] = None,
 ) -> list:
-    """Deviation of fixed tested elements (bracket, momenta, probe) in one space."""
-    from .formal_algebra import make_table
+    """Deviation of fixed tested elements (bracket, momenta, probe) in one space.
 
-    table = make_table(table_name, space.sc, space.spec.N)
-    gens = RealizedGenerators(space)
-    if charges is None:
-        charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
+    Accepts the same tables as :func:`check_table_numeric`; an empty element
+    list would check nothing and is rejected.
+    """
+    if not elements:
+        raise ValueError("element list is empty")
+    table, gens, charges = _numeric_context(table_name, space, charges)
     out = []
     for lab1, mv, lab2, nv, probe in elements:
-        op1 = gens.operator(lab1, mv)
-        op2 = gens.operator(lab2, nv)
-        lhs = op1.commutator_column(op2, probe)
-        rhs = space.project(_expected_column(gens, table, charges, lab1, mv, lab2, nv, probe))
-        out.append(BracketDeviation(lab1, lab2, mv, nv, _column_distance(lhs, rhs), probe))
+        dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)
+        out.append(BracketDeviation(lab1, lab2, mv, nv, dev, probe))
     return out
 
 

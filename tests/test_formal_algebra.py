@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -298,10 +299,20 @@ def test_jacobiator_vanishes(name, sc, N):
     assert rep.triples_checked > 0
 
 
+# (J, G, G) and other triple counts of the EMB1 sweep, by (dim of the Lie algebra, N)
+_EMB1_TRIPLES = {(3, 2): (63, 301), (3, 3): (135, 1889), (8, 2): (1088, 4896), (8, 3): (2400, 30109)}
+
+
 @pytest.mark.parametrize("sc,N", [(SU2, 2), (SU2, 3), (SU3, 2), (SU3, 3)])
 def test_emb1_obstruction_formal(sc, N):
-    rep = emb1_obstruction(make_table("EMB1", sc, N))
+    table = make_table("EMB1", sc, N)
+    rep = emb1_obstruction(table)
     assert rep.passed, rep.describe()
+    assert (rep.jgg_checked, rep.other_checked) == _EMB1_TRIPLES[(sc.dim, N)]
+    # one J^a times an unordered pair (with repetition) of the dim*N generators G^{b mu}
+    assert rep.jgg_checked == sc.dim * math.comb(sc.dim * N + 1, 2)
+    n_gen = len(all_generators(table, _sym("m", N)))
+    assert rep.jgg_checked + rep.other_checked == math.comb(n_gen + 2, 3)
 
 
 def test_emb1_obstruction_value():

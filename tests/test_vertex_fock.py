@@ -332,6 +332,33 @@ def test_numeric_sweep_rejects_symbolic_only_tables():
         check_table_numeric("EMB1", _space())
 
 
+def test_numeric_sweeps_reject_inputs_that_check_nothing():
+    space, charges = _space(), dict(_charges())
+    with pytest.raises(ValueError, match="window"):
+        check_table_numeric("CLASSICAL_MF", space, window=-1, charges=charges)
+    with pytest.raises(ValueError, match="probe"):
+        check_table_numeric("CLASSICAL_MF", space, probes=[], charges=charges)
+    element = (("J", 1), (1, 0), ("J", 2), (0, 1), (p_slot_key(1), (0, 0), ()))
+    for name in ("MF", "EMB1"):
+        with pytest.raises(ValueError, match="numeric sweep supports"):
+            stage_deviations(name, space, [element], charges)
+    with pytest.raises(ValueError, match="empty"):
+        stage_deviations("CLASSICAL_MF", space, [], charges)
+
+
+def test_numeric_entry_points_share_the_deviation_kernel():
+    """stage_deviations reproduces every nonzero row of the sweep exactly,
+    the worst one included."""
+    space, charges = _space(), dict(_charges())
+    rows = check_table_numeric("CLASSICAL_MF", space, probes=boundary_probe_keys(space), charges=charges)
+    nonzero = [r for r in rows if r.deviation > 0]
+    assert nonzero  # the boundary probes clip some brackets
+    again = stage_deviations(
+        "CLASSICAL_MF", space, [(r.label1, r.m, r.label2, r.n, r.probe) for r in nonzero], charges
+    )
+    assert again == nonzero
+
+
 # -- convergence across truncation stages -------------------------------------
 
 
