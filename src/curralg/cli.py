@@ -192,6 +192,9 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
     sc, name = resolve_algebra(cfg)
     report = Report("bracket table verification")
     report.add("algebra", [("source", name), ("dim_lie", sc.dim), ("dim", cfg.dim)])
+    idrep = verify_identities(sc)
+    if not idrep.passed:
+        return _invalid_constants(report, idrep)
     ok = True
 
     for table_name in cfg.tables:
@@ -559,12 +562,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report, ok = out[0], out[1]
+    # only a completed measurement carries its own JSON document
+    report, ok, *doc = out
     if cfg.format == "json":
-        if args.command == "measure":
-            text = json.dumps(out[2], indent=2) + "\n"
-        else:
-            text = report.render_json()
+        text = json.dumps(doc[0], indent=2) + "\n" if doc else report.render_json()
     else:
         text = report.render_text(timestamp=cfg.timestamp)
     if cfg.output:

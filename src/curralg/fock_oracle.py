@@ -36,7 +36,6 @@ from .scalars import Scalar
 
 __all__ = [
     "vacuum",
-    "slot_level",
     "key_level",
     "key_npart",
     "state_add",
@@ -55,10 +54,6 @@ State = dict  # BasisKey -> Scalar
 
 def vacuum() -> State:
     return {(): Fraction(1)}
-
-
-def slot_level(slot) -> int:
-    return -slot[2]
 
 
 def key_level(key: BasisKey) -> int:
@@ -81,16 +76,21 @@ def _key_with(key: BasisKey, slot, delta: int):
     return tuple(sorted(d.items()))
 
 
+def _add_at(dst: State, key, amp) -> None:
+    """dst[key] += amp, dropping the key when the sum is zero."""
+    cur = dst.get(key)
+    new = amp if cur is None else cur + amp
+    if new == 0:
+        dst.pop(key, None)
+    else:
+        dst[key] = new
+
+
 def state_add(dst: State, src: State, factor=1) -> None:
     if factor == 0:
         return
     for key, amp in src.items():
-        cur = dst.get(key)
-        new = amp * factor if cur is None else cur + amp * factor
-        if new == 0:
-            dst.pop(key, None)
-        else:
-            dst[key] = new
+        _add_at(dst, key, amp * factor)
 
 
 def state_project(state: State, level_max: int, npart_max: int) -> State:
@@ -130,12 +130,7 @@ def apply_oscillator(state: State, flavor, barred: bool, mode: int) -> State:
         if hit is None:
             continue
         new_key, factor = hit
-        cur = out.get(new_key)
-        new = amp * factor if cur is None else cur + amp * factor
-        if new == 0:
-            out.pop(new_key, None)
-        else:
-            out[new_key] = new
+        _add_at(out, new_key, amp * factor)
     return out
 
 
@@ -188,13 +183,7 @@ def apply_body(state: State, body: dict, m: int) -> State:
     out: State = {}
     for key, amp in state.items():
         for new_key, coeff, count in body_terms(key, body, m):
-            term = amp * count * coeff
-            cur = out.get(new_key)
-            new = term if cur is None else cur + term
-            if new == 0:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = new
+            _add_at(out, new_key, amp * count * coeff)
     return out
 
 
@@ -221,7 +210,7 @@ def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:
             return
         for i in range(start, len(slots)):
             slot = slots[i]
-            lev = slot_level(slot)
+            lev = -slot[2]
             if level + lev > level_max:
                 continue
             if picked and picked[-1][0] == slot:

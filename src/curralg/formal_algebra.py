@@ -42,6 +42,8 @@ __all__ = [
     "S1",
     "S3",
     "L",
+    "generator",
+    "generator_labels",
     "bracket",
     "jacobiator",
     "reduce_closedness",
@@ -126,6 +128,15 @@ class Momentum:
     def is_zero(self) -> bool:
         return not self.parts
 
+    def at(self, vectors: dict) -> tuple:
+        """The integer vector this momentum takes when each symbol name maps
+        to a numeric vector in ``vectors``."""
+        out = [0] * self.N
+        for name, c in self.parts:
+            for i, x in enumerate(vectors[name]):
+                out[i] += c * x
+        return tuple(out)
+
     def component(self, mu: int) -> Poly:
         """The mu-th component as a polynomial in symbol-component variables."""
         if not 1 <= mu <= self.N:
@@ -180,6 +191,15 @@ class GeneratorTerm:
     def sort_key(self):
         return (_SPECIES_ORDER[self.species], self.adjoint, self.sidx, self.arg.parts)
 
+    @property
+    def label(self) -> tuple:
+        """The generator without its argument: ("J", a), ("G", a, mu),
+        ("H", a, mu, nu), ("S1", mu), ("S3", mu, nu, rho) or ("L", mu);
+        :func:`generator` is the inverse."""
+        if self.species in _ADJOINT_SPECIES:
+            return (self.species, self.adjoint) + self.sidx
+        return (self.species,) + self.sidx
+
     def render(self) -> str:
         sp = self.species
         if sp == "1":
@@ -207,6 +227,8 @@ def _sort_with_sign(indices: tuple) -> tuple[int, Optional[tuple]]:
 
 
 _ANTISYM_ARITY = {"H": 2, "S3": 3}
+_ADJOINT_SPECIES = ("J", "G", "H")
+_SPACETIME_ARITY = {"J": 0, "G": 1, "H": 2, "S1": 1, "S3": 3, "L": 1}
 
 
 def _normal_term(species, adjoint, sidx, arg) -> tuple[int, Optional[GeneratorTerm]]:
@@ -340,6 +362,35 @@ def S3(mu: int, nu: int, rho: int, arg) -> Expression:
 
 def L(mu: int, arg) -> Expression:
     return _single("L", 0, (mu,), arg)
+
+
+_MAKERS = {"J": J, "G": G, "H": H, "S1": S1, "S3": S3, "L": L}
+
+
+def generator(label: tuple, arg) -> Expression:
+    """The generator named by ``label`` (see :attr:`GeneratorTerm.label`) at ``arg``."""
+    make = _MAKERS.get(label[0])
+    if make is None:
+        raise ValueError(f"unknown generator label {label!r}")
+    return make(*label[1:], arg)
+
+
+def generator_labels(species: tuple, dim: int, N: int) -> list:
+    """Labels of every generator of the given species, in sweep order.
+
+    Adjoint index first, then the spacetime indices; an antisymmetric block
+    appears once, in increasing order.
+    """
+    out = []
+    for s in species:
+        if s not in _SPACETIME_ARITY:
+            raise ValueError(f"unknown species {s!r}")
+        blocks = list(itertools.combinations(range(1, N + 1), _SPACETIME_ARITY[s]))
+        if s in _ADJOINT_SPECIES:
+            out += [(s, a) + block for a in range(1, dim + 1) for block in blocks]
+        else:
+            out += [(s,) + block for block in blocks]
+    return out
 
 
 class AlgebraTable:
@@ -663,31 +714,8 @@ def all_generators(table: AlgebraTable, sym: MomentumSymbol) -> list[tuple[str, 
     """Every generator of the table with the given momentum symbol, labelled."""
     if sym.N != table.N:
         raise ValueError("symbol dimension differs from table dimension")
-    dim = table.sc.dim
-    N = table.N
-    gens: list[tuple[str, Expression]] = []
-    for species in table.species:
-        if species == "J":
-            for a in range(1, dim + 1):
-                gens.append((f"J^{a}({sym.name})", J(a, sym)))
-        elif species == "G":
-            for a in range(1, dim + 1):
-                for mu in range(1, N + 1):
-                    gens.append((f"G^{a}{{{mu}}}({sym.name})", G(a, mu, sym)))
-        elif species == "H":
-            for a in range(1, dim + 1):
-                for mu, nu in itertools.combinations(range(1, N + 1), 2):
-                    gens.append((f"H^{a}{{{mu},{nu}}}({sym.name})", H(a, mu, nu, sym)))
-        elif species == "S1":
-            for mu in range(1, N + 1):
-                gens.append((f"S1{{{mu}}}({sym.name})", S1(mu, sym)))
-        elif species == "S3":
-            for tri in itertools.combinations(range(1, N + 1), 3):
-                gens.append((f"S3{{{tri[0]},{tri[1]},{tri[2]}}}({sym.name})", S3(*tri, sym)))
-        elif species == "L":
-            for mu in range(1, N + 1):
-                gens.append((f"L{{{mu}}}({sym.name})", L(mu, sym)))
-    return gens
+    gens = [generator(label, sym) for label in generator_labels(table.species, table.sc.dim, table.N)]
+    return [(_generator(x).render(), x) for x in gens]
 
 
 @dataclass

@@ -46,10 +46,6 @@ class Poly:
                     self.terms[mono] = coef
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def const(cls, c: Scalar) -> "Poly":
         return cls({_ONE: c})
 
@@ -113,15 +109,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            out.update(v for v, _ in mono)
-        return out
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self.terms.get(mono, Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, _COEFF_TYPES):

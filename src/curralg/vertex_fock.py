@@ -26,13 +26,14 @@ everything upstream is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
-from .fock_oracle import _key_with, _osc_key, body_terms, key_level, key_npart, state_add
+from .fock_oracle import _add_at, _key_with, _osc_key, body_terms, key_level, key_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, flavors_for, measure_level
 
@@ -117,15 +118,6 @@ def total_level(key: tuple) -> int:
     return key_level(key[0]) + key_level(key[2])
 
 
-def _state_add(dst: dict, key, amp: complex) -> None:
-    cur = dst.get(key)
-    new = amp if cur is None else cur + amp
-    if new == 0:
-        dst.pop(key, None)
-    else:
-        dst[key] = new
-
-
 @lru_cache(maxsize=None)
 def _creator_multisets(N: int, M: int, level: int) -> tuple:
     """All q-creator multisets {(mu, k): r} with sum k*r == level, k <= M."""
@@ -199,7 +191,7 @@ class VertexSpace:
             hit = _osc_key(qp_key, fl, is_p, mode)
             if hit is not None:
                 new, factor = hit
-                _state_add(out, (new, w, cur_key), amp * factor)
+                _add_at(out, (new, w, cur_key), amp * factor)
         return out
 
     def apply_vertex(self, m: tuple, j: int, state: dict) -> dict:
@@ -230,7 +222,7 @@ class VertexSpace:
                                 break
                             key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
                         else:
-                            _state_add(out, (key2, w2, cur_key), amp * c2)
+                            _add_at(out, (key2, w2, cur_key), amp * c2)
                     return
                 slot, cnt = pslots[i]
                 (_, mu), _, mode = slot
@@ -255,7 +247,7 @@ class VertexSpace:
         out: dict = {}
         for (qp_key, w, cur_key), amp in state.items():
             for new_cur, factor in _apply_body_to_key(body, mode, cur_key):
-                _state_add(out, (qp_key, w, new_cur), amp * factor)
+                _add_at(out, (qp_key, w, new_cur), amp * factor)
         return out
 
     # -- realized generators --------------------------------------------------
@@ -333,9 +325,8 @@ class OperatorMatrix:
     matrix semantics (project after every factor).
     """
 
-    def __init__(self, space: VertexSpace, label: str, apply_fn: Callable[[dict], dict]):
+    def __init__(self, space: VertexSpace, apply_fn: Callable[[dict], dict]):
         self.space = space
-        self.label = label
         self._apply_fn = apply_fn
         self._columns: dict = {}
 
@@ -368,14 +359,15 @@ def build_vertex(m: tuple, n: int, space: VertexSpace) -> OperatorMatrix:
         raise ValueError("lattice vector has wrong dimension")
     if any(abs(c) > space.spec.P for c in m):
         raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
-    return OperatorMatrix(space, f"V[{m},{n}]", lambda st: space.apply_vertex(m, n, st))
+    return OperatorMatrix(space, lambda st: space.apply_vertex(m, n, st))
 
 
 class RealizedGenerators:
     """Factory for the realized generator family over one VertexSpace.
 
-    Labels: ("J", a), ("G", a, mu), ("H", a, mu, nu), ("S1", rho), ("L", mu);
-    each takes a lattice vector m.  Operators are memoised per (label, m).
+    Labels are those of :attr:`formal_algebra.GeneratorTerm.label` for the
+    species J, G, H, S1 and L; each takes a lattice vector m.  Operators are
+    memoised per (label, m).
     """
 
     def __init__(self, space: VertexSpace, include_T: bool = True):
@@ -401,34 +393,9 @@ class RealizedGenerators:
             fn = lambda st, mu=label[1]: sp.apply_L(mu, m, st, include_T=self.include_T)
         else:
             raise ValueError(f"unknown generator label {label!r}")
-        op = OperatorMatrix(sp, f"{label}{m}", fn)
+        op = OperatorMatrix(sp, fn)
         self._memo[memo_key] = op
         return op
-
-    def labels(self, species: tuple) -> list:
-        """All index combinations for the requested species tuple."""
-        sp = self.space.spec
-        dim = self.space.sc.dim
-        out = []
-        for s in species:
-            if s == "J":
-                out += [("J", a) for a in range(1, dim + 1)]
-            elif s == "G":
-                out += [("G", a, mu) for a in range(1, dim + 1) for mu in range(1, sp.N + 1)]
-            elif s == "H":
-                out += [
-                    ("H", a, mu, nu)
-                    for a in range(1, dim + 1)
-                    for mu in range(1, sp.N + 1)
-                    for nu in range(mu + 1, sp.N + 1)
-                ]
-            elif s == "S1":
-                out += [("S1", rho) for rho in range(1, sp.N + 1)]
-            elif s == "L":
-                out += [("L", mu) for mu in range(1, sp.N + 1)]
-            else:
-                raise ValueError(f"unknown species {s!r}")
-        return out
 
 
 def p_slot_key(mu: int, k: int = 1) -> tuple:
@@ -586,29 +553,6 @@ class BracketDeviation:
     probe: tuple = ()
 
 
-def _formal_generator(label: tuple, arg):
-    make = {"J": fa.J, "G": fa.G, "H": fa.H, "S1": fa.S1, "L": fa.L}.get(label[0])
-    if make is None:
-        raise ValueError(f"no formal counterpart for {label!r}")
-    return make(*label[1:], arg)
-
-
-def _numeric_momentum(arg, vectors: dict) -> tuple:
-    N = arg.N
-    out = [0] * N
-    for name, c in arg.parts:
-        vec = vectors[name]
-        for i in range(N):
-            out[i] += c * vec[i]
-    return tuple(out)
-
-
-def _operator_label(term) -> tuple:
-    if term.species in ("J", "G", "H"):
-        return (term.species, term.adjoint) + tuple(term.sidx)
-    return (term.species,) + tuple(term.sidx)
-
-
 def _expected_column(
     gens: RealizedGenerators,
     table,
@@ -623,7 +567,7 @@ def _expected_column(
     N = gens.space.spec.N
     ms = fa.MomentumSymbol("m", N)
     ns = fa.MomentumSymbol("n", N)
-    expr = fa.bracket(table, _formal_generator(label1, ms), _formal_generator(label2, ns))
+    expr = fa.bracket(table, fa.generator(label1, ms), fa.generator(label2, ns))
     vectors = {"m": m, "n": n}
     assignment = dict(charges)
     for i in range(N):
@@ -631,17 +575,15 @@ def _expected_column(
         assignment[f"n_{i+1}"] = n[i]
     out: dict = {}
     for (term, delta), poly in expr.terms.items():
-        if delta is not None and any(_numeric_momentum(delta, vectors)):
+        if delta is not None and any(delta.at(vectors)):
             continue
         coeff = complex(poly.evaluate(assignment))
         if coeff == 0:
             continue
         if term.species == "1":
-            _state_add(out, probe, coeff)
+            _add_at(out, probe, coeff)
             continue
-        arg = _numeric_momentum(term.arg, vectors)
-        op = gens.operator(_operator_label(term), arg)
-        state_add(out, op.column(probe), coeff)
+        state_add(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)
     return out
 
 
@@ -702,10 +644,10 @@ def check_table_numeric(
     if probes is not None and not probes:
         raise ValueError("probe list is empty")
     table, gens, charges = _numeric_context(table_name, space, charges)
-    vecs = list(_grid(range(-window, window + 1), space.spec.N))
+    vecs = list(itertools.product(range(-window, window + 1), repeat=space.spec.N))
     if probes is None:
         probes = default_probe_keys(space)
-    labels = gens.labels(table.species)
+    labels = fa.generator_labels(table.species, table.sc.dim, table.N)
     rows = []
     for i, lab1 in enumerate(labels):
         for lab2 in labels[i:]:
@@ -718,15 +660,6 @@ def check_table_numeric(
                             worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
             rows.append(worst)
     return rows
-
-
-def _grid(window, N: int):
-    if N == 0:
-        yield ()
-        return
-    for head in window:
-        for tail in _grid(window, N - 1):
-            yield (head,) + tail
 
 
 def _column_distance(a: dict, b: dict) -> float:

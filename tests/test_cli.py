@@ -111,6 +111,15 @@ def test_verify_tables_rejects_dim_1(capsys):
     assert "dim >= 2" in err
 
 
+def test_verify_tables_rejects_broken_structure_constants(capsys, tmp_path):
+    bad = tmp_path / "broken.txt"
+    bad.write_text("dim 3\nf 1 2 3 1\nf 1 1 2 1\n")
+    code, out, _ = run(capsys, "verify-tables", "--algebra-file", str(bad), "--dim", "2", "--no-timestamp")
+    assert code == 1
+    assert "reason = structure constants invalid: f-first-pair-antisymmetry at (1, 1, 2)" in out
+    assert "[table " not in out
+
+
 def test_unknown_table_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify-tables", "--tables", "MF,BOGUS")
     assert code == 2
@@ -188,6 +197,18 @@ def test_measure_json_contract(capsys):
     assert doc["c2"] == 27.0
     assert all(0 < v < 1e-8 for v in doc["residuals"].values())
     assert "mode_transform" in doc["conventions"]
+
+
+def test_measure_json_refuses_broken_structure_constants(capsys, tmp_path):
+    # the documented key set belongs to a completed measurement; a refusal
+    # is the plain report document, as for every other command
+    bad = tmp_path / "broken.txt"
+    bad.write_text("dim 3\nf 1 2 3 1\nf 1 1 2 1\n")
+    code, out, _ = run(capsys, "measure", "--algebra-file", str(bad), "--dim", "2", "--format", "json")
+    assert code == 1
+    result = json.loads(out)["sections"]["result"]
+    assert result["status"] == "FAIL"
+    assert result["reason"] == "structure constants invalid: f-first-pair-antisymmetry at (1, 1, 2)"
 
 
 def test_measure_rejects_dim_1(capsys):

@@ -19,11 +19,14 @@ from curralg.formal_algebra import (
     MomentumSymbol,
     S1,
     S3,
+    TABLE_NAMES,
     TableMismatchError,
     all_generators,
     bracket,
     concretize_chain,
     emb1_obstruction,
+    generator,
+    generator_labels,
     jacobi_sweep,
     jacobiator,
     make_table,
@@ -392,6 +395,25 @@ def test_discharge_on_support():
 
 
 # -- table construction guards ------------------------------------------------
+
+
+@pytest.mark.parametrize("sc", [SU2, SU3], ids=["su2", "su3"])
+def test_generator_labels_are_the_one_vocabulary(sc):
+    # The numeric sweeps realize generators by label; every table's labels
+    # must round-trip through the generator they name, in sweep order.
+    for N in (2, 3, 4):
+        m = _sym("m", N)
+        for name in TABLE_NAMES:
+            table = make_table(name, sc, N)
+            gens = all_generators(table, m)
+            terms = [next(iter(x.terms))[0] for _, x in gens]
+            assert [lab for lab, _ in gens] == [t.render() for t in terms]
+            assert all(generator(t.label, m) == x for t, (_, x) in zip(terms, gens))
+            assert generator_labels(table.species, sc.dim, N) == [t.label for t in terms]
+    with pytest.raises(ValueError, match="unknown species"):
+        generator_labels(("K",), 3, 2)
+    with pytest.raises(ValueError, match="unknown generator label"):
+        generator(("K", 1), m)
 
 
 def test_table_constraints():

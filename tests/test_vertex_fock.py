@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from curralg.formal_algebra import generator_labels
 from curralg.lie_core import build_su
 from curralg.wick_currents import measure_level, measure_k1_k2
 from curralg.vertex_fock import (
@@ -167,18 +168,11 @@ def test_vertex_elements_stable_under_level_growth():
 # -- realized generator structure ---------------------------------------------
 
 
-def _generator_labels(gens):
-    out = []
-    for species in ("J", "G", "H", "S1", "L"):
-        out.extend(gens.labels((species,)))
-    return out
-
-
 def test_all_generators_preserve_total_level():
     gens = _gens()
     momenta = ((1, 0), (0, -1), (1, 1))
     probes = default_probe_keys(_space())
-    for label in _generator_labels(gens):
+    for label in generator_labels(("J", "G", "H", "S1", "L"), SU2.dim, DEFAULT.N):
         for m in momenta:
             op = gens.operator(label, m)
             for probe in probes:
@@ -189,7 +183,7 @@ def test_all_generators_preserve_total_level():
 def test_realized_currents_annihilate_vacuum():
     gens = _gens()
     space = _space()
-    for label in gens.labels(("J", "G", "H")):
+    for label in generator_labels(("J", "G", "H"), SU2.dim, DEFAULT.N):
         for m in ((0, 0), (1, 0), (0, 1), (1, -1)):
             for w in ((0, 0), (1, 0)):
                 assert gens.operator(label, m).column(space.vacuum_key(w)) == {}
