@@ -17,7 +17,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 from .scalars import format_scalar
 from .lie_core import StructureConstants, build_su, verify_identities
@@ -280,9 +279,9 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
                 engine = wc.mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
                 body, mode = engine.bilinear_part.body, engine.bilinear_part.mode
                 for key in oracle.safe_keys(flavors, m, n):
-                    want = apply_body({key: Fraction(1)}, body, mode)
+                    want = apply_body({key: 1}, body, mode)
                     if engine.anomaly != 0:
-                        state_add(want, {key: Fraction(1)}, engine.anomaly)
+                        state_add(want, {key: 1}, engine.anomaly)
                     want = state_project(want, level_max, npart_max)
                     got = oracle.commutator_column(lab1, m, lab2, n, key)
                     columns += 1

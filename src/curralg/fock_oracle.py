@@ -22,6 +22,13 @@ count times the pair's central weight:
 (sum of -mode over slots) and total particle number; a level bound alone
 keeps infinitely many zero-mode states, hence the particle cap.
 
+Amplitudes stay ``int`` wherever they are integral: columns start from
+``{key: 1}``, oscillator amplitudes are occupation counts, and integral
+current coefficients are stored as ``int`` (see
+:func:`curralg.wick_currents.build_currents`), so an su(2) sweep does no
+``Fraction`` arithmetic.  A key changes by one scan that splices the
+untouched ``(slot, count)`` pairs around the changed one.
+
 A bilinear sum_k :A_{m-k} Bbar_k: applied to one basis key touches finitely
 many k: a window of pure creators plus finitely many k that annihilate an
 occupied slot.  Every surviving term changes the level by exactly -m and
@@ -30,14 +37,13 @@ the particle count by -2, 0, or +2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import Scalar
 
 __all__ = [
     "vacuum",
     "key_level",
     "key_npart",
+    "key_level_npart",
     "state_add",
     "state_project",
     "states_equal",
@@ -53,7 +59,7 @@ State = dict  # BasisKey -> Scalar
 
 
 def vacuum() -> State:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 def key_level(key: BasisKey) -> int:
@@ -65,15 +71,29 @@ def key_npart(key: BasisKey) -> int:
 
 
 def _key_with(key: BasisKey, slot, delta: int):
-    d = dict(key)
-    new = d.get(slot, 0) + delta
-    if new < 0:
+    """``key`` with ``delta`` more quanta in ``slot``; None if a count goes negative.
+
+    One scan of the sorted pairs; the result splices the untouched pairs of
+    ``key`` around the changed one instead of re-sorting.
+    """
+    i = 0
+    for s, cnt in key:
+        if s < slot:
+            i += 1
+            continue
+        if s == slot:
+            new = cnt + delta
+            if new < 0:
+                return None
+            if new == 0:
+                return key[:i] + key[i + 1 :]
+            return key[:i] + ((slot, new),) + key[i + 1 :]
+        break
+    if delta < 0:
         return None
-    if new == 0:
-        d.pop(slot, None)
-    else:
-        d[slot] = new
-    return tuple(sorted(d.items()))
+    if delta == 0:
+        return key
+    return key[:i] + ((slot, delta),) + key[i:]
 
 
 def _add_at(dst: State, key, amp) -> None:
@@ -93,12 +113,22 @@ def state_add(dst: State, src: State, factor=1) -> None:
         _add_at(dst, key, amp * factor)
 
 
+def key_level_npart(key: BasisKey) -> tuple:
+    """``(key_level(key), key_npart(key))`` in one pass over the pairs."""
+    level = npart = 0
+    for slot, cnt in key:
+        level -= slot[2] * cnt
+        npart += cnt
+    return level, npart
+
+
 def state_project(state: State, level_max: int, npart_max: int) -> State:
-    return {
-        key: amp
-        for key, amp in state.items()
-        if key_level(key) <= level_max and key_npart(key) <= npart_max
-    }
+    out: State = {}
+    for key, amp in state.items():
+        level, npart = key_level_npart(key)
+        if level <= level_max and npart <= npart_max:
+            out[key] = amp
+    return out
 
 
 def states_equal(x: State, y: State) -> bool:
@@ -117,10 +147,10 @@ def _osc_key(key: BasisKey, flavor, barred: bool, mode: int):
     if creates:
         return _key_with(key, (flavor, barred, mode), +1), 1
     target = (flavor, not barred, -mode)
-    count = dict(key).get(target, 0)
-    if count == 0:
-        return None
-    return _key_with(key, target, -1), count if barred else -count
+    for slot, count in key:
+        if slot == target:
+            return _key_with(key, target, -1), count if barred else -count
+    return None
 
 
 def apply_oscillator(state: State, flavor, barred: bool, mode: int) -> State:
@@ -193,7 +223,12 @@ def apply_bilinear(state: State, A, B, m: int) -> State:
 
 
 def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:
-    """All basis keys within the cutoffs, vacuum first, in sorted order."""
+    """All basis keys within the cutoffs, vacuum first, in sorted order.
+
+    A negative bound admits no key, not even the vacuum.
+    """
+    if level_max < 0 or npart_max < 0:
+        return []
     slots = []
     for fl in flavors:
         for lev in range(0, level_max + 1):
@@ -258,8 +293,8 @@ class FockOracle:
 
     def commutator_column(self, lab1, m: int, lab2, n: int, key: BasisKey) -> State:
         """Column of the truncated-matrix commutator on one basis key."""
-        xy = self.apply_truncated(lab1, m, self.apply_truncated(lab2, n, {key: Fraction(1)}))
-        yx = self.apply_truncated(lab2, n, self.apply_truncated(lab1, m, {key: Fraction(1)}))
+        xy = self.apply_truncated(lab1, m, self.apply_truncated(lab2, n, {key: 1}))
+        yx = self.apply_truncated(lab2, n, self.apply_truncated(lab1, m, {key: 1}))
         state_add(xy, yx, -1)
         return xy
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
-from .fock_oracle import _add_at, _key_with, _osc_key, body_terms, key_level, key_npart, state_add
+from .fock_oracle import _add_at, _key_with, _osc_key, body_terms, key_level, key_level_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, flavors_for, measure_level
 
@@ -166,9 +166,8 @@ class VertexSpace:
             qp_key, w, cur_key = key
             if not self.in_window(w):
                 continue
-            if key_level(qp_key) + key_level(cur_key) > sp.L:
-                continue
-            if key_npart(cur_key) > sp.current_cap:
+            level, npart = key_level_npart(cur_key)
+            if key_level(qp_key) + level > sp.L or npart > sp.current_cap:
                 continue
             out[key] = amp
         return out

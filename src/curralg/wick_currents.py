@@ -96,8 +96,11 @@ def flavors_for(dim: int, N: int) -> list:
 
 
 def _badd(body: CurrentBody, pair, coeff) -> None:
+    """body[pair] += coeff; an integral ``Fraction`` is stored as ``int``."""
     cur = body.get(pair)
     new = coeff if cur is None else cur + coeff
+    if type(new) is Fraction and new.denominator == 1:
+        new = new.numerator
     if new == 0:
         body.pop(pair, None)
     else:
@@ -261,15 +264,14 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                     _badd(body, (("zeta", c, mu, nu), ("phi", b)), v)
                 fams[("H", a, mu, nu)] = CurrentFamily(("H", a, mu, nu), body, space)
 
-    one = Fraction(1)
     for mu in range(1, N + 1):
         for nu in range(1, N + 1):
             body = {}
             if mu == nu:
                 for fl in flavors_for(dim, N):
-                    _badd(body, (fl, fl), one)
+                    _badd(body, (fl, fl), 1)
             for a in range(1, dim + 1):
-                _badd(body, (("psi", a, mu), ("psi", a, nu)), one)
+                _badd(body, (("psi", a, mu), ("psi", a, nu)), 1)
             for a in range(1, dim + 1):
                 for rho in range(1, N + 1):
                     zf1 = zeta_flavor(a, mu, rho)
@@ -277,7 +279,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                     if zf1 is None or zf2 is None:
                         continue
                     (fl1, s1), (fl2, s2) = zf1, zf2
-                    _badd(body, (fl1, fl2), one * s1 * s2)
+                    _badd(body, (fl1, fl2), s1 * s2)
             fams[("T", mu, nu)] = CurrentFamily(("T", mu, nu), body, space)
 
     return fams

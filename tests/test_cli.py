@@ -143,6 +143,19 @@ def test_verify_fock_small_window(capsys):
     assert "mode_transform" in out
 
 
+def test_verify_fock_mode_room_beyond_the_level_cutoff(capsys):
+    # At level 1 the mode pair (-3, 2) leaves no column that truncation
+    # cannot cut, so the sweep compares none there instead of the vacuum.
+    code, out, _ = run(
+        capsys, "verify-fock", "--algebra", "su2", "--dim", "1", "--level", "1",
+        "--mode-window", "3", "--no-timestamp",
+    )
+    assert code == 0
+    assert "mismatches = 0" in out
+    assert "columns_compared = 6300" in out
+    assert "status = PASS" in out
+
+
 def test_verify_fock_rejects_broken_structure_constants(capsys, tmp_path):
     bad = tmp_path / "broken.txt"
     bad.write_text("dim 3\nf 1 2 3 1\nf 1 1 2 1\n")

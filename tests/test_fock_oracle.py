@@ -1,0 +1,137 @@
+"""The oscillator core of the Fock oracle: key splicing, projection, scalars.
+
+The splice and the one-pass projection are checked against the plain
+dict-and-sort and two-pass rules they replace, on random keys.  The scalar
+tests pin the integer fast path: su(2) bodies and oracle columns hold
+``int`` amplitudes, while su(3) keeps its ``Fraction`` and surd values.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curralg.fock_oracle import (
+    FockOracle,
+    _key_with,
+    _osc_key,
+    enumerate_keys,
+    key_level,
+    key_level_npart,
+    key_npart,
+    state_project,
+)
+from curralg.lie_core import build_su
+from curralg.scalars import SurdSum, format_scalar
+from curralg.wick_currents import build_currents, flavors_for
+
+FLAVORS = ("A", "B")
+SLOTS = [(fl, False, -lev) for fl in FLAVORS for lev in range(0, 4)] + [
+    (fl, True, -lev) for fl in FLAVORS for lev in range(1, 4)
+]
+
+keys = st.dictionaries(st.sampled_from(SLOTS), st.integers(1, 3), max_size=5).map(
+    lambda occ: tuple(sorted(occ.items()))
+)
+
+
+def _key_with_by_dict(key, slot, delta):
+    """The dict-and-sort rule that the splice replaces."""
+    d = dict(key)
+    new = d.get(slot, 0) + delta
+    if new < 0:
+        return None
+    if new == 0:
+        d.pop(slot, None)
+    else:
+        d[slot] = new
+    return tuple(sorted(d.items()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(keys, st.sampled_from(SLOTS), st.integers(-3, 3))
+def test_key_splice_matches_dict_and_sort(key, slot, delta):
+    got = _key_with(key, slot, delta)
+    want = _key_with_by_dict(key, slot, delta)
+    assert got == want
+    assert (got is None) == (dict(key).get(slot, 0) + delta < 0)
+    if got is not None:
+        assert list(got) == sorted(got)
+        assert all(cnt > 0 for _, cnt in got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(keys, st.sampled_from(FLAVORS), st.booleans(), st.integers(-3, 3))
+def test_oscillator_keeps_the_amplitude_rule(key, flavor, barred, mode):
+    hit = _osc_key(key, flavor, barred, mode)
+    if (mode <= -1) if barred else (mode <= 0):
+        assert hit == (_key_with_by_dict(key, (flavor, barred, mode), 1), 1)
+        return
+    target = (flavor, not barred, -mode)
+    count = dict(key).get(target, 0)
+    if count == 0:
+        assert hit is None
+    else:
+        assert hit == (_key_with_by_dict(key, target, -1), count if barred else -count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(-1, 3), st.integers(-1, 3))
+def test_one_pass_projection_matches_the_two_pass_filter(nfl, level_max, npart_max):
+    flavors = FLAVORS[:nfl]
+    state = {key: i + 1 for i, key in enumerate(enumerate_keys(flavors, 4, 4))}
+    got = state_project(state, level_max, npart_max)
+    want = {
+        key: amp
+        for key, amp in state.items()
+        if key_level(key) <= level_max and key_npart(key) <= npart_max
+    }
+    assert got == want
+    assert list(got) == list(want)
+    assert sorted(got) == sorted(enumerate_keys(flavors, level_max, npart_max))
+    for key in state:
+        assert key_level_npart(key) == (key_level(key), key_npart(key))
+
+
+# -- negative cutoffs --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("level_max, npart_max", [(-1, 2), (-3, 0), (0, -1), (2, -1), (-1, -1)])
+def test_negative_cutoff_admits_no_key(level_max, npart_max):
+    assert enumerate_keys(["F"], level_max, npart_max) == []
+
+
+def test_safe_keys_are_empty_when_the_mode_room_exceeds_the_level():
+    fams = build_currents(build_su(2), 1)
+    oracle = FockOracle(fams, 1, 3)
+    assert oracle.safe_keys(flavors_for(3, 1), -3, 2) == []
+    assert oracle.safe_keys(flavors_for(3, 1), -1, 1)[0] == ()
+
+
+# -- the integer fast path ---------------------------------------------------------
+
+
+def test_su2_bodies_and_oracle_columns_are_int():
+    fams = build_currents(build_su(2), 2)
+    values = [coeff for fam in fams.values() for coeff in fam.body.values()]
+    assert values and all(type(v) is int for v in values)
+    oracle = FockOracle(fams, 4, 3)
+    key = (((("phi", 1), False, 0), 1), ((("phi", 2), False, -1), 1))
+    col = oracle.commutator_column(("J", 1), 1, ("J", 2), -1, key)
+    assert len(col) == 2 and all(type(v) is int for v in col.values())
+
+
+def test_su3_bodies_keep_their_exact_types():
+    fams = build_currents(build_su(3), 2)
+    values = [coeff for fam in fams.values() for coeff in fam.body.values()]
+    assert any(type(v) is Fraction and v == Fraction(1, 2) for v in values)
+    assert any(isinstance(v, SurdSum) for v in values)
+    assert not any(type(v) is Fraction and v.denominator == 1 for v in values)
+
+
+def test_int_and_fraction_render_alike():
+    assert format_scalar(2) == format_scalar(Fraction(2)) == "2"
+    assert format_scalar(-3) == format_scalar(Fraction(-3))
