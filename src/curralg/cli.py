@@ -290,6 +290,7 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
                         if not first_mismatch:
                             first_mismatch = f"[{lab1}@{m}, {lab2}@{n}] on {key}"
                 pairs += 1
+        oracle.forget(lab1)  # later pairs only apply labels[i + 1:]
     return SweepReport(pairs, columns, mismatches, first_mismatch)
 
 

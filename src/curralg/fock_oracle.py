@@ -268,22 +268,31 @@ class FockOracle:
     coefficient pattern).  Truncation follows matrix semantics exactly: the
     operator for mode ``m`` is the full application followed by projection,
     so a product of operators projects after every factor.
+
+    The memo holds one dict per label, so a sweep that is done with a label
+    frees its columns at no cost with :meth:`forget`.
     """
 
     def __init__(self, families: dict, level_max: int, npart_max: int):
         self.families = families
         self.level_max = level_max
         self.npart_max = npart_max
-        self._memo: dict = {}
+        self._memo: dict = {}  # label -> {(mode, key): column}
 
     def apply_exact(self, label, mode: int, key: BasisKey) -> State:
         """Untruncated application to a single basis key, memoised."""
-        memo_key = (label, mode, key)
-        hit = self._memo.get(memo_key)
+        memo = self._memo.get(label)
+        if memo is None:
+            memo = self._memo[label] = {}
+        hit = memo.get((mode, key))
         if hit is None:
             hit = apply_body({key: 1}, self.families[label].body, mode)
-            self._memo[memo_key] = hit
+            memo[(mode, key)] = hit
         return hit
+
+    def forget(self, label) -> None:
+        """Drop the memoised columns of ``label``; a later application recomputes them."""
+        self._memo.pop(label, None)
 
     def apply_truncated(self, label, mode: int, state: State) -> State:
         out: State = {}

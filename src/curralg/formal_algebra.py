@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .lie_core import StructureConstants
 from .poly import Poly, format_poly
+from .scalars import as_int_if_integral
 
 __all__ = [
     "MomentumSymbol",
@@ -93,9 +94,11 @@ class MomentumSymbol:
         return -Momentum.of(self)
 
 
-@dataclass(frozen=True)
-class Momentum:
-    """Integer linear combination of momentum symbols."""
+class Momentum(NamedTuple):
+    """Integer linear combination of momentum symbols.
+
+    A tuple, so memo and expression keys holding it hash and compare in C.
+    """
 
     N: int
     parts: tuple  # tuple[tuple[str, int], ...] sorted by symbol name
@@ -175,13 +178,15 @@ def _ideal_substitution(arg: Momentum) -> dict[str, Poly]:
         for other, c in arg.parts:
             if other != name:
                 rest = rest + c * Poly.variable(f"{other}_{mu}")
-        sub[f"{name}_{mu}"] = rest * Fraction(-1, gamma)
+        sub[f"{name}_{mu}"] = rest * as_int_if_integral(Fraction(-1, gamma))
     return sub
 
 
-@dataclass(frozen=True)
-class GeneratorTerm:
-    """One normalized generator; antisymmetric index blocks are stored sorted."""
+class GeneratorTerm(NamedTuple):
+    """One normalized generator; antisymmetric index blocks are stored sorted.
+
+    A tuple, like :class:`Momentum`, so the bracket memo keys on it in C.
+    """
 
     species: str
     adjoint: int  # 0 when the species carries no adjoint label
@@ -336,7 +341,7 @@ def _single(species, adjoint, sidx, arg, coeff=None, delta=None) -> Expression:
     sign, term = _normal_term(species, adjoint, sidx, arg)
     if term is None:
         return Expression()
-    poly = Poly.const(Fraction(sign)) if coeff is None else coeff * Fraction(sign)
+    poly = Poly.const(sign) if coeff is None else coeff * sign
     return Expression({(term, delta): poly})
 
 
@@ -420,13 +425,13 @@ class AlgebraTable:
         self.N = N
         self.chain_mode = chain_mode
         self.species = _TABLE_SPECIES[name]
-        # sparse views of f and d for the adjoint sums
+        # sparse views of f and d for the adjoint sums; integral values as int
         self._f_rows: dict = {}
         self._d_rows: dict = {}
         for (a, b, c), v in sc.f.items():
-            self._f_rows.setdefault((a, b), []).append((c, v))
+            self._f_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
         for (a, b, c), v in sc.d.items():
-            self._d_rows.setdefault((a, b), []).append((c, v))
+            self._d_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
         self._memo: dict = {}
 
     def __repr__(self):
@@ -455,13 +460,13 @@ class _Out:
         self.terms: dict = {}
 
     def add(self, species, adjoint, sidx, arg, coeff):
-        if isinstance(coeff, (int, Fraction)) or not isinstance(coeff, Poly):
+        if not isinstance(coeff, Poly):
             coeff = Poly.const(coeff)
         sign, term = _normal_term(species, adjoint, tuple(sidx), arg)
         if term is None:
             return
         if sign != 1:
-            coeff = coeff * Fraction(sign)
+            coeff = coeff * sign
         key = (term, None)
         if species == "S3" and self.table.chain_mode == "CONCRETE_3D":
             # S3^{123}(a) -> +delta(a); other index orders already folded in
@@ -558,17 +563,25 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
 
 
 def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
-    """Bilinear antisymmetric bracket per the table's defining relations."""
+    """Bilinear antisymmetric bracket per the table's defining relations.
+
+    Both arguments are checked against the table's species before any term
+    is bracketed, so an undefined species is rejected on either side even
+    when the other side is zero.
+    """
+    for term, _ in itertools.chain(X.terms, Y.terms):
+        if term.species != "1" and term.species not in table.species:
+            raise TableMismatchError(f"species {term.species} is not defined by table {table.name}")
     out = Expression()
+    terms = out.terms
     for (t1, d1), c1 in X.terms.items():
-        if t1.species != "1" and t1.species not in table.species:
-            raise TableMismatchError(f"species {t1.species} is not defined by table {table.name}")
+        if t1.species == "1":
+            continue  # pure delta terms are central
+        key1 = t1.sort_key()
         for (t2, d2), c2 in Y.terms.items():
-            if t2.species != "1" and t2.species not in table.species:
-                raise TableMismatchError(f"species {t2.species} is not defined by table {table.name}")
-            if t1.species == "1" or t2.species == "1":
-                continue  # pure delta terms are central
-            if t1.sort_key() <= t2.sort_key():
+            if t2.species == "1":
+                continue
+            if key1 <= t2.sort_key():
                 base, sign = _elementary(table, t1, t2), 1
             else:
                 base, sign = _elementary(table, t2, t1), -1
@@ -578,20 +591,19 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
             if d1 is not None and d2 is not None:
                 raise NotImplementedError("bracket of two delta-carrying terms")
             coeff = c1 * c2 if sign == 1 else -(c1 * c2)
-            for (term, delta), poly in base.terms.items():
+            for key, poly in base.terms.items():
                 if carried is not None:
-                    if delta is not None:
+                    if key[1] is not None:
                         raise NotImplementedError("stacked delta factors")
-                    delta = carried
-                key = (term, delta)
-                acc = out.terms.get(key)
+                    key = (key[0], carried)
+                acc = terms.get(key)
                 val = poly * coeff
                 if acc is not None:
                     val = acc + val
                 if val.is_zero:
-                    out.terms.pop(key, None)
+                    terms.pop(key, None)
                 else:
-                    out.terms[key] = val
+                    terms[key] = val
     return out
 
 
@@ -633,13 +645,13 @@ def _wedge_vanishes(comps: dict, arg: Momentum, N: int) -> bool:
         sign, srt = _sort_with_sign(tri)
         if sign == 0:
             return Poly()
-        return comps.get(srt, Poly()) * Fraction(sign)
+        return comps.get(srt, Poly()) * sign
 
     for quad in itertools.combinations(range(1, N + 1), 4):
         acc = Poly()
         for pos in range(4):
             rest = quad[:pos] + quad[pos + 1:]
-            acc = acc + Fraction((-1) ** pos) * avec[quad[pos]] * c(rest)
+            acc = acc + (-1) ** pos * avec[quad[pos]] * c(rest)
         if not acc.is_zero:
             return False
     return True

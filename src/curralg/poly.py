@@ -1,17 +1,25 @@
 """Exact multivariate polynomials over the scalar ring.
 
-Coefficients are exact scalars (Fraction or SurdSum), variables are plain
-strings; a monomial is a sorted tuple of (variable, exponent) pairs.  The
-symbolic bracket engine keeps momentum components and charge parameters as
-polynomial indeterminates, so every cancellation it reports is an identity
-in those symbols rather than a numeric coincidence.
+Coefficients are exact scalars: ``int`` in the integral case, else
+``Fraction`` or ``SurdSum``.  Variables are plain strings; a monomial is a
+sorted tuple of (variable, exponent) pairs.  The symbolic bracket engine
+keeps momentum components and charge parameters as polynomial
+indeterminates, so every cancellation it reports is an identity in those
+symbols rather than a numeric coincidence.
+
+Integral coefficients stay ``int`` (variables and powers start from ``1``),
+so a table whose structure constants are integers does no ``Fraction``
+arithmetic; an ``int`` and the equal ``Fraction`` compare and hash alike, so
+the coefficient type never shows in equality, hashing or rendering.  A
+product with a constant polynomial scales term by term, and a monomial
+product merges the two sorted tuples in one scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, SurdSum, format_scalar
+from .scalars import Scalar, SurdSum, as_int_if_integral, format_scalar
 
 __all__ = ["Poly", "format_poly"]
 
@@ -23,14 +31,28 @@ _COEFF_TYPES = (int, Fraction, SurdSum)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials: one merge of the sorted pairs, reusing the
+    pairs of a variable that only one factor holds."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps: dict[str, int] = dict(m1)
-    for var, e in m2:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+    n1, n2 = len(m1), len(m2)
+    i = j = 0
+    out = []
+    while i < n1 and j < n2:
+        p, q = m1[i], m2[j]
+        if p[0] < q[0]:
+            out.append(p)
+            i += 1
+        elif q[0] < p[0]:
+            out.append(q)
+            j += 1
+        else:
+            out.append((p[0], p[1] + q[1]))
+            i += 1
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 class Poly:
@@ -51,7 +73,14 @@ class Poly:
 
     @classmethod
     def variable(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Poly":
+        """Wrap a dict already free of zero coefficients, without a copy."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     # -- ring operations ---------------------------------------------------
 
@@ -62,13 +91,13 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
+            terms[mono] = terms.get(mono, 0) + coef
         return Poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, _COEFF_TYPES):
@@ -81,17 +110,26 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        # the exact scalars have no zero divisors, so scaling by a nonzero
+        # constant leaves no zero coefficient to prune
         if isinstance(other, _COEFF_TYPES):
             if other == 0:
                 return Poly()
-            return Poly({m: c * other for m, c in self.terms.items()})
+            return Poly._of({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
+        a, b = self.terms, other.terms
+        if len(b) == 1 and _ONE in b:
+            c2 = b[_ONE]
+            return Poly._of({m: c1 * c2 for m, c1 in a.items()})
+        if len(a) == 1 and _ONE in a:
+            c1 = a[_ONE]
+            return Poly._of({m: c1 * c2 for m, c2 in b.items()})
         terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -99,7 +137,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Poly.const(Fraction(1))
+        out = Poly.const(1)
         for _ in range(n):
             out = out * self
         return out
@@ -188,7 +226,7 @@ class Poly:
 
 def _inv(s: Scalar) -> Scalar:
     if isinstance(s, (int, Fraction)):
-        return 1 / Fraction(s)
+        return as_int_if_integral(1 / Fraction(s))
     return 1 / s
 
 

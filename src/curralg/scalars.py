@@ -1,11 +1,11 @@
 """Exact scalar arithmetic over the rationals extended by square roots.
 
-Scalars are either ``fractions.Fraction`` (the fast common case) or
-:class:`SurdSum`, a finite sum ``sum_r c_r * sqrt(r)`` with squarefree
-integer radicands ``r >= 2`` and rational coefficients ``c_r``.  All
-arithmetic stays inside this ring, so quantities built from unitary
-structure constants can be compared for exact equality; nothing in this
-module ever rounds.
+Scalars are ``int`` (the integral case, which callers keep wherever they
+can), ``fractions.Fraction`` or :class:`SurdSum`, a finite sum
+``sum_r c_r * sqrt(r)`` with squarefree integer radicands ``r >= 2`` and
+rational coefficients ``c_r``.  All arithmetic stays inside this ring, so
+quantities built from unitary structure constants can be compared for
+exact equality; nothing in this module ever rounds.
 
 Arithmetic that lands on a purely rational value is demoted back to
 ``Fraction``, so a ``SurdSum`` instance always carries at least one
@@ -22,7 +22,7 @@ from typing import Union
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "SurdSum"]
 
-__all__ = ["Scalar", "SurdSum", "sqrt_scalar", "parse_scalar", "format_scalar"]
+__all__ = ["Scalar", "SurdSum", "as_int_if_integral", "sqrt_scalar", "parse_scalar", "format_scalar"]
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -188,6 +188,13 @@ def _invert(x: Scalar) -> Scalar:
     num = a - _make({p: Fraction(1)}) * b
     den = a * a - p * b * b
     return num * _invert(den)
+
+
+def as_int_if_integral(x: Scalar) -> Scalar:
+    """``x`` as ``int`` when it is an integral ``Fraction``; any other scalar unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 def sqrt_scalar(x: Rational) -> Scalar:

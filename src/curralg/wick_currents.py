@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lie_core import StructureConstants
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, as_int_if_integral, format_scalar
 
 __all__ = [
     "CurrentBody",
@@ -98,9 +98,7 @@ def flavors_for(dim: int, N: int) -> list:
 def _badd(body: CurrentBody, pair, coeff) -> None:
     """body[pair] += coeff; an integral ``Fraction`` is stored as ``int``."""
     cur = body.get(pair)
-    new = coeff if cur is None else cur + coeff
-    if type(new) is Fraction and new.denominator == 1:
-        new = new.numerator
+    new = as_int_if_integral(coeff if cur is None else cur + coeff)
     if new == 0:
         body.pop(pair, None)
     else:

@@ -5,6 +5,7 @@ small mode window; the default windows are exercised by the acceptance
 suite.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,22 @@ def test_verify_tables_subset_at_dim_2(capsys):
     assert "[table EMB2]" in out
     assert "[table MF]" not in out
     assert "CLASSICAL_MF -> EMB2 = PASS" in out
+
+
+# The default report is byte-deterministic: these digests were recorded from
+# `curralg verify-tables ... --no-timestamp` and change only with the report.
+@pytest.mark.parametrize(
+    "algebra, dim, digest",
+    [
+        ("su2", 3, "4e621afa80a483badca1f9f65a42c216bdd706bf44d8e626e312e131b7ddf26b"),
+        ("su3", 2, "6e805c207ab8aee5a221f89368158ec699972a1e27f0e332874d73aff7b12773"),
+    ],
+    ids=["su2-dim3", "su3-dim2"],
+)
+def test_verify_tables_report_bytes_are_pinned(capsys, algebra, dim, digest):
+    code, out, _ = run(capsys, "verify-tables", "--algebra", algebra, "--dim", str(dim), "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_tables_rejects_dim_1(capsys):

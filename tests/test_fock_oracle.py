@@ -135,3 +135,22 @@ def test_su3_bodies_keep_their_exact_types():
 def test_int_and_fraction_render_alike():
     assert format_scalar(2) == format_scalar(Fraction(2)) == "2"
     assert format_scalar(-3) == format_scalar(Fraction(-3))
+
+
+# -- the per-label memo -------------------------------------------------------------
+
+
+def test_forgetting_a_label_keeps_the_other_columns():
+    fams = build_currents(build_su(2), 2)
+    oracle = FockOracle(fams, 4, 3)
+    key = (((("phi", 1), False, 0), 1), ((("phi", 2), False, -1), 1))
+    j1, j2 = ("J", 1), ("J", 2)
+    col = oracle.commutator_column(j1, 1, j2, -1, key)
+    dropped = oracle.apply_exact(j1, 1, key)
+    kept = oracle.apply_exact(j2, -1, key)
+    oracle.forget(j1)
+    assert oracle.apply_exact(j2, -1, key) is kept  # still memoised
+    again = oracle.apply_exact(j1, 1, key)
+    assert again is not dropped and again == dropped  # recomputed, equal
+    assert oracle.commutator_column(j1, 1, j2, -1, key) == col
+    oracle.forget(("J", 3))  # a label never applied: nothing to drop

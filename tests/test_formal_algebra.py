@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from curralg.formal_algebra import (
     AlgebraTable,
     Expression,
     G,
+    GeneratorTerm,
     H,
     J,
     L,
@@ -34,7 +36,9 @@ from curralg.formal_algebra import (
     reduce_closedness,
     verify_embedding,
 )
+from curralg.formal_algebra import _triples
 from curralg.poly import Poly
+from curralg.scalars import SurdSum
 
 SU2 = build_su(2)
 SU3 = build_su(3)
@@ -156,6 +160,16 @@ def test_species_not_in_table_rejected():
         bracket(mf, J(1, m), S1(1, n))
     with pytest.raises(TableMismatchError):
         bracket(make_table("EMB2", SU3, 3), J(1, m), S3(1, 2, 3, n))
+
+
+def test_species_check_covers_both_arguments():
+    # a zero expression on either side still has its partner's species checked
+    t = make_table("CLASSICAL_MF", build_su(2), N=3)
+    g = G(1, 1, _sym("m"))
+    with pytest.raises(TableMismatchError, match="species G"):
+        bracket(t, g, Expression())
+    with pytest.raises(TableMismatchError, match="species G"):
+        bracket(t, Expression(), g)
 
 
 def test_plain_current_algebra_limit():
@@ -435,3 +449,52 @@ def test_MF_at_N2_has_zero_chain():
     mf = make_table("MF", SU3, 2)
     out = bracket(mf, J(1, m), H(1, 1, 2, n))
     assert out.is_zero  # f^{11c} = 0 and no room for three distinct indices
+
+
+# -- the integer fast path ---------------------------------------------------------
+
+
+def _coefficients(expr):
+    return [c for poly in expr.terms.values() for c in poly.terms.values()]
+
+
+def test_su2_jacobiators_hold_only_int_coefficients():
+    # su(2)'s structure constants are integers, so no Fraction arises anywhere
+    # in a Jacobiator: not in its nested brackets, nor in the bracket memo
+    table = make_table("DIFF_EXT", SU2, 3)
+    seen = []
+    for (_, x), (_, y), (_, z) in itertools.islice(_triples(table), 0, None, 23):
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            seen += _coefficients(bracket(table, a, bracket(table, b, c)))
+        seen += _coefficients(jacobiator(table, x, y, z))
+    seen += [c for expr in table._memo.values() for c in _coefficients(expr)]
+    assert seen and all(type(c) is int for c in seen)
+
+
+def test_su3_bracket_coefficients_keep_their_exact_types():
+    table = make_table("EMB1", SU3, 3)
+    m, n = _sym("m"), _sym("n")
+    seen = []
+    for a, b in itertools.product(range(1, SU3.dim + 1), repeat=2):
+        seen += _coefficients(bracket(table, J(a, m), J(b, n)))
+        seen += _coefficients(bracket(table, G(a, 1, m), G(b, 2, n)))
+    assert Fraction(1, 2) in seen and Fraction(-1, 2) in seen
+    assert any(isinstance(c, SurdSum) for c in seen)
+    assert not any(type(c) is Fraction and c.denominator == 1 for c in seen)
+
+
+def test_generator_terms_keep_fields_repr_and_equality():
+    m = _sym("m")
+    term = next(iter(J(1, m).terms))[0]
+    arg = Momentum.of(m)
+    assert GeneratorTerm._fields == ("species", "adjoint", "sidx", "arg")
+    assert Momentum._fields == ("N", "parts")
+    assert (term.species, term.adjoint, term.sidx, term.arg) == ("J", 1, (), arg)
+    assert repr(arg) == "Momentum(N=3, parts=(('m', 1),))"
+    assert repr(term) == "GeneratorTerm(species='J', adjoint=1, sidx=(), arg=Momentum(N=3, parts=(('m', 1),)))"
+    same = GeneratorTerm("J", 1, (), Momentum(3, (("m", 1),)))
+    assert term == same and hash(term) == hash(same)
+    assert term != GeneratorTerm("J", 2, (), arg)
+    assert term != GeneratorTerm("J", 1, (), Momentum.of(_sym("n")))
+    assert arg + Momentum.of(_sym("n")) == Momentum(3, (("m", 1), ("n", 1)))
+    assert (arg + -arg).is_zero

@@ -1,12 +1,20 @@
-"""Multivariate polynomials with exact scalar coefficients."""
+"""Multivariate polynomials with exact scalar coefficients.
+
+The example tests pin known values; the ``hypothesis`` properties check the
+ring axioms, the spliced monomial product against the dict-and-sort rule it
+replaces, division by a linear polynomial, and that an ``int`` coefficient
+behaves exactly like the equal ``Fraction``.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curralg.poly import Poly, format_poly
+from curralg.poly import Poly, _mono_mul, format_poly
 from curralg.scalars import sqrt_scalar
 
 
@@ -89,3 +97,81 @@ def test_format_poly_deterministic_order():
     assert format_poly(p) == "m_1*n_2 - m_2*n_1"
     assert format_poly(Poly()) == "0"
     assert format_poly(Poly.const(sqrt_scalar(3) / 3)) == "1/3*sqrt(3)"
+
+
+# -- properties ------------------------------------------------------------------
+
+VARS = ("c1", "k", "m_1", "m_2", "n_1", "x")
+
+monomials = st.dictionaries(st.sampled_from(VARS), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+rationals = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+scalars = st.one_of(
+    rationals,
+    st.builds(lambda c, r: c * sqrt_scalar(r), st.integers(1, 3), st.sampled_from([2, 3])),
+)
+polys = st.dictionaries(monomials, scalars, max_size=4).map(Poly)
+
+
+def _mono_mul_by_dict(m1, m2):
+    """The dict-and-sort rule that the merge replaces."""
+    exps = dict(m1)
+    for var, e in m2:
+        exps[var] = exps.get(var, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, polys)
+def test_ring_axioms(p, q, r):
+    assert p + q == q + p
+    assert (p + q) + r == p + (q + r)
+    assert p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + Poly() == p and p * Poly.const(1) == p
+    assert (p * Poly()).is_zero and (p - p).is_zero
+    assert -(-p) == p and p - q == p + (-q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, monomials)
+def test_mono_mul_matches_dict_and_sort(m1, m2):
+    got = _mono_mul(m1, m2)
+    assert got == _mono_mul_by_dict(m1, m2)
+    assert type(got) is tuple and list(got) == sorted(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, st.integers(1, 3).map(lambda c: c * sqrt_scalar(2)) | rationals.filter(bool))
+def test_divmod_linear_reconstructs(p, rest, lead):
+    # a divisor linear in x: lead*x plus an x-free polynomial
+    rest = Poly({m: c for m, c in rest.terms.items() if all(v != "x" for v, _ in m)})
+    lin = lead * Poly.variable("x") + rest
+    q, r = p.divmod_linear(lin, "x")
+    assert p == q * lin + r
+    assert all(v != "x" for mono in r.terms for v, _ in mono)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(monomials, st.integers(-5, 5), max_size=4))
+def test_int_coefficients_equal_fraction_coefficients(terms):
+    as_int = Poly(terms)
+    as_fraction = Poly({m: Fraction(c) for m, c in terms.items()})
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert format_poly(as_int) == format_poly(as_fraction)
+
+
+def test_integral_coefficients_stay_int():
+    x, y = _v("x"), _v("y")
+    p = (x + 2 * y) ** 3 - 3 * x * y
+    assert all(type(c) is int for c in p.terms.values())
+    assert all(type(c) is int for c in (p * Poly.const(-2)).terms.values())
+    assert all(type(c) is int for c in (Poly.const(-2) * p).terms.values())
+    half = p * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())

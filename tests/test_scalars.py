@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from curralg.scalars import SurdSum, format_scalar, parse_scalar, sqrt_scalar
+from curralg.scalars import SurdSum, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
 
 
 def test_perfect_squares_stay_rational():
@@ -95,3 +95,11 @@ def test_hash_consistency():
     assert hash(sqrt_scalar(4)) == hash(2)
     d = {sqrt_scalar(2) + 1: "x"}
     assert d[1 + sqrt_scalar(2)] == "x"
+
+
+def test_as_int_if_integral_demotes_only_integral_fractions():
+    assert as_int_if_integral(Fraction(4, 2)) == 2 and type(as_int_if_integral(Fraction(4, 2))) is int
+    assert as_int_if_integral(Fraction(1, 2)) == Fraction(1, 2)
+    assert as_int_if_integral(3) == 3
+    root = sqrt_scalar(2)
+    assert as_int_if_integral(root) is root
