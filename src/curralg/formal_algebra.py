@@ -116,13 +116,29 @@ class Momentum(NamedTuple):
         return cls(N, ())
 
     def __add__(self, other):
+        """One merge of the two sorted ``parts``, dropping zero coefficients."""
         other = Momentum.of(other)
         if other.N != self.N:
             raise ValueError("momenta live in different dimensions")
-        coeffs = dict(self.parts)
-        for name, c in other.parts:
-            coeffs[name] = coeffs.get(name, 0) + c
-        return Momentum(self.N, tuple(sorted((k, v) for k, v in coeffs.items() if v)))
+        p1, p2 = self.parts, other.parts
+        n1, n2 = len(p1), len(p2)
+        i = j = 0
+        out = []
+        while i < n1 and j < n2:
+            a, b = p1[i], p2[j]
+            if a[0] < b[0]:
+                out.append(a)
+                i += 1
+            elif b[0] < a[0]:
+                out.append(b)
+                j += 1
+            else:
+                c = a[1] + b[1]
+                if c:
+                    out.append((a[0], c))
+                i += 1
+                j += 1
+        return Momentum(self.N, (*out, *p1[i:], *p2[j:]))
 
     def __neg__(self):
         return Momentum(self.N, tuple((k, -v) for k, v in self.parts))

@@ -20,6 +20,14 @@ hold to float precision on any state inside the cutoffs; deviations appear
 only where the momentum window or the current-sector particle cap clips an
 intermediate state, and those shrink as the truncation stage grows.
 
+Each space memoises the per-key terms of its two kernels: the current
+bilinear terms per (label, mode, cur_key) and the vertex terms per
+(m, j, qp_key).  A list holds the terms as its kernel produced them,
+without the state's amplitude, and a state adds ``amp * coeff`` per term in
+list order, so memoised and recomputed columns agree bit for bit.  Folding
+the amplitude in, or merging the vertex terms per key, would reorder the
+float sums.
+
 This is the only module that computes in floating point (complex doubles);
 everything upstream is exact.
 """
@@ -153,6 +161,10 @@ class VertexSpace:
         self.families = build_currents(sc, spec.N)
         self.flavors = flavors_for(sc.dim, spec.N)
         self._bodies = {label: fam.body for label, fam in self.families.items()}
+        # Per-key term memos.  Their entries depend on sc, N and M, so they
+        # belong to this space; see apply_current and apply_vertex.
+        self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
+        self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
 
     # -- truncation --------------------------------------------------------
 
@@ -196,56 +208,82 @@ class VertexSpace:
     def apply_vertex(self, m: tuple, j: int, state: dict) -> dict:
         """V_{m,j}, the mode-j part of the vertex factor for lattice vector m.
 
-        Exact per state: enumerate p-annihilator submultisets, then q-creator
-        multisets whose level matches the mode constraint; shift the lattice
-        label by m.  Coefficients (i m_mu)^r / r! on both sides.
+        Exact per state: the trajectory terms of each key come from
+        :meth:`_vertex_terms`, once per (m, j, qp_key); the lattice label
+        shifts by m.
         """
         if len(m) != self.spec.N:
             raise ValueError("lattice vector has wrong dimension")
+        memo = self._vertex_memo
         out: dict = {}
         for (qp_key, w, cur_key), amp in state.items():
+            terms = memo.get((m, j, qp_key))
+            if terms is None:
+                terms = memo[m, j, qp_key] = self._vertex_terms(m, j, qp_key)
             w2 = tuple(a + b for a, b in zip(w, m))
-            pslots = [(slot, cnt) for slot, cnt in qp_key if slot[1]]
-
-            # enumerate annihilator choices r_i <= cnt_i over p slots
-            def ann(i: int, mode_sum: int, coeff: complex, key: tuple):
-                if i == len(pslots):
-                    level = mode_sum - j
-                    if level < 0:
-                        return
-                    for lam in _creator_multisets(self.spec.N, self.spec.M, level):
-                        c2, key2 = coeff, key
-                        for (mu, k), r in lam:
-                            c2 *= (1j * m[mu - 1]) ** r / math.factorial(r)
-                            if c2 == 0:
-                                break
-                            key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
-                        else:
-                            _add_at(out, (key2, w2, cur_key), amp * c2)
-                    return
-                slot, cnt = pslots[i]
-                (_, mu), _, mode = slot
-                k = -mode
-                ann(i + 1, mode_sum, coeff, key)
-                c, fall = coeff, 1.0
-                for r in range(1, cnt + 1):
-                    fall *= -(cnt - r + 1)  # q_k on a p slot: -count per quantum
-                    c = coeff * ((1j * m[mu - 1]) ** r / math.factorial(r)) * fall
-                    if c == 0:
-                        break
-                    ann(i + 1, mode_sum + k * r, c, _key_with(key, slot, -r))
-
-            ann(0, 0, 1.0, qp_key)
+            for key2, coeff in terms:
+                _add_at(out, (key2, w2, cur_key), amp * coeff)
         return out
+
+    def _vertex_terms(self, m: tuple, j: int, qp_key: tuple) -> list:
+        """The (new_qp_key, coeff) terms of V_{m,j} on one trajectory key.
+
+        Enumerate p-annihilator submultisets, then q-creator multisets whose
+        level matches the mode constraint.  Coefficients (i m_mu)^r / r! on
+        both sides.  Terms are listed in emission order and not merged, so
+        the caller's float sums run in a fixed order.
+        """
+        N, M = self.spec.N, self.spec.M
+        pslots = [(slot, cnt) for slot, cnt in qp_key if slot[1]]
+        terms: list = []
+
+        # enumerate annihilator choices r_i <= cnt_i over p slots
+        def ann(i: int, mode_sum: int, coeff: complex, key: tuple):
+            if i == len(pslots):
+                level = mode_sum - j
+                if level < 0:
+                    return
+                for lam in _creator_multisets(N, M, level):
+                    c2, key2 = coeff, key
+                    for (mu, k), r in lam:
+                        c2 *= (1j * m[mu - 1]) ** r / math.factorial(r)
+                        if c2 == 0:
+                            break
+                        key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
+                    else:
+                        terms.append((key2, c2))
+                return
+            slot, cnt = pslots[i]
+            (_, mu), _, mode = slot
+            k = -mode
+            ann(i + 1, mode_sum, coeff, key)
+            c, fall = coeff, 1.0
+            for r in range(1, cnt + 1):
+                fall *= -(cnt - r + 1)  # q_k on a p slot: -count per quantum
+                c = coeff * ((1j * m[mu - 1]) ** r / math.factorial(r)) * fall
+                if c == 0:
+                    break
+                ann(i + 1, mode_sum + k * r, c, _key_with(key, slot, -r))
+
+        ann(0, 0, 1.0, qp_key)
+        return terms
 
     # -- current sector -----------------------------------------------------
 
     def apply_current(self, label: tuple, mode: int, state: dict) -> dict:
-        """One exact current bilinear mode on the current sector."""
+        """One exact current bilinear mode on the current sector.
+
+        The terms of each key come from :func:`_apply_body_to_key`, once per
+        (label, mode, cur_key).
+        """
         body: CurrentBody = self._bodies[label]
+        memo = self._current_memo
         out: dict = {}
         for (qp_key, w, cur_key), amp in state.items():
-            for new_cur, factor in _apply_body_to_key(body, mode, cur_key):
+            terms = memo.get((label, mode, cur_key))
+            if terms is None:
+                terms = memo[label, mode, cur_key] = _apply_body_to_key(body, mode, cur_key)
+            for new_cur, factor in terms:
                 _add_at(out, (qp_key, w, new_cur), amp * factor)
         return out
 
@@ -366,7 +404,8 @@ class RealizedGenerators:
 
     Labels are those of :attr:`formal_algebra.GeneratorTerm.label` for the
     species J, G, H, S1 and L; each takes a lattice vector m.  Operators are
-    memoised per (label, m).
+    memoised per (label, m), their columns per basis key, and the per-key
+    term memos of the shared :class:`VertexSpace` serve every operator.
     """
 
     def __init__(self, space: VertexSpace, include_T: bool = True):
@@ -552,6 +591,16 @@ class BracketDeviation:
     probe: tuple = ()
 
 
+@lru_cache(maxsize=None)
+def _symbolic_generator(label: tuple, symbol: str, N: int) -> fa.Expression:
+    """The formal generator ``label`` at the momentum symbol ``symbol``.
+
+    Shared by every caller, so nobody may mutate the result;
+    :func:`formal_algebra.bracket` only reads its arguments.
+    """
+    return fa.generator(label, fa.MomentumSymbol(symbol, N))
+
+
 def _expected_column(
     gens: RealizedGenerators,
     table,
@@ -564,9 +613,7 @@ def _expected_column(
 ) -> dict:
     """Realize the closed form of one formal bracket as a numeric column."""
     N = gens.space.spec.N
-    ms = fa.MomentumSymbol("m", N)
-    ns = fa.MomentumSymbol("n", N)
-    expr = fa.bracket(table, fa.generator(label1, ms), fa.generator(label2, ns))
+    expr = fa.bracket(table, _symbolic_generator(label1, "m", N), _symbolic_generator(label2, "n", N))
     vectors = {"m": m, "n": n}
     assignment = dict(charges)
     for i in range(N):

@@ -122,6 +122,18 @@ def test_verify_tables_report_bytes_are_pinned(capsys, algebra, dim, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The measure report prints floats, so its digest also pins the order of
+# every float operation in the vertex Fock space.
+def test_measure_report_bytes_are_pinned(capsys):
+    code, out, _ = run(
+        capsys, "measure", "--algebra", "su2", "--dim", "2", "--tables", "CLASSICAL_MF", "--no-timestamp",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8bc50f16625f65b91ccf836fe3e41e4c1d3ec7bc6e681c332d4e88fcdc07f1d6"
+    )
+
+
 def test_verify_tables_rejects_dim_1(capsys):
     code, _, err = run(capsys, "verify-tables", "--algebra", "su2", "--dim", "1")
     assert code == 2

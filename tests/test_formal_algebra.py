@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curralg.lie_core import build_su
 from curralg.formal_algebra import (
@@ -84,6 +86,28 @@ def test_momentum_arithmetic():
     assert (s + (-Momentum.of(n))).render() == "m"
     assert (Momentum.of(m) + m).render() == "2m"
     assert (Momentum.of(m) + (-Momentum.of(m))).is_zero
+    with pytest.raises(ValueError):
+        Momentum.of(m) + _sym("n", N=2)
+
+
+# a momentum as built by Momentum.of, sums and negation: parts sorted by
+# name, each name once, no zero coefficient
+momenta = st.dictionaries(
+    st.sampled_from("klmnpr"), st.integers(-3, 3).filter(bool), max_size=5
+).map(lambda coeffs: Momentum(3, tuple(sorted(coeffs.items()))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(momenta, momenta)
+def test_momentum_sum_merges_like_dict_and_sort(a, b):
+    coeffs = dict(a.parts)
+    for name, c in b.parts:
+        coeffs[name] = coeffs.get(name, 0) + c
+    want = tuple(sorted((k, v) for k, v in coeffs.items() if v))
+    got = (a + b).parts
+    assert got == want
+    assert list(got) == sorted(got) and len({name for name, _ in got}) == len(got)
+    assert all(c != 0 for _, c in got)
 
 
 # -- golden bracket outputs ------------------------------------------------

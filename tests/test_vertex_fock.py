@@ -265,6 +265,58 @@ def test_generator_momentum_window_enforced():
 # -- charge measurements (the cross-sector identities) -----------------------
 
 
+# One generator per realized species, and states whose keys share a
+# trajectory key or a current key but not the lattice point, so that a term
+# memo keyed without w, cur_key or qp_key hands one state another's terms.
+_MEMO_LABELS = [("J", 1), ("G", 2, 1), ("H", 3, 1, 2), ("S1", 2), ("L", 1)]
+_MEMO_MOMENTA = [(1, 0), (0, -1), (1, 1)]
+_MEMO_STATES = [
+    (p_slot_key(1), (0, 0), ()),
+    (p_slot_key(1), (1, 0), ()),
+    (p_slot_key(1), (-1, 1), (PHI1,)),
+    (VACUUM_QP, (1, 0), (PHI1,)),
+    (VACUUM_QP, (0, -1), (PHI1,)),
+    (q_slot_key(2), (0, -1), (PHI1,)),
+    (p_slot_key(1), (-1, 1), (PHI2,)),
+    (p_slot_key(1) + p_slot_key(2), (0, 0), ()),
+    (p_slot_key(1) + p_slot_key(2), (1, -1), (PHI1,)),
+]
+
+
+def _memo_columns(space: VertexSpace) -> list:
+    gens = RealizedGenerators(space)
+    return [
+        gens.operator(label, m).column(key) for label in _MEMO_LABELS for m in _MEMO_MOMENTA for key in _MEMO_STATES
+    ]
+
+
+def test_term_memos_give_the_columns_of_a_fresh_space():
+    warmed = VertexSpace(SU2, DEFAULT)
+    _memo_columns(warmed)
+    assert warmed._current_memo and warmed._vertex_memo
+    again = _memo_columns(warmed)
+    fresh = []
+    for label in _MEMO_LABELS:
+        for m in _MEMO_MOMENTA:
+            for key in _MEMO_STATES:
+                gens = RealizedGenerators(VertexSpace(SU2, DEFAULT))
+                fresh.append(gens.operator(label, m).column(key))
+    assert again == fresh
+    assert any(again)
+
+
+def test_term_memos_belong_to_one_space():
+    # M bounds the q creators a vertex mode emits, so a memo shared between
+    # spaces would hand one space the other's terms.
+    narrow = TruncationSpec(N=2, L=4, P=2, M=1, current_cap=3)
+    cols_default = _memo_columns(VertexSpace(SU2, DEFAULT))
+    space = VertexSpace(SU2, narrow)
+    assert not space._current_memo and not space._vertex_memo
+    cols = _memo_columns(space)
+    assert cols == _memo_columns(VertexSpace(SU2, narrow))
+    assert cols != cols_default
+
+
 def test_vertex_level_equals_wick_level():
     t0 = time.time()
     k_vertex = measure_vertex_level(_space())
