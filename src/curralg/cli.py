@@ -22,7 +22,7 @@ from .scalars import format_scalar
 from .lie_core import StructureConstants, build_su, verify_identities
 from . import formal_algebra as fa
 from . import wick_currents as wc
-from .fock_oracle import FockOracle, apply_body, state_add, state_project, states_equal
+from .fock_oracle import FockOracle, apply_body, state_add, states_equal
 from . import vertex_fock as vf
 from .reports import Report, certification_floor
 
@@ -266,8 +266,8 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
 
     Every unordered pair of families at every mode pair (m, n), column by
     column on every safe key.  The oracle projects after every factor
-    (matrix semantics), so the closed-form column goes through the same
-    final projection before the exact comparison.
+    (matrix semantics), so the closed-form bilinear is applied with the
+    same cutoffs before the exact comparison.
     """
     oracle = FockOracle(fams, level_max, npart_max)
     labels = sorted(fams)
@@ -279,10 +279,9 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
                 engine = wc.mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
                 body, mode = engine.bilinear_part.body, engine.bilinear_part.mode
                 for key in oracle.safe_keys(flavors, m, n):
-                    want = apply_body({key: 1}, body, mode)
+                    want = apply_body({key: 1}, body, mode, (level_max, npart_max))
                     if engine.anomaly != 0:
-                        state_add(want, {key: 1}, engine.anomaly)
-                    want = state_project(want, level_max, npart_max)
+                        state_add(want, {key: 1}, engine.anomaly)  # a safe key is inside the cutoffs
                     got = oracle.commutator_column(lab1, m, lab2, n, key)
                     columns += 1
                     if not states_equal(got, want):

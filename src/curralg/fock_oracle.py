@@ -32,7 +32,12 @@ untouched ``(slot, count)`` pairs around the changed one.
 A bilinear sum_k :A_{m-k} Bbar_k: applied to one basis key touches finitely
 many k: a window of pure creators plus finitely many k that annihilate an
 occupied slot.  Every surviving term changes the level by exactly -m and
-the particle count by -2, 0, or +2.
+the particle count by -2, 0, or +2 (+2 only in the pure-creator window).
+So projection acts key by key and can run inside the application: with
+cutoffs, :func:`apply_body` gives a key whose level - m exceeds the level
+cutoff an empty column and skips the pure-creator window when two more
+particles would exceed the cap.  :class:`FockOracle` memoises these
+projected columns, which are exactly the columns of the truncated matrix.
 """
 
 from __future__ import annotations
@@ -164,9 +169,9 @@ def apply_oscillator(state: State, flavor, barred: bool, mode: int) -> State:
     return out
 
 
-def _candidate_modes(key: BasisKey, A, B, m: int):
+def _candidate_modes(key: BasisKey, A, B, m: int, creators: bool = True):
     ks = set()
-    if m <= -1:
+    if m <= -1 and creators:
         ks.update(range(m, 0))  # both parts create
     lo = max(m, 0)
     for (fl, barred, s), _ in key:
@@ -182,16 +187,23 @@ def _candidate_modes(key: BasisKey, A, B, m: int):
     return ks
 
 
-def body_terms(key: BasisKey, body: dict, m: int):
+def body_terms(key: BasisKey, body: dict, m: int, creators: bool = True):
     """Every term of sum_k :A_{m-k} Bbar_k: over ``body`` on one basis key.
 
     Yields ``(new_key, coeff, count)``: the body coefficient of the pair and
     the integer product of the two oscillator amplitudes, so each caller
     keeps its own arithmetic (exact here, complex in the vertex space).
     Terms come in body order, then candidate-mode order, and are not merged.
+    ``creators=False`` leaves out the terms where both oscillators create,
+    the only ones that add two particles.  Without them every term
+    annihilates an occupied slot of A or B, so a pair with neither flavor
+    in ``key`` is skipped.
     """
+    present = None if (m <= -1 and creators) else {slot[0] for slot, _ in key}
     for (A, B), coeff in body.items():
-        for k in _candidate_modes(key, A, B, m):
+        if present is not None and A not in present and B not in present:
+            continue
+        for k in _candidate_modes(key, A, B, m, creators):
             a_mode, b_mode = m - k, k
             if a_mode > 0 and b_mode <= -1:
                 first, second = ((A, False, a_mode), (B, True, b_mode))
@@ -208,11 +220,29 @@ def body_terms(key: BasisKey, body: dict, m: int):
             yield new_key, coeff, f1 * f2
 
 
-def apply_body(state: State, body: dict, m: int) -> State:
-    """sum over ``body`` of sum_k :A_{m-k} Bbar_k:, exact, no cutoff inside the sum."""
+def apply_body(state: State, body: dict, m: int, cutoffs=None) -> State:
+    """sum over ``body`` of sum_k :A_{m-k} Bbar_k:, exact, uncut unless ``cutoffs`` is given.
+
+    With ``cutoffs = (level_max, npart_max)`` only the terms inside them are
+    emitted, which equals :func:`state_project` of the uncut result.  Every
+    term moves the level by exactly -m, so a key whose level - m exceeds
+    ``level_max`` contributes nothing; the pure-creator terms (+2 particles)
+    are never generated when they would exceed ``npart_max``.
+    """
     out: State = {}
+    if cutoffs is not None:
+        level_max, npart_max = cutoffs
+    creators, recheck = True, False
     for key, amp in state.items():
-        for new_key, coeff, count in body_terms(key, body, m):
+        if cutoffs is not None:
+            level, npart = key_level_npart(key)
+            if level - m > level_max:
+                continue
+            creators = npart + 2 <= npart_max
+            recheck = npart > npart_max  # a key outside the cap: only -2 terms may return
+        for new_key, coeff, count in body_terms(key, body, m, creators):
+            if recheck and key_npart(new_key) > npart_max:
+                continue
             _add_at(out, new_key, amp * count * coeff)
     return out
 
@@ -267,7 +297,10 @@ class FockOracle:
     ``families`` maps labels to objects with a ``body`` attribute (the
     coefficient pattern).  Truncation follows matrix semantics exactly: the
     operator for mode ``m`` is the full application followed by projection,
-    so a product of operators projects after every factor.
+    so a product of operators projects after every factor.  Projection acts
+    key by key, so each memoised column is already projected: it holds only
+    the terms that survive the cutoffs, and applying an operator to a state
+    merges columns.
 
     The memo holds one dict per label, so a sweep that is done with a label
     frees its columns at no cost with :meth:`forget`.
@@ -278,16 +311,20 @@ class FockOracle:
         self.level_max = level_max
         self.npart_max = npart_max
         self._memo: dict = {}  # label -> {(mode, key): column}
+        self._safe: dict = {}  # (flavors, room) -> safe keys
 
     def apply_exact(self, label, mode: int, key: BasisKey) -> State:
-        """Untruncated application to a single basis key, memoised."""
+        """Exact column of the truncated matrix of ``label`` at ``mode``, memoised.
+
+        The returned dict is the memo entry itself; callers must not mutate it.
+        """
         memo = self._memo.get(label)
         if memo is None:
             memo = self._memo[label] = {}
         hit = memo.get((mode, key))
         if hit is None:
-            hit = apply_body({key: 1}, self.families[label].body, mode)
-            memo[(mode, key)] = hit
+            cutoffs = (self.level_max, self.npart_max)
+            hit = memo[(mode, key)] = apply_body({key: 1}, self.families[label].body, mode, cutoffs)
         return hit
 
     def forget(self, label) -> None:
@@ -298,12 +335,12 @@ class FockOracle:
         out: State = {}
         for key, amp in state.items():
             state_add(out, self.apply_exact(label, mode, key), amp)
-        return state_project(out, self.level_max, self.npart_max)
+        return out
 
     def commutator_column(self, lab1, m: int, lab2, n: int, key: BasisKey) -> State:
         """Column of the truncated-matrix commutator on one basis key."""
-        xy = self.apply_truncated(lab1, m, self.apply_truncated(lab2, n, {key: 1}))
-        yx = self.apply_truncated(lab2, n, self.apply_truncated(lab1, m, {key: 1}))
+        xy = self.apply_truncated(lab1, m, self.apply_exact(lab2, n, key))
+        yx = self.apply_truncated(lab2, n, self.apply_exact(lab1, m, key))
         state_add(xy, yx, -1)
         return xy
 
@@ -313,7 +350,12 @@ class FockOracle:
         Applying either factor must stay inside the cutoffs: one bilinear
         raises the level by at most max(-m, -n, 0) and the particle count
         by at most 2, so columns at level <= L - max(-m, -n, 0) and npart
-        <= cap - 2 commute with the projections.
+        <= cap - 2 commute with the projections.  The list is built once per
+        (flavors, room) and shared; callers must not mutate it.
         """
         room = max(-m, -n, 0)
-        return enumerate_keys(flavors, self.level_max - room, self.npart_max - 2)
+        memo_key = (tuple(flavors), room)
+        keys = self._safe.get(memo_key)
+        if keys is None:
+            keys = self._safe[memo_key] = enumerate_keys(flavors, self.level_max - room, self.npart_max - 2)
+        return keys

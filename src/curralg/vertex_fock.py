@@ -415,13 +415,13 @@ class RealizedGenerators:
 
     def operator(self, label: tuple, m) -> OperatorMatrix:
         m = tuple(m)
-        if any(abs(c) > self.space.spec.P for c in m):
-            raise BoundaryError(f"momentum {m} exits the lattice window P={self.space.spec.P}")
         memo_key = (label, m)
         hit = self._memo.get(memo_key)
         if hit is not None:
-            return hit
+            return hit  # only in-window momenta are memoised
         sp = self.space
+        if any(abs(c) > sp.spec.P for c in m):
+            raise BoundaryError(f"momentum {m} exits the lattice window P={sp.spec.P}")
         kind = label[0]
         if kind in ("J", "G", "H"):
             fn = lambda st: sp._dressed_current(label, m, st)

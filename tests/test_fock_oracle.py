@@ -1,9 +1,10 @@
 """The oscillator core of the Fock oracle: key splicing, projection, scalars.
 
-The splice and the one-pass projection are checked against the plain
-dict-and-sort and two-pass rules they replace, on random keys.  The scalar
-tests pin the integer fast path: su(2) bodies and oracle columns hold
-``int`` amplitudes, while su(3) keeps its ``Fraction`` and surd values.
+The splice, the one-pass projection and the cutoff-aware application are
+checked against the plain dict-and-sort, two-pass and apply-then-project
+rules they replace, on random keys.  The scalar tests pin the integer fast
+path: su(2) bodies and oracle columns hold ``int`` amplitudes, while su(3)
+keeps its ``Fraction`` and surd values.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from curralg.fock_oracle import (
     FockOracle,
     _key_with,
     _osc_key,
+    apply_body,
     enumerate_keys,
     key_level,
     key_level_npart,
@@ -94,6 +96,38 @@ def test_one_pass_projection_matches_the_two_pass_filter(nfl, level_max, npart_m
     assert sorted(got) == sorted(enumerate_keys(flavors, level_max, npart_max))
     for key in state:
         assert key_level_npart(key) == (key_level(key), key_npart(key))
+
+
+# -- projected columns ------------------------------------------------------------
+
+FAMILIES = {"su2": build_currents(build_su(2), 2), "su3": build_currents(build_su(3), 2)}
+
+
+def _keys_over(flavors):
+    slots = [(fl, False, -lev) for fl in flavors for lev in range(0, 5)]
+    slots += [(fl, True, -lev) for fl in flavors for lev in range(1, 5)]
+    return st.dictionaries(st.sampled_from(slots), st.integers(1, 3), max_size=4).map(
+        lambda occ: tuple(sorted(occ.items()))
+    )
+
+
+@pytest.mark.parametrize("algebra", sorted(FAMILIES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(-3, 3), level_max=st.integers(0, 4), npart_max=st.integers(0, 5))
+def test_memoised_column_is_the_projected_uncut_column(algebra, data, m, level_max, npart_max):
+    fams = FAMILIES[algebra]
+    label = data.draw(st.sampled_from(sorted(fams)), label="label")
+    body = fams[label].body
+    pairs = data.draw(st.lists(st.sampled_from(sorted(body)), min_size=1, max_size=2), label="pairs")
+    key = data.draw(_keys_over(sorted({fl for pair in pairs for fl in pair})), label="key")
+    oracle = FockOracle(fams, level_max, npart_max)
+    got = oracle.apply_exact(label, m, key)
+    assert got == state_project(apply_body({key: 1}, body, m), level_max, npart_max)
+    # every key of a memoised column lies inside the cutoffs, also for keys outside them
+    for column in oracle._memo[label].values():
+        for new_key in column:
+            level, npart = key_level_npart(new_key)
+            assert level <= level_max and npart <= npart_max
 
 
 # -- negative cutoffs --------------------------------------------------------------

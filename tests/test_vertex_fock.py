@@ -262,6 +262,16 @@ def test_generator_momentum_window_enforced():
         gens.operator(("J", 1), (3, 0))
 
 
+def test_momentum_window_enforced_after_the_label_is_memoised():
+    gens = RealizedGenerators(_space())
+    inside = gens.operator(("J", 1), (2, 0))
+    assert gens.operator(("J", 1), (2, 0)) is inside  # a memo hit
+    for m in ((3, 0), (0, -3), (2, 3)):
+        with pytest.raises(BoundaryError):
+            gens.operator(("J", 1), m)
+        assert gens.operator(("J", 1), (2, 0)) is inside
+
+
 # -- charge measurements (the cross-sector identities) -----------------------
 
 

@@ -139,6 +139,25 @@ def test_wick_engine_matches_matrix_oracle_everywhere():
     assert elapsed < 120.0, f"sweep took {elapsed:.1f}s"
 
 
+def test_wick_engine_matches_matrix_oracle_su3_n2():
+    """su(3), N=2, L=1: every family pair on a mode-pair subset, exact match.
+
+    (-1, 1) carries the J-J central term and the pure-creator terms; the
+    rest cover the zero modes and the lowering side.  su(3) bodies hold
+    ``Fraction`` and surd coefficients, so the exact non-integer path runs.
+    """
+    t0 = time.time()
+    sc, N, L, cap = SU3, 2, 1, 3
+    fams = build_currents(sc, N)
+    mode_pairs = ((-1, 1), (0, 0), (0, 1), (1, 1))
+    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, mode_pairs)
+    elapsed = time.time() - t0
+    assert sweep.mismatches == 0, sweep.first_mismatch
+    assert sweep.pairs == len(fams) * (len(fams) + 1) // 2 * len(mode_pairs)
+    assert sweep.columns == 215784
+    assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
+
+
 def test_anomaly_only_in_jj_among_km_species():
     # Among the J/G/H families the anomaly lives on the (J,J) diagonal only.
     fams = build_currents(SU2, 2)
