@@ -174,12 +174,16 @@ def cmd_verify_lie(cfg: RunConfig) -> tuple:
     return report, idrep.passed
 
 
+def _failed(report: Report, reason: str) -> tuple:
+    """Close ``report`` as a failed verification that names its reason."""
+    report.add("result", [("status", "FAIL"), ("reason", reason)])
+    return report, False
+
+
 def _invalid_constants(report: Report, idrep) -> tuple:
     """Close ``report`` with the first failed structure constant identity."""
     bad = next(c for c in idrep.checks if not c.passed)
-    reason = f"structure constants invalid: {bad.name} at {bad.first_violation}"
-    report.add("result", [("status", "FAIL"), ("reason", reason)])
-    return report, False
+    return _failed(report, f"structure constants invalid: {bad.name} at {bad.first_violation}")
 
 
 # -- verify-tables -------------------------------------------------------------
@@ -276,12 +280,11 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
     for i, lab1 in enumerate(labels):
         for lab2 in labels[i:]:
             for m, n in mode_pairs:
-                engine = wc.mode_commutator(fams[lab1].at(m), fams[lab2].at(n))
-                body, mode = engine.bilinear_part.body, engine.bilinear_part.mode
+                body, anomaly = wc.mode_commutator(fams[lab1], m, fams[lab2], n)
                 for key in oracle.safe_keys(flavors, m, n):
-                    want = apply_body({key: 1}, body, mode, (level_max, npart_max))
-                    if engine.anomaly != 0:
-                        state_add(want, {key: 1}, engine.anomaly)  # a safe key is inside the cutoffs
+                    want = apply_body({key: 1}, body, m + n, (level_max, npart_max))
+                    if anomaly != 0:
+                        state_add(want, {key: 1}, anomaly)  # a safe key is inside the cutoffs
                     got = oracle.commutator_column(lab1, m, lab2, n, key)
                     columns += 1
                     if not states_equal(got, want):
@@ -376,8 +379,11 @@ def cmd_measure(cfg: RunConfig) -> tuple:
         return _invalid_constants(Report("charge measurement"), idrep)
     tol = cfg.tolerance or 1e-8
 
-    k = wc.measure_level(sc, cfg.dim)
-    k1, k2 = wc.measure_k1_k2(sc, cfg.dim)
+    try:
+        k = wc.measure_level(sc, cfg.dim)
+        k1, k2 = wc.measure_k1_k2(sc, cfg.dim)
+    except wc.AnomalyPatternError as exc:
+        return _failed(Report("charge measurement"), f"anomaly pattern: {exc}")
     space = _measure_space(cfg, sc)
     k_s1 = vf.measure_vertex_level(space)
     fit = vf.measure_c1_c2(space, include_T=True)
@@ -568,8 +574,12 @@ def main(argv=None) -> int:
     else:
         text = report.render_text(timestamp=cfg.timestamp)
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

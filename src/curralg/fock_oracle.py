@@ -294,10 +294,11 @@ def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:
 class FockOracle:
     """Truncated-matrix application of current families, memoised per column.
 
-    ``families`` maps labels to objects with a ``body`` attribute (the
-    coefficient pattern).  Truncation follows matrix semantics exactly: the
-    operator for mode ``m`` is the full application followed by projection,
-    so a product of operators projects after every factor.  Projection acts
+    ``bodies`` maps labels to current bodies, the coefficient patterns that
+    :func:`curralg.wick_currents.build_currents` returns.  Truncation
+    follows matrix semantics exactly: the operator for mode ``m`` is the
+    full application followed by projection, so a product of operators
+    projects after every factor.  Projection acts
     key by key, so each memoised column is already projected: it holds only
     the terms that survive the cutoffs, and applying an operator to a state
     merges columns.
@@ -306,8 +307,8 @@ class FockOracle:
     frees its columns at no cost with :meth:`forget`.
     """
 
-    def __init__(self, families: dict, level_max: int, npart_max: int):
-        self.families = families
+    def __init__(self, bodies: dict, level_max: int, npart_max: int):
+        self.bodies = bodies
         self.level_max = level_max
         self.npart_max = npart_max
         self._memo: dict = {}  # label -> {(mode, key): column}
@@ -324,7 +325,7 @@ class FockOracle:
         hit = memo.get((mode, key))
         if hit is None:
             cutoffs = (self.level_max, self.npart_max)
-            hit = memo[(mode, key)] = apply_body({key: 1}, self.families[label].body, mode, cutoffs)
+            hit = memo[(mode, key)] = apply_body({key: 1}, self.bodies[label], mode, cutoffs)
         return hit
 
     def forget(self, label) -> None:

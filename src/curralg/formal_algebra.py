@@ -50,7 +50,6 @@ __all__ = [
     "reduce_closedness",
     "redefine",
     "verify_embedding",
-    "concretize_chain",
     "all_generators",
     "jacobi_sweep",
     "emb1_obstruction",
@@ -458,13 +457,6 @@ def make_table(name: str, sc: StructureConstants, N: int = 3, chain_mode: str = 
     return AlgebraTable(name, sc, N, chain_mode)
 
 
-def concretize_chain(table: AlgebraTable, N: int = 3) -> AlgebraTable:
-    """CONCRETE_3D variant of a three-chain table (N = 3 only)."""
-    if N != 3 or table.N != 3:
-        raise ValueError("chain concretization is defined only at N = 3")
-    return AlgebraTable(table.name, table.sc, 3, "CONCRETE_3D")
-
-
 # -- elementary brackets ------------------------------------------------------
 
 
@@ -791,7 +783,11 @@ def _generator(expr: Expression) -> GeneratorTerm:
     return next(iter(expr.terms))[0]
 
 
-def jacobi_sweep(table: AlgebraTable, max_failures: int = 20) -> JacobiReport:
+# Sweep reports list at most this many failing triples, in sweep order.
+_FAILURES_LISTED = 20
+
+
+def jacobi_sweep(table: AlgebraTable) -> JacobiReport:
     """Exhaustive Jacobiator check over unordered generator triples.
 
     The bracket is antisymmetric by construction, so the Jacobiator is
@@ -807,7 +803,7 @@ def jacobi_sweep(table: AlgebraTable, max_failures: int = 20) -> JacobiReport:
             jac = jac.discharged()
         count += 1
         if not jac.is_zero:
-            if len(failures) < max_failures:
+            if len(failures) < _FAILURES_LISTED:
                 failures.append((f"({lab_x}, {lab_y}, {lab_z})", jac.render()))
     return JacobiReport(table.name, table.N, table.chain_mode, table.sc.dim, count, failures)
 
@@ -850,7 +846,7 @@ class ObstructionReport:
         )
 
 
-def emb1_obstruction(table: AlgebraTable, max_failures: int = 20) -> ObstructionReport:
+def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
     """Check that EMB1's Jacobiator is exactly the (J, G, G) obstruction.
 
     Every triple other than (J, G, G)-type must have zero Jacobiator; each
@@ -880,7 +876,7 @@ def emb1_obstruction(table: AlgebraTable, max_failures: int = 20) -> Obstruction
         else:
             other += 1
             want = Expression()
-        if jac != want and len(mismatches) < max_failures:
+        if jac != want and len(mismatches) < _FAILURES_LISTED:
             if is_jgg:
                 detail = "got:\n" + jac.render() + "\nwant:\n" + want.render()
             else:

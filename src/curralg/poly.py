@@ -230,7 +230,7 @@ def _inv(s: Scalar) -> Scalar:
     return 1 / s
 
 
-def format_poly(p: Poly, unit: str = "") -> str:
+def format_poly(p: Poly) -> str:
     """Human-readable rendering with deterministic term order."""
     if p.is_zero:
         return "0"

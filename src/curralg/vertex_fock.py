@@ -71,6 +71,9 @@ __all__ = [
 ]
 
 _TRAJ = "traj"
+# Fits of exact-in-principle float amplitudes: residuals, probe spreads and
+# imaginary parts above this are failures.
+_FIT_TOL = 1e-9
 
 
 class BoundaryError(ValueError):
@@ -158,9 +161,8 @@ class VertexSpace:
     def __init__(self, sc: StructureConstants, spec: TruncationSpec):
         self.sc = sc
         self.spec = spec
-        self.families = build_currents(sc, spec.N)
+        self.bodies = build_currents(sc, spec.N)
         self.flavors = flavors_for(sc.dim, spec.N)
-        self._bodies = {label: fam.body for label, fam in self.families.items()}
         # Per-key term memos.  Their entries depend on sc, N and M, so they
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
@@ -276,7 +278,7 @@ class VertexSpace:
         The terms of each key come from :func:`_apply_body_to_key`, once per
         (label, mode, cur_key).
         """
-        body: CurrentBody = self._bodies[label]
+        body: CurrentBody = self.bodies[label]
         memo = self._current_memo
         out: dict = {}
         for (qp_key, w, cur_key), amp in state.items():
@@ -483,8 +485,8 @@ def _column_ratio(numer: dict, denom: dict) -> tuple:
     return c, resid
 
 
-def _real_coeff(c: complex, what: str, tol: float = 1e-9) -> float:
-    if abs(c.imag) > tol:
+def _real_coeff(c: complex, what: str) -> float:
+    if abs(c.imag) > _FIT_TOL:
         raise FitError(f"{what} came out non-real: {c}")
     return c.real
 
@@ -522,12 +524,12 @@ def measure_vertex_level(space: VertexSpace) -> float:
     ref = _s1_reference_column(gens, m, n, probe)
     coeff, resid = _column_ratio(bracket, ref)
     k = _real_coeff(-coeff, "vertex level k")
-    if resid > 1e-9:
+    if resid > _FIT_TOL:
         raise FitError(f"level fit residual {resid} too large")
     return k
 
 
-def measure_c1_c2(space: VertexSpace, include_T: bool = True, tol: float = 1e-9) -> ChargeFit:
+def measure_c1_c2(space: VertexSpace, include_T: bool = True) -> ChargeFit:
     """Fit the cocycle of the realized L family.
 
     [L_mu(m), L_nu(n)] minus its bilinear part must be proportional to
@@ -563,7 +565,7 @@ def measure_c1_c2(space: VertexSpace, include_T: bool = True, tol: float = 1e-9)
             c, resid = _column_ratio(col, ref)
             vals.append(c)
             resids.append(resid)
-        if abs(vals[0] - vals[1]) > tol:
+        if abs(vals[0] - vals[1]) > _FIT_TOL:
             raise FitError(f"cocycle fit disagrees between probes: {vals}")
         return vals[0], max(resids)
 
@@ -800,7 +802,7 @@ def _degeneration_probes(space: VertexSpace, m: int, n: int) -> list:
     return probes
 
 
-def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False, tol: float = 1e-9) -> CubicFit:
+def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False) -> CubicFit:
     if space.spec.N != 1:
         raise ValueError("the degeneration measurement runs at N = 1")
     if space.spec.P < 3:
@@ -821,13 +823,13 @@ def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False, tol: 
             if not col and not ref:
                 continue
             c, resid = _column_ratio(col, ref) if ref else (0.0, _column_distance(col, {}))
-            if resid > tol:
+            if resid > _FIT_TOL:
                 raise FitError(f"extension at ({m},{n}) is not proportional to the vertex zero mode: residual {resid}")
             coeffs.append(c)
         if not coeffs:
             raise FitError(f"no usable probe for ({m},{n})")
         spread = max(abs(c - coeffs[0]) for c in coeffs)
-        if spread > tol:
+        if spread > _FIT_TOL:
             raise FitError(f"extension coefficient at ({m},{n}) varies across probes: {coeffs}")
         values.append(((m, n), _real_coeff(complex(coeffs[0]), "extension coefficient")))
 

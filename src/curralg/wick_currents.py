@@ -19,10 +19,11 @@ A current is a translation-covariant bilinear
 
     C_m = sum_k coeff(A,B) :A_{m-k} Bbar_k:
 
-held as its coefficient pattern ``{(A, B): coeff}`` (a :data:`CurrentBody`);
-the mode ``m`` enters only when commuting.  Commutators are evaluated in
-closed form: single Wick contractions give the bilinear part, and the double
-contraction telescopes to the exact anomaly ``-coeff_sum * m * delta_{m+n,0}``.
+held as nothing but its coefficient pattern ``{(A, B): coeff}`` (a
+:data:`CurrentBody`); the mode ``m`` enters only when commuting.  :func:`mode_commutator` evaluates
+commutators in closed form: single Wick contractions give the bilinear part,
+and the double contraction telescopes to the exact anomaly
+``-coeff_sum * m * delta_{m+n,0}``.
 No cutoff and no tolerance anywhere in this module; coefficients are exact
 scalars.
 """
@@ -31,23 +32,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .lie_core import StructureConstants
 from .scalars import Scalar, as_int_if_integral, format_scalar
 
 __all__ = [
     "CurrentBody",
-    "CurrentFamily",
-    "CurrentMode",
-    "CommutatorResult",
-    "SpaceMismatchError",
     "AnomalyPatternError",
     "zeta_flavor",
     "flavors_for",
     "build_currents",
     "mode_commutator",
-    "commute_bodies",
     "expected_bracket",
     "check_km_table",
     "jacobi_residual",
@@ -61,10 +56,6 @@ __all__ = [
 # exact coefficients; the barred partner is stored by its unbarred name.
 Flavor = tuple
 CurrentBody = dict
-
-
-class SpaceMismatchError(ValueError):
-    """Raised when commuting currents built over different oscillator content."""
 
 
 class AnomalyPatternError(ValueError):
@@ -105,12 +96,6 @@ def _badd(body: CurrentBody, pair, coeff) -> None:
         body[pair] = new
 
 
-def body_scaled(body: CurrentBody, factor) -> CurrentBody:
-    if factor == 0:
-        return {}
-    return {pair: coeff * factor for pair, coeff in body.items()}
-
-
 def body_combine(dst: CurrentBody, src: CurrentBody, factor=1) -> None:
     for pair, coeff in src.items():
         _badd(dst, pair, coeff * factor)
@@ -128,57 +113,14 @@ def body_render(body: CurrentBody) -> str:
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class CurrentFamily:
-    """A label plus the mode-independent coefficient pattern."""
-
-    label: tuple
-    body: CurrentBody
-    space: tuple  # (StructureConstants, N); identity of the oscillator content
-
-    def at(self, mode: int) -> "CurrentMode":
-        return CurrentMode(self.label, mode, self.body, self.space)
-
-
-@dataclass(frozen=True)
-class CurrentMode:
-    label: tuple
-    mode: int
-    body: CurrentBody
-    space: tuple
-
-
-@dataclass(frozen=True)
-class CommutatorResult:
-    """Exact commutator of two current modes.
-
-    ``bilinear_part`` is a current mode at ``m + n`` whose body collects the
-    single contractions; ``anomaly`` is the exact scalar multiplying the
-    identity (nonzero only when m + n = 0, always linear in m).
-    """
-
-    bilinear_part: CurrentMode
-    anomaly: Scalar
-
-    def is_zero(self) -> bool:
-        return not self.bilinear_part.body and self.anomaly == 0
-
-
-def _same_space(x: tuple, y: tuple) -> bool:
-    if x is y:
-        return True
-    if x[1] != y[1]:
-        return False
-    return x[0] is y[0] or x[0] == y[0]
-
-
-def commute_bodies(P: CurrentBody, m: int, Q: CurrentBody, n: int):
+def mode_commutator(P: CurrentBody, m: int, Q: CurrentBody, n: int):
     """Closed-form [C_m, D_n] for coefficient patterns P, Q.
 
-    Returns (body, anomaly).  A matched barred/unbarred flavor pair is a
-    single Wick contraction; both matches at once admit the double
-    contraction whose mode window telescopes to exactly -m on the diagonal
-    m + n = 0.
+    Returns (body, anomaly): the body is the bilinear part, a current at
+    mode m + n, and the anomaly is the exact scalar multiplying the
+    identity.  A matched barred/unbarred flavor pair is a single Wick
+    contraction; both matches at once admit the double contraction whose
+    mode window telescopes to exactly -m on the diagonal m + n = 0.
     """
     out: CurrentBody = {}
     anomaly: Scalar = Fraction(0)
@@ -199,16 +141,8 @@ def commute_bodies(P: CurrentBody, m: int, Q: CurrentBody, n: int):
     return out, anomaly
 
 
-def mode_commutator(X: CurrentMode, Y: CurrentMode) -> CommutatorResult:
-    if not _same_space(X.space, Y.space):
-        raise SpaceMismatchError("currents built over different oscillator content")
-    body, anomaly = commute_bodies(X.body, X.mode, Y.body, Y.mode)
-    lab = ("bracket", X.label, Y.label)
-    return CommutatorResult(CurrentMode(lab, X.mode + Y.mode, body, X.space), anomaly)
-
-
 def build_currents(sc: StructureConstants, N: int) -> dict:
-    """All current families over dim(g) x N oscillator content.
+    """Every current over dim(g) x N oscillator content, as ``{label: body}``.
 
     Keys: ("J", a), ("G", a, mu), ("H", a, mu, nu) with mu < nu, and
     ("T", mu, nu) for every mu, nu.  J sums each conjugate flavor pair once;
@@ -218,7 +152,6 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
     if N < 1:
         raise ValueError("N must be at least 1")
     dim = sc.dim
-    space = (sc, N)
     fams: dict = {}
 
     for a in range(1, dim + 1):
@@ -232,7 +165,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
             for mu in range(1, N + 1):
                 for nu in range(mu + 1, N + 1):
                     _badd(body, (("zeta", c, mu, nu), ("zeta", b, mu, nu)), v)
-        fams[("J", a)] = CurrentFamily(("J", a), body, space)
+        fams[("J", a)] = body
 
     for a in range(1, dim + 1):
         for mu in range(1, N + 1):
@@ -250,7 +183,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                         continue
                     fl, sign = zf
                     _badd(body, (fl, ("psi", b, nu)), v * sign)
-            fams[("G", a, mu)] = CurrentFamily(("G", a, mu), body, space)
+            fams[("G", a, mu)] = body
 
     for a in range(1, dim + 1):
         for mu in range(1, N + 1):
@@ -260,7 +193,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                     if x != a:
                         continue
                     _badd(body, (("zeta", c, mu, nu), ("phi", b)), v)
-                fams[("H", a, mu, nu)] = CurrentFamily(("H", a, mu, nu), body, space)
+                fams[("H", a, mu, nu)] = body
 
     for mu in range(1, N + 1):
         for nu in range(1, N + 1):
@@ -278,7 +211,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                         continue
                     (fl1, s1), (fl2, s2) = zf1, zf2
                     _badd(body, (fl1, fl2), s1 * s2)
-            fams[("T", mu, nu)] = CurrentFamily(("T", mu, nu), body, space)
+            fams[("T", mu, nu)] = body
 
     return fams
 
@@ -300,7 +233,7 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
         # bilinear part is antisymmetric; the anomaly slope is symmetric,
         # since the double-contraction sum and the m-window flip together
         body, slope = expected_bracket(fams, sc, N, lab2, lab1)
-        return body_scaled(body, -1), slope
+        return {pair: -coeff for pair, coeff in body.items()}, slope
 
     terms = []
     slope: Scalar = Fraction(0)
@@ -308,7 +241,7 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
         a, b = lab1[1], lab2[1]
         terms = [(("J", c), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
         if a == b:
-            slope = _jj_slope(fams, lab1)
+            slope = -_double_sum(fams[lab1], fams[lab1])
     elif (s1, s2) == ("J", "G"):
         a, (b, mu) = lab1[1], (lab2[1], lab2[2])
         terms = [(("G", c, mu), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
@@ -321,10 +254,8 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
             sign = 1 if mu < nu else -1
             lo, hi = min(mu, nu), max(mu, nu)
             terms = [(("H", c, lo, hi), sc.d_at(a, b, c) * sign) for c in range(1, sc.dim + 1)]
-    elif (s1, s2) in (("G", "H"), ("H", "H")):
-        terms = []
-    elif (s1, s2) == ("J", "T"):
-        terms = []
+    elif (s1, s2) in (("G", "H"), ("H", "H"), ("J", "T")):
+        pass  # these brackets vanish
     elif (s1, s2) == ("G", "T"):
         (a, sig), (mu, nu) = (lab1[1], lab1[2]), (lab2[1], lab2[2])
         if sig == nu:
@@ -357,7 +288,7 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
     for label, coeff in terms:
         if coeff == 0:
             continue
-        body_combine(out, fams[label].body, coeff)
+        body_combine(out, fams[label], coeff)
     return out, slope
 
 
@@ -370,18 +301,13 @@ def _double_sum(P: CurrentBody, Q: CurrentBody) -> Scalar:
     return tot
 
 
-def _jj_slope(fams: dict, lab: tuple) -> Scalar:
-    body = fams[lab].body
-    return -_double_sum(body, body)
-
-
 def _tt_slopes(fams: dict, N: int):
     # slopes from two index patterns that isolate k1 and k2
     if N >= 2:
-        k1 = -_double_sum(fams[("T", 1, 2)].body, fams[("T", 2, 1)].body)
-        k2 = -_double_sum(fams[("T", 1, 1)].body, fams[("T", 2, 2)].body)
+        k1 = -_double_sum(fams[("T", 1, 2)], fams[("T", 2, 1)])
+        k2 = -_double_sum(fams[("T", 1, 1)], fams[("T", 2, 2)])
     else:
-        both = -_double_sum(fams[("T", 1, 1)].body, fams[("T", 1, 1)].body)
+        both = -_double_sum(fams[("T", 1, 1)], fams[("T", 1, 1)])
         k1, k2 = both, Fraction(0)  # inseparable at N = 1; report the sum as k1
     return k1, k2
 
@@ -395,47 +321,62 @@ class BracketCheck:
     anomaly_slope: Scalar
 
 
+def _check_pair(fams: dict, sc: StructureConstants, N: int, lab1: tuple, lab2: tuple) -> BracketCheck:
+    """Check one bracket against its table entry from :func:`expected_bracket`.
+
+    The bilinear part is mode-independent and checked once; the anomaly is
+    checked on m + n = 0 for m in {1, 2, 3} against the linear slope, and
+    for zero on a non-central mode pair.
+    """
+    want_body, want_slope = expected_bracket(fams, sc, N, lab1, lab2)
+    P, Q = fams[lab1], fams[lab2]
+    problems = []
+    if mode_commutator(P, 1, Q, 1)[0] != want_body:
+        problems.append("bilinear mismatch")
+    for m in (1, 2, 3):
+        if mode_commutator(P, m, Q, -m)[1] != want_slope * m:
+            problems.append(f"anomaly at m={m} is not {format_scalar(want_slope)}*m")
+    if mode_commutator(P, 2, Q, -1)[1] != 0:
+        problems.append("anomaly off the diagonal m+n=0")
+    return BracketCheck(lab1, lab2, not problems, "; ".join(problems), want_slope)
+
+
+def _check_pairs(fams: dict, sc: StructureConstants, N: int, labels: list) -> list:
+    """One :class:`BracketCheck` per unordered pair of ``labels`` (both sides are antisymmetric)."""
+    return [
+        _check_pair(fams, sc, N, lab1, lab2) for i, lab1 in enumerate(labels) for lab2 in labels[i:]
+    ]
+
+
+def _require_pattern(rows: list) -> None:
+    """Raise :class:`AnomalyPatternError` naming the first failed row."""
+    for r in rows:
+        if not r.ok:
+            raise AnomalyPatternError(f"{r.lab1} {r.lab2}: {r.detail}")
+
+
 def check_km_table(sc: StructureConstants, N: int) -> list:
     """Verify every unordered bracket of the J/G/H/T family set against the table.
 
-    Bilinear patterns are mode-independent and checked once per pair; the
-    anomaly is checked on m + n = 0 for m in {1, 2, 3} against the linear
-    slope, and for zero on a non-central mode pair.  Each row records the
-    verified slope, so callers can assert where anomalies are allowed to
-    live (the (J,J) diagonal and the (T,T) delta patterns).
+    Each row records the verified slope, so callers can assert where
+    anomalies are allowed to live (the (J,J) diagonal and the (T,T) delta
+    patterns).
     """
     fams = build_currents(sc, N)
-    labels = sorted(fams.keys())
-    rows = []
-    for i, lab1 in enumerate(labels):
-        for lab2 in labels[i:]:
-            want_body, want_slope = expected_bracket(fams, sc, N, lab1, lab2)
-            got, _ = commute_bodies(fams[lab1].body, 1, fams[lab2].body, 1)
-            problems = []
-            if got != want_body:
-                problems.append("bilinear mismatch")
-            for m in (1, 2, 3):
-                _, an = commute_bodies(fams[lab1].body, m, fams[lab2].body, -m)
-                if an != want_slope * m:
-                    problems.append(f"anomaly at m={m} is not {format_scalar(want_slope)}*m")
-            _, off = commute_bodies(fams[lab1].body, 2, fams[lab2].body, -1)
-            if off != 0:
-                problems.append("anomaly off the diagonal m+n=0")
-            rows.append(BracketCheck(lab1, lab2, not problems, "; ".join(problems), want_slope))
-    return rows
+    return _check_pairs(fams, sc, N, sorted(fams))
 
 
-def jacobi_residual(X: CurrentMode, Y: CurrentMode, Z: CurrentMode):
-    """Exact jacobiator [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]].
+def jacobi_residual(X: tuple, Y: tuple, Z: tuple):
+    """Exact jacobiator [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] of ``(body, mode)`` pairs.
 
     Returns (body, anomaly); inner anomalies are central and drop out of the
     outer bracket, so only outer anomalies against inner bilinears survive.
     """
     body: CurrentBody = {}
     anomaly: Scalar = Fraction(0)
-    for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
-        inner, _ = commute_bodies(B.body, B.mode, C.body, C.mode)
-        outer, an = commute_bodies(A.body, A.mode, inner, B.mode + C.mode)
+    for (A, a), (B, b), (C, c) in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
+        inner, _ = mode_commutator(B, b, C, c)
+        outer, an = mode_commutator(A, a, inner, b + c)
         body_combine(body, outer)
         anomaly = anomaly + an
     return body, anomaly
@@ -452,28 +393,20 @@ def measure_level(sc: StructureConstants, N: int) -> Scalar:
     this package's mode transform (see conventions()); here it coincides
     with the raw anomaly slope.  With that sign the same k multiplies the
     one-chain term of the realized bracket, so the two measurements are
-    directly comparable.  Checks exact linearity over m in {1, 2, 3} and
-    the delta^{ab} pattern for every adjoint pair before returning k.
+    directly comparable.  Checks every (J, J) bracket against the table
+    (the f^{abc} bilinear, exact linearity over m in {1, 2, 3}, the
+    delta^{ab} pattern) and that every diagonal a = b has the same slope
+    before returning k.
     """
     fams = build_currents(sc, N)
-    slope: Optional[Scalar] = None
-    for a in range(1, sc.dim + 1):
-        for b in range(1, sc.dim + 1):
-            for m in (1, 2, 3):
-                r = mode_commutator(fams[("J", a)].at(m), fams[("J", b)].at(-m))
-                an = r.anomaly
-                if a != b:
-                    if an != 0:
-                        raise AnomalyPatternError(f"anomaly not prop. to delta^ab at a={a} b={b}")
-                    continue
-                if slope is None:
-                    if m != 1:
-                        raise AssertionError("m sweep starts at 1")
-                    slope = an
-                elif an != slope * m:
-                    raise AnomalyPatternError(f"anomaly not linear in m at a={a} m={m}")
-    assert slope is not None
-    return slope
+    rows = _check_pairs(fams, sc, N, [lab for lab in sorted(fams) if lab[0] == "J"])
+    _require_pattern(rows)
+    k = rows[0].anomaly_slope  # the (J^1, J^1) row comes first
+    for r in rows:
+        if r.lab1 == r.lab2 and r.anomaly_slope != k:
+            got = format_scalar(r.anomaly_slope)
+            raise AnomalyPatternError(f"(J,J) diagonal levels differ: {format_scalar(k)} at a=1, {got} at a={r.lab1[1]}")
+    return k
 
 
 def measure_k1_k2(sc: StructureConstants, N: int):
@@ -486,31 +419,15 @@ def measure_k1_k2(sc: StructureConstants, N: int):
 
     the minus mirroring the opposite written sign of the gl(N) central term
     relative to the adjoint one (see conventions()); so (k1, k2) are the
-    negated anomaly slopes.  Verifies the bilinear part of every [T, T]
-    bracket and the full index pattern over m in {1, 2, 3} before returning.
+    negated anomaly slopes.  Checks every (T, T) bracket against the table
+    (bilinear part and the full index pattern over m in {1, 2, 3}) before
+    returning.
     """
     if N < 2:
         raise ValueError("k1 and k2 separate only for N >= 2")
     fams = build_currents(sc, N)
+    _require_pattern(_check_pairs(fams, sc, N, [lab for lab in sorted(fams) if lab[0] == "T"]))
     s1, s2 = _tt_slopes(fams, N)
-    idx = range(1, N + 1)
-    for mu in idx:
-        for nu in idx:
-            for sig in idx:
-                for tau in idx:
-                    want: CurrentBody = {}
-                    if sig == nu:
-                        body_combine(want, fams[("T", mu, tau)].body)
-                    if mu == tau:
-                        body_combine(want, fams[("T", sig, nu)].body, -1)
-                    got, _ = commute_bodies(fams[("T", mu, nu)].body, 1, fams[("T", sig, tau)].body, 2)
-                    if got != want:
-                        raise AnomalyPatternError(f"T bilinear mismatch at {mu}{nu},{sig}{tau}")
-                    pattern = s1 * int(mu == tau) * int(sig == nu) + s2 * int(mu == nu) * int(sig == tau)
-                    for m in (1, 2, 3):
-                        _, an = commute_bodies(fams[("T", mu, nu)].body, m, fams[("T", sig, tau)].body, -m)
-                        if an != pattern * m:
-                            raise AnomalyPatternError(f"T anomaly pattern fails at {mu}{nu},{sig}{tau} m={m}")
     return -s1, -s2
 
 

@@ -108,7 +108,7 @@ def test_criterion_5_wick_oracle_equivalence():
     for i, lab1 in enumerate(km_labels):
         for lab2 in km_labels[i:]:
             for m in (1, 2, 3):
-                anomaly = mode_commutator(fams[lab1].at(m), fams[lab2].at(-m)).anomaly
+                _, anomaly = mode_commutator(fams[lab1], m, fams[lab2], -m)
                 if lab1[0] == "J" and lab1 == lab2:
                     ok = ok and anomaly != 0
                     slopes.add(Fraction(anomaly, m))  # exactly linear in m

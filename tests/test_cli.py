@@ -253,6 +253,54 @@ def test_measure_json_refuses_broken_structure_constants(capsys, tmp_path):
     assert result["reason"] == "structure constants invalid: f-first-pair-antisymmetry at (1, 1, 2)"
 
 
+# su(2) + u(1): valid structure constants whose (J, J) diagonals carry
+# different levels (8 on su(2), 0 on u(1)), so no single k exists
+SU2_U1 = "dim 4\nf 1 2 3 1\nf 1 3 2 -1\nf 2 1 3 -1\nf 2 3 1 1\nf 3 1 2 1\nf 3 2 1 -1\n"
+UNEQUAL_LEVELS = "(J,J) diagonal levels differ: 8 at a=1, 0 at a=4"
+
+
+@pytest.fixture
+def su2_u1(tmp_path):
+    path = tmp_path / "su2_u1.txt"
+    path.write_text(SU2_U1)
+    return str(path)
+
+
+def test_verify_fock_names_unequal_diagonal_levels(capsys, su2_u1):
+    code, out, _ = run(
+        capsys, "verify-fock", "--algebra-file", su2_u1, "--dim", "2",
+        "--mode-window", "1", "--level", "1", "--no-timestamp",
+    )
+    assert code == 1
+    assert "mismatches = 0" in out
+    assert f"anomaly_pattern = FAIL: {UNEQUAL_LEVELS}\n" in out
+
+
+def test_measure_fails_cleanly_on_unequal_diagonal_levels(capsys, su2_u1):
+    code, out, err = run(capsys, "measure", "--algebra-file", su2_u1, "--dim", "2", "--no-timestamp")
+    assert code == 1
+    assert err == ""
+    assert out.endswith(f"[result]\nstatus = FAIL\nreason = anomaly pattern: {UNEQUAL_LEVELS}\n")
+
+
+def test_measure_json_reports_unequal_diagonal_levels(capsys, su2_u1):
+    code, out, _ = run(capsys, "measure", "--algebra-file", su2_u1, "--dim", "2", "--format", "json")
+    assert code == 1
+    result = json.loads(out)["sections"]["result"]
+    assert result == {"status": "FAIL", "reason": f"anomaly pattern: {UNEQUAL_LEVELS}"}
+
+
+def test_report_fails_cleanly_on_unequal_diagonal_levels(capsys, su2_u1):
+    code, out, err = run(
+        capsys, "report", "--algebra-file", su2_u1, "--dim", "2",
+        "--mode-window", "1", "--level", "1", "--no-timestamp",
+    )
+    assert code == 1
+    assert err == ""
+    assert f"[measure: result]\nstatus = FAIL\nreason = anomaly pattern: {UNEQUAL_LEVELS}\n" in out
+    assert out.endswith("[result]\nstatus = FAIL\n")
+
+
 def test_measure_rejects_dim_1(capsys):
     code, _, err = run(capsys, "measure", "--dim", "1")
     assert code == 2
@@ -340,6 +388,15 @@ def test_output_file_and_determinism(capsys, tmp_path):
         assert code == 0
         assert out == ""
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "verify-lie", "--algebra", "su2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert not target.exists()
 
 
 def test_timestamp_header_present_by_default(capsys):

@@ -117,7 +117,7 @@ def _keys_over(flavors):
 def test_memoised_column_is_the_projected_uncut_column(algebra, data, m, level_max, npart_max):
     fams = FAMILIES[algebra]
     label = data.draw(st.sampled_from(sorted(fams)), label="label")
-    body = fams[label].body
+    body = fams[label]
     pairs = data.draw(st.lists(st.sampled_from(sorted(body)), min_size=1, max_size=2), label="pairs")
     key = data.draw(_keys_over(sorted({fl for pair in pairs for fl in pair})), label="key")
     oracle = FockOracle(fams, level_max, npart_max)
@@ -150,7 +150,7 @@ def test_safe_keys_are_empty_when_the_mode_room_exceeds_the_level():
 
 def test_su2_bodies_and_oracle_columns_are_int():
     fams = build_currents(build_su(2), 2)
-    values = [coeff for fam in fams.values() for coeff in fam.body.values()]
+    values = [coeff for body in fams.values() for coeff in body.values()]
     assert values and all(type(v) is int for v in values)
     oracle = FockOracle(fams, 4, 3)
     key = (((("phi", 1), False, 0), 1), ((("phi", 2), False, -1), 1))
@@ -160,7 +160,7 @@ def test_su2_bodies_and_oracle_columns_are_int():
 
 def test_su3_bodies_keep_their_exact_types():
     fams = build_currents(build_su(3), 2)
-    values = [coeff for fam in fams.values() for coeff in fam.body.values()]
+    values = [coeff for body in fams.values() for coeff in body.values()]
     assert any(type(v) is Fraction and v == Fraction(1, 2) for v in values)
     assert any(isinstance(v, SurdSum) for v in values)
     assert not any(type(v) is Fraction and v.denominator == 1 for v in values)

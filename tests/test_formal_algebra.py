@@ -27,7 +27,6 @@ from curralg.formal_algebra import (
     TableMismatchError,
     all_generators,
     bracket,
-    concretize_chain,
     emb1_obstruction,
     generator,
     generator_labels,
@@ -381,15 +380,15 @@ def test_jacobiator_total_antisymmetry():
 
 
 def test_concretize_requires_N3_and_chain():
-    with pytest.raises(ValueError):
-        concretize_chain(make_table("EMB2", SU3, 3))  # no three-chain species
-    with pytest.raises(ValueError):
-        concretize_chain(make_table("MF", SU2, 2))  # wrong N
+    with pytest.raises(ValueError, match="no three-chain"):
+        make_table("EMB2", SU3, 3, chain_mode="CONCRETE_3D")
+    with pytest.raises(ValueError, match="requires N = 3"):
+        make_table("MF", SU2, 2, chain_mode="CONCRETE_3D")
 
 
 def test_concrete_epsilon_signs():
     m, n = _sym("m"), _sym("n")
-    mf = concretize_chain(make_table("MF", SU3, 3))
+    mf = make_table("MF", SU3, 3, chain_mode="CONCRETE_3D")
     # [J^1(m), H^1{1,2}(n)] carries m_rho S3^{12 rho}; concretely eps^{123} = +1
     out = bracket(mf, J(1, m), H(1, 1, 2, n))
     assert out.render() == "m_3*delta(m+n)"
@@ -402,10 +401,10 @@ def test_concrete_epsilon_signs():
 
 
 def test_concrete_obstruction_on_support():
-    rep = emb1_obstruction(concretize_chain(make_table("EMB1", SU3, 3)))
+    rep = emb1_obstruction(make_table("EMB1", SU3, 3, chain_mode="CONCRETE_3D"))
     assert rep.passed, rep.describe()
     assert rep.nonzero_on_support
-    rep2 = emb1_obstruction(concretize_chain(make_table("EMB1", SU2, 3)))
+    rep2 = emb1_obstruction(make_table("EMB1", SU2, 3, chain_mode="CONCRETE_3D"))
     assert rep2.passed, rep2.describe()
     assert not rep2.nonzero_on_support
 
@@ -415,14 +414,14 @@ def test_concrete_jacobi_both_modes_agree_for_MF():
     # realized concretely and deltas are evaluated on support
     for sc in (SU2, SU3):
         formal = jacobi_sweep(make_table("MF", sc, 3))
-        concrete = jacobi_sweep(concretize_chain(make_table("MF", sc, 3)))
+        concrete = jacobi_sweep(make_table("MF", sc, 3, chain_mode="CONCRETE_3D"))
         assert formal.passed, formal.describe()
         assert concrete.passed, concrete.describe()
 
 
 def test_discharge_on_support():
     m, n = _sym("m"), _sym("n")
-    mf = concretize_chain(make_table("MF", SU3, 3))
+    mf = make_table("MF", SU3, 3, chain_mode="CONCRETE_3D")
     out = bracket(mf, J(1, m), H(1, 1, 2, n))  # m_3 * delta(m+n)
     assert out.discharged() == out  # m_3 is not constrained by m+n = 0
     # but a coefficient proportional to (m+n)_3 dies on support

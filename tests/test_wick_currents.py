@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curralg.cli import oracle_sweep
-from curralg.lie_core import build_su
+from curralg.lie_core import StructureConstants, build_su
 from curralg.fock_oracle import (
     apply_body,
     apply_bilinear,
@@ -28,7 +29,6 @@ from curralg.fock_oracle import (
 )
 from curralg.wick_currents import (
     AnomalyPatternError,
-    SpaceMismatchError,
     build_currents,
     check_km_table,
     conventions,
@@ -42,6 +42,8 @@ from curralg.wick_currents import (
 
 SU2 = build_su(2)
 SU3 = build_su(3)
+# su(2) + u(1): a valid algebra whose J^4 current is empty, so its level is 0
+SU2_U1 = StructureConstants(dim=4, f=dict(SU2.f))
 
 
 # -- oracle mechanics, checked by hand ------------------------------------
@@ -164,19 +166,18 @@ def test_anomaly_only_in_jj_among_km_species():
     km = [lab for lab in sorted(fams) if lab[0] in ("J", "G", "H")]
     for lab1, lab2 in itertools.combinations_with_replacement(km, 2):
         for m in (1, 2, 3):
-            r = mode_commutator(fams[lab1].at(m), fams[lab2].at(-m))
+            _, anomaly = mode_commutator(fams[lab1], m, fams[lab2], -m)
             if lab1[0] == lab2[0] == "J" and lab1[1] == lab2[1]:
-                assert r.anomaly == 8 * m
+                assert anomaly == 8 * m
             else:
-                assert r.anomaly == 0, (lab1, lab2, m)
+                assert anomaly == 0, (lab1, lab2, m)
 
 
 def test_anomaly_vanishes_off_diagonal():
     fams = build_currents(SU2, 2)
-    r = mode_commutator(fams[("J", 1)].at(2), fams[("J", 1)].at(-1))
-    assert r.anomaly == 0
-    r0 = mode_commutator(fams[("J", 1)].at(0), fams[("J", 1)].at(0))
-    assert r0.anomaly == 0
+    J1 = fams[("J", 1)]
+    assert mode_commutator(J1, 2, J1, -1)[1] == 0
+    assert mode_commutator(J1, 0, J1, 0)[1] == 0
 
 
 # -- measured charges, frozen ----------------------------------------------
@@ -215,6 +216,13 @@ def test_measure_k1_k2_needs_two_directions():
         measure_k1_k2(SU2, N=1)
 
 
+def test_measure_level_names_unequal_diagonal_levels():
+    # every (J, J) bracket matches the table, but the diagonals disagree
+    assert not [r for r in check_km_table(SU2_U1, 2) if not r.ok]
+    with pytest.raises(AnomalyPatternError, match="diagonal levels differ: 8 at a=1, 0 at a=4"):
+        measure_level(SU2_U1, 2)
+
+
 # -- bracket spot checks ----------------------------------------------------
 
 
@@ -223,19 +231,18 @@ def test_su2_gg_brackets_vanish():
     fams = build_currents(SU2, 2)
     for a, b in itertools.product(range(1, 4), repeat=2):
         for mu, nu in itertools.product((1, 2), repeat=2):
-            r = mode_commutator(fams[("G", a, mu)].at(1), fams[("G", b, nu)].at(-1))
-            assert r.is_zero()
+            assert mode_commutator(fams[("G", a, mu)], 1, fams[("G", b, nu)], -1) == ({}, 0)
 
 
 def test_su3_gg_bracket_hits_d_channel():
     # [G^{1,mu}, G^{1,nu}] = sum_c d^{11c} H^{c,mu,nu}; d^{118} = 1/sqrt(3).
     fams = build_currents(SU3, 2)
-    r = mode_commutator(fams[("G", 1, 1)].at(1), fams[("G", 1, 2)].at(2)).bilinear_part
+    body, _ = mode_commutator(fams[("G", 1, 1)], 1, fams[("G", 1, 2)], 2)
     want = {}
     for c in range(1, 9):
         coeff = SU3.d_at(1, 1, c)
         if coeff != 0:
-            for pair, w in fams[("H", c, 1, 2)].body.items():
+            for pair, w in fams[("H", c, 1, 2)].items():
                 cur = want.get(pair, 0)
                 new = cur + coeff * w
                 if new == 0:
@@ -243,8 +250,7 @@ def test_su3_gg_bracket_hits_d_channel():
                 else:
                     want[pair] = new
     assert SU3.d_at(1, 1, 8) != 0
-    assert r.body == want
-    assert r.mode == 3
+    assert body == want
 
 
 def test_expected_bracket_antisymmetry():
@@ -260,14 +266,32 @@ def test_current_annihilates_vacuum_at_positive_mode():
     fams = build_currents(SU2, 2)
     for lab in sorted(fams):
         for m in (1, 2, 3):
-            assert apply_body(vacuum(), fams[lab].body, m) == {}
+            assert apply_body(vacuum(), fams[lab], m) == {}
 
 
-def test_space_mismatch_rejected():
-    fams2 = build_currents(SU2, 2)
-    fams3 = build_currents(SU2, 3)
-    with pytest.raises(SpaceMismatchError):
-        mode_commutator(fams2[("J", 1)].at(1), fams3[("J", 1)].at(-1))
+# -- the one commutator on random bodies --------------------------------------
+
+_FLAVOR = st.sampled_from(("A", "B", "C"))
+_BODIES = st.dictionaries(
+    st.tuples(_FLAVOR, _FLAVOR), st.fractions(-3, 3, max_denominator=4).filter(bool), max_size=4
+)
+_MODES = st.integers(-3, 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(P=_BODIES, m=_MODES, Q=_BODIES, n=_MODES)
+def test_mode_commutator_is_antisymmetric(P, m, Q, n):
+    # the unordered table check in check_km_table relies on this
+    body, anomaly = mode_commutator(P, m, Q, n)
+    back, back_anomaly = mode_commutator(Q, n, P, m)
+    assert body == {pair: -coeff for pair, coeff in back.items()}
+    assert anomaly == -back_anomaly
+
+
+@settings(max_examples=500, deadline=None)
+@given(P=_BODIES, m=_MODES, Q=_BODIES, n=_MODES, R=_BODIES, r=_MODES)
+def test_jacobi_residual_vanishes_on_random_bodies(P, m, Q, n, R, r):
+    assert jacobi_residual((P, m), (Q, n), (R, r)) == ({}, 0)
 
 
 # -- Jacobi identity of the measured structure ------------------------------
@@ -281,9 +305,7 @@ def test_wick_jacobi_su2_full():
     checked = 0
     for lab1, lab2, lab3 in itertools.combinations_with_replacement(labels, 3):
         for m, n, r in MODE_TRIPLES:
-            body, anomaly = jacobi_residual(
-                fams[lab1].at(m), fams[lab2].at(n), fams[lab3].at(r)
-            )
+            body, anomaly = jacobi_residual((fams[lab1], m), (fams[lab2], n), (fams[lab3], r))
             assert not body and anomaly == 0, (lab1, lab2, lab3, m, n, r)
             checked += 1
     assert checked == 816 * len(MODE_TRIPLES)
@@ -300,9 +322,7 @@ def test_wick_jacobi_su3_spot():
     ]
     for lab1, lab2, lab3 in triples:
         for m, n, r in MODE_TRIPLES:
-            body, anomaly = jacobi_residual(
-                fams[lab1].at(m), fams[lab2].at(n), fams[lab3].at(r)
-            )
+            body, anomaly = jacobi_residual((fams[lab1], m), (fams[lab2], n), (fams[lab3], r))
             assert not body and anomaly == 0
 
 
