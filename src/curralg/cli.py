@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -342,17 +343,22 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
         table_rows.append(("first_failure", f"{km_bad[0].lab1} {km_bad[0].lab2}: {km_bad[0].detail}"))
     report.add("km_table", table_rows)
 
-    charge_rows = []
+    # k and (k1, k2) come from disjoint current families, so each is
+    # measured even when the other's pattern fails
+    charge_rows, failures = [], []
     try:
-        k = wc.measure_level(sc, N)
-        charge_rows.append(("k", format_scalar(k)))
-        if N >= 2:
-            k1, k2 = wc.measure_k1_k2(sc, N)
-            charge_rows.append(("k1", format_scalar(k1)))
-            charge_rows.append(("k2", format_scalar(k2)))
+        charge_rows.append(("k", format_scalar(wc.measure_level(sc, N))))
     except wc.AnomalyPatternError as exc:
+        failures.append(str(exc))
+    if N >= 2:
+        try:
+            k1, k2 = wc.measure_k1_k2(sc, N)
+            charge_rows += [("k1", format_scalar(k1)), ("k2", format_scalar(k2))]
+        except wc.AnomalyPatternError as exc:
+            failures.append(str(exc))
+    if failures:
         ok = False
-        charge_rows.append(("anomaly_pattern", f"FAIL: {exc}"))
+        charge_rows.append(("anomaly_pattern", "FAIL: " + "; ".join(failures)))
     report.add("charges", charge_rows)
 
     report.add("result", [("status", "PASS" if ok else "FAIL")])
@@ -555,6 +561,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values).validated()
 
 
+def _check_writable(path: str) -> None:
+    """Raise UsageError if ``path`` cannot be opened for writing.
+
+    ``main`` calls this before the command, so a bad path costs no run.  The
+    probe opens in append mode, so an existing file keeps its bytes, and a
+    file the probe created is removed again.
+    """
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}")
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -563,6 +585,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = build_config(args)
+        if cfg.output:
+            _check_writable(cfg.output)
         out = _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

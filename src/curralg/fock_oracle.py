@@ -112,10 +112,19 @@ def _add_at(dst: State, key, amp) -> None:
 
 
 def state_add(dst: State, src: State, factor=1) -> None:
+    """dst += factor * src: :func:`_add_at` per entry, inlined."""
     if factor == 0:
         return
+    get = dst.get
     for key, amp in src.items():
-        _add_at(dst, key, amp * factor)
+        amp = amp * factor
+        cur = get(key)
+        if cur is not None:
+            amp = cur + amp
+        if amp == 0:
+            dst.pop(key, None)
+        else:
+            dst[key] = amp
 
 
 def key_level_npart(key: BasisKey) -> tuple:

@@ -28,6 +28,12 @@ list order, so memoised and recomputed columns agree bit for bit.  Folding
 the amplitude in, or merging the vertex terms per key, would reorder the
 float sums.
 
+The projected columns live per space too, keyed by operator
+((label, m, include_T) for a realized generator) and then by basis key.  A
+column depends on the operator and the space alone, so every generator set
+on one space, and every table sweep and charge fit run on it, computes each
+column once.
+
 This is the only module that computes in floating point (complex doubles);
 everything upstream is exact.
 """
@@ -167,6 +173,8 @@ class VertexSpace:
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
         self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
+        # Projected columns: operator key -> {basis key: column}; see OperatorMatrix.
+        self._columns: dict = {}
 
     # -- truncation --------------------------------------------------------
 
@@ -361,13 +369,16 @@ class OperatorMatrix:
 
     ``column(key)`` is the exact application to one basis state followed by
     projection onto the truncated space, so operator products compose with
-    matrix semantics (project after every factor).
+    matrix semantics (project after every factor).  The columns live in the
+    space, under ``op_key``: every handle built with the same key on the
+    same space reads and fills one dict, so ``op_key`` must name the
+    operator that ``apply_fn`` applies.
     """
 
-    def __init__(self, space: VertexSpace, apply_fn: Callable[[dict], dict]):
+    def __init__(self, space: VertexSpace, op_key: tuple, apply_fn: Callable[[dict], dict]):
         self.space = space
         self._apply_fn = apply_fn
-        self._columns: dict = {}
+        self._columns = space._columns.setdefault(op_key, {})
 
     def column(self, key: tuple) -> dict:
         hit = self._columns.get(key)
@@ -398,16 +409,17 @@ def build_vertex(m: tuple, n: int, space: VertexSpace) -> OperatorMatrix:
         raise ValueError("lattice vector has wrong dimension")
     if any(abs(c) > space.spec.P for c in m):
         raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
-    return OperatorMatrix(space, lambda st: space.apply_vertex(m, n, st))
+    return OperatorMatrix(space, ("V", m, n), lambda st: space.apply_vertex(m, n, st))
 
 
 class RealizedGenerators:
     """Factory for the realized generator family over one VertexSpace.
 
     Labels are those of :attr:`formal_algebra.GeneratorTerm.label` for the
-    species J, G, H, S1 and L; each takes a lattice vector m.  Operators are
-    memoised per (label, m), their columns per basis key, and the per-key
-    term memos of the shared :class:`VertexSpace` serve every operator.
+    species J, G, H, S1 and L; each takes a lattice vector m.  Each set keeps
+    its own handle per (label, m), but the columns behind a handle live in
+    the shared :class:`VertexSpace` under (label, m, include_T), beside its
+    per-key term memos, so two sets on one space share every column.
     """
 
     def __init__(self, space: VertexSpace, include_T: bool = True):
@@ -433,7 +445,7 @@ class RealizedGenerators:
             fn = lambda st, mu=label[1]: sp.apply_L(mu, m, st, include_T=self.include_T)
         else:
             raise ValueError(f"unknown generator label {label!r}")
-        op = OperatorMatrix(sp, fn)
+        op = OperatorMatrix(sp, (label, m, self.include_T), fn)
         self._memo[memo_key] = op
         return op
 

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from curralg import cli
 from curralg.cli import RunConfig, UsageError, load_config_file, main, parse_su
 
 
@@ -273,7 +274,8 @@ def test_verify_fock_names_unequal_diagonal_levels(capsys, su2_u1):
     )
     assert code == 1
     assert "mismatches = 0" in out
-    assert f"anomaly_pattern = FAIL: {UNEQUAL_LEVELS}\n" in out
+    # the (T, T) family passes on its own, so k1 and k2 are still reported
+    assert f"[charges]\nk1 = 4\nk2 = 36\nanomaly_pattern = FAIL: {UNEQUAL_LEVELS}\n" in out
 
 
 def test_measure_fails_cleanly_on_unequal_diagonal_levels(capsys, su2_u1):
@@ -396,6 +398,35 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write output: ")
+    assert not target.exists()
+
+
+def test_unwritable_output_is_rejected_before_the_command_runs(capsys, tmp_path, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the command ran before the output path was checked")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", never)
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "report", "--algebra", "su2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output: ")
+
+
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path):
+    argv = ("verify-lie", "--algebra", "su2", "--no-timestamp")
+    _, stdout, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    target.write_text("older and much longer content than the report itself\n" * 50)
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == stdout
+
+
+def test_usage_error_leaves_no_output_file(capsys, tmp_path):
+    target = tmp_path / "x.txt"
+    code, _, err = run(capsys, "measure", "--algebra", "su2", "--dim", "1", "--output", str(target))
+    assert code == 2
+    assert err.startswith("error: charge separation needs dim >= 2")
     assert not target.exists()
 
 

@@ -6,8 +6,9 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from curralg.scalars import SurdSum, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
+from curralg.scalars import SurdSum, _invert, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
 
 
 def test_perfect_squares_stay_rational():
@@ -103,3 +104,41 @@ def test_as_int_if_integral_demotes_only_integral_fractions():
     assert as_int_if_integral(3) == 3
     root = sqrt_scalar(2)
     assert as_int_if_integral(root) is root
+
+
+# -- properties of the exact field ---------------------------------------------
+
+# Sums of up to three rational multiples of sqrt(r) over radicands built from
+# the primes 2, 3 and 5; radicand 1 is the rational part.
+_RADICANDS = (1, 2, 3, 5, 6, 10, 15, 30)
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+scalars = st.lists(st.tuples(_rationals, st.sampled_from(_RADICANDS)), max_size=3).map(
+    lambda terms: sum((c * sqrt_scalar(r) for c, r in terms), Fraction(0))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars, scalars)
+def test_surd_sums_satisfy_the_field_axioms(x, y, z):
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x
+    assert x - x == 0 and x + (-x) == 0
+    assert x - y == -(y - x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars)
+def test_invert_is_the_multiplicative_inverse(x):
+    assume(x != 0)
+    assert x * _invert(x) == 1
+    assert _invert(_invert(x)) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars)
+def test_format_then_parse_is_the_identity(x):
+    assert parse_scalar(format_scalar(x)) == x

@@ -327,6 +327,44 @@ def test_term_memos_belong_to_one_space():
     assert cols != cols_default
 
 
+def _stored_columns(space: VertexSpace) -> int:
+    return sum(len(columns) for columns in space._columns.values())
+
+
+# One probe with a trajectory and a current quantum keeps the sweeps below quick.
+_STORE_PROBES = [(p_slot_key(1), (0, 0), (PHI1,))]
+
+
+def test_column_store_is_shared_across_table_sweeps():
+    charges = dict(_charges())
+    warmed = VertexSpace(SU2, DEFAULT)
+    for name in ("CLASSICAL_MF", "EMB2"):
+        check_table_numeric(name, warmed, probes=_STORE_PROBES, charges=charges)
+    before = _stored_columns(warmed)
+    rows = check_table_numeric("DIFF_EXT", warmed, probes=_STORE_PROBES, charges=charges)
+    fresh = VertexSpace(SU2, DEFAULT)
+    assert rows == check_table_numeric("DIFF_EXT", fresh, probes=_STORE_PROBES, charges=charges)
+    # the earlier sweeps already built part of what DIFF_EXT needs
+    assert 0 < _stored_columns(warmed) - before < _stored_columns(fresh)
+    filled = _stored_columns(warmed)
+    assert check_table_numeric("DIFF_EXT", warmed, probes=_STORE_PROBES, charges=charges) == rows
+    assert _stored_columns(warmed) == filled
+
+
+def test_column_store_keeps_include_T_apart():
+    space = VertexSpace(SU2, DEFAULT)
+    m = (1, 1)
+    with_T = RealizedGenerators(space, include_T=True).operator(("L", 1), m)
+    without_T = RealizedGenerators(space, include_T=False).operator(("L", 1), m)
+    cols_T = [with_T.column(key) for key in _MEMO_STATES]
+    cols_no_T = [without_T.column(key) for key in _MEMO_STATES]
+    assert cols_T != cols_no_T
+    assert {key for key in space._columns if key[0] == ("L", 1)} == {(("L", 1), m, True), (("L", 1), m, False)}
+    for include_T, cols in ((True, cols_T), (False, cols_no_T)):
+        fresh = RealizedGenerators(VertexSpace(SU2, DEFAULT), include_T=include_T).operator(("L", 1), m)
+        assert cols == [fresh.column(key) for key in _MEMO_STATES]
+
+
 def test_vertex_level_equals_wick_level():
     t0 = time.time()
     k_vertex = measure_vertex_level(_space())
@@ -346,6 +384,20 @@ def test_c1_c2_match_wick_charges():
     assert fit.residual < 1e-9
     assert abs(fit.k_s1 - 8.0) < 1e-8
     assert time.time() - t0 < 300.0
+
+
+@pytest.mark.parametrize("n,N", [(3, 2), (2, 3)])
+def test_c1_c2_cross_check_off_the_default_point(n, N):
+    """c1 = 1 + k1 and c2 = k2 away from su(2) at N = 2; the vertex level
+    equals the Wick level there too."""
+    t0 = time.time()
+    sc = build_su(n)
+    fit = measure_c1_c2(VertexSpace(sc, TruncationSpec(N=N, L=4, P=2, M=2, current_cap=3)))
+    k1, k2 = measure_k1_k2(sc, N)
+    assert (fit.c1, fit.c2) == (1 + k1, k2)
+    assert fit.k_s1 == measure_level(sc, N)
+    assert fit.residual == 0.0
+    assert time.time() - t0 < 30.0
 
 
 def test_c1_c2_with_currents_switched_off():

@@ -193,6 +193,19 @@ def test_frozen_charges(dim, N, k, k1, k2):
     assert measure_k1_k2(sc, N) == (k1, k2)
 
 
+def test_charge_laws_in_closed_form():
+    """k = n(1 + N + N(N-1)/2), k1 = dim(N-1), k2 = dim(N+1)(N+4)/2 over
+    su(2..4) x N = 2..4, dim = n^2 - 1 (derivation in the README)."""
+    t0 = time.time()
+    for n in (2, 3, 4):
+        sc = build_su(n)
+        dim = n * n - 1
+        for N in (2, 3, 4):
+            assert measure_level(sc, N) == n * (1 + N + N * (N - 1) // 2), (n, N)
+            assert measure_k1_k2(sc, N) == (dim * (N - 1), dim * (N + 1) * (N + 4) // 2), (n, N)
+    assert time.time() - t0 < 60.0
+
+
 @pytest.mark.parametrize("dim,N", [(2, 2), (2, 3), (3, 2)])
 def test_km_table_reproduced(dim, N):
     rows = check_km_table(build_su(dim), N)
