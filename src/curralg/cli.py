@@ -410,7 +410,7 @@ def cmd_measure(cfg: RunConfig) -> tuple:
     }
 
     charges = {"k": float(k), "c1": fit.c1, "c2": fit.c2}
-    numeric_tables = [t for t in cfg.tables if t in ("CLASSICAL_MF", "EMB2", "DIFF_EXT")]
+    numeric_tables = [t for t in cfg.tables if t in vf.NUMERIC_TABLES]
     for table_name in numeric_tables:
         rows = vf.check_table_numeric(table_name, space, window=cfg.momentum_window, charges=charges)
         worst = max(rows, key=lambda r: r.deviation)

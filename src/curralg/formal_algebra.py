@@ -740,28 +740,12 @@ def all_generators(table: AlgebraTable, sym: MomentumSymbol) -> list[tuple[str, 
 
 @dataclass
 class JacobiReport:
-    table: str
-    N: int
-    chain_mode: str
-    dim: int
     triples_checked: int
     failures: list  # list[(label, rendered expression)]
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def describe(self) -> str:
-        head = (
-            f"jacobi[{self.table}, N={self.N}, dim={self.dim}, {self.chain_mode}]: "
-            f"{self.triples_checked} triples, "
-        )
-        if self.passed:
-            return head + "all zero"
-        lines = [head + f"{len(self.failures)} NONZERO"]
-        for label, rendered in self.failures[:5]:
-            lines.append(f"  {label}:\n    " + rendered.replace("\n", "\n    "))
-        return "\n".join(lines)
 
 
 def _triples(table: AlgebraTable):
@@ -805,7 +789,7 @@ def jacobi_sweep(table: AlgebraTable) -> JacobiReport:
         if not jac.is_zero:
             if len(failures) < _FAILURES_LISTED:
                 failures.append((f"({lab_x}, {lab_y}, {lab_z})", jac.render()))
-    return JacobiReport(table.name, table.N, table.chain_mode, table.sc.dim, count, failures)
+    return JacobiReport(count, failures)
 
 
 def emb1_expected_obstruction(table: AlgebraTable, x: Expression, y: Expression, z: Expression) -> Expression:
@@ -823,10 +807,6 @@ def emb1_expected_obstruction(table: AlgebraTable, x: Expression, y: Expression,
 
 @dataclass
 class ObstructionReport:
-    table: str
-    N: int
-    chain_mode: str
-    dim: int
     jgg_checked: int
     other_checked: int
     mismatches: list
@@ -835,15 +815,6 @@ class ObstructionReport:
     @property
     def passed(self) -> bool:
         return not self.mismatches
-
-    def describe(self) -> str:
-        status = "PASS" if self.passed else f"FAIL ({len(self.mismatches)} mismatches)"
-        return (
-            f"obstruction[EMB1, N={self.N}, dim={self.dim}, {self.chain_mode}]: "
-            f"{self.jgg_checked} (J,G,G) triples match the closed-chain pattern, "
-            f"{self.other_checked} other triples vanish, "
-            f"nonzero on support: {self.nonzero_on_support} -> {status}"
-        )
 
 
 def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
@@ -882,9 +853,7 @@ def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
             else:
                 detail = "expected zero, got:\n" + jac.render()
             mismatches.append((f"({lab_x}, {lab_y}, {lab_z})", detail))
-    return ObstructionReport(
-        table.name, table.N, table.chain_mode, table.sc.dim, jgg, other, mismatches, nonzero_support
-    )
+    return ObstructionReport(jgg, other, mismatches, nonzero_support)
 
 
 # -- embedding checks ----------------------------------------------------------
@@ -892,21 +861,12 @@ def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
 
 @dataclass
 class EmbeddingReport:
-    source: str
-    target: str
     pairs_checked: int
     mismatches: list
 
     @property
     def passed(self) -> bool:
         return not self.mismatches
-
-    def describe(self) -> str:
-        status = "all MATCH" if self.passed else f"{len(self.mismatches)} MISMATCH"
-        out = [f"embedding[{self.source} -> {self.target}]: {self.pairs_checked} pairs, {status}"]
-        for label, detail in self.mismatches[:5]:
-            out.append(f"  {label}:\n    " + detail.replace("\n", "\n    "))
-        return "\n".join(out)
 
 
 def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingReport:
@@ -942,4 +902,4 @@ def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingRep
                 if len(mismatches) < 10:
                     diff = lhs - rhs
                     mismatches.append((f"[{lab_x}, {lab_y}]", "difference:\n" + diff.render()))
-    return EmbeddingReport(source.name, target.name, checked, mismatches)
+    return EmbeddingReport(checked, mismatches)

@@ -14,6 +14,7 @@ normalised by ``tr(T^a T^b) = delta^{ab}/2``, using
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -112,24 +113,14 @@ class IdentityCheck:
     first_violation: tuple[int, ...] | None = None
     violation_value: Scalar | None = None
 
-    def describe(self) -> str:
-        if self.passed:
-            return f"{self.name}: PASS"
-        idx = ",".join(str(i) for i in self.first_violation)
-        return f"{self.name}: FAIL at ({idx}), residual {format_scalar(self.violation_value)}"
-
 
 @dataclass(frozen=True)
 class IdentityReport:
-    dim: int
     checks: tuple[IdentityCheck, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def describe(self) -> str:
-        return "\n".join(c.describe() for c in self.checks)
 
 
 @dataclass
@@ -279,23 +270,14 @@ def _rows(dense, n):
     ]
 
 
-def _check_swap(name, dense, n, sign) -> IdentityCheck:
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                resid = dense[b][a][c] - sign * dense[a][b][c]
-                if resid != 0:
-                    return IdentityCheck(name, False, (a + 1, b + 1, c + 1), resid)
-    return IdentityCheck(name, True)
-
-
-def _check_cyclic(name, dense, n) -> IdentityCheck:
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                resid = dense[b][c][a] - dense[a][b][c]
-                if resid != 0:
-                    return IdentityCheck(name, False, (a + 1, b + 1, c + 1), resid)
+def _check_permuted(name, dense, n, perm, sign) -> IdentityCheck:
+    """dense at the index triple permuted by ``perm`` == sign * dense, for
+    every triple in lexicographic order."""
+    for idx in itertools.product(range(n), repeat=3):
+        i, j, k = (idx[p] for p in perm)
+        resid = dense[i][j][k] - sign * dense[idx[0]][idx[1]][idx[2]]
+        if resid != 0:
+            return IdentityCheck(name, False, tuple(x + 1 for x in idx), resid)
     return IdentityCheck(name, True)
 
 
@@ -337,11 +319,11 @@ def verify_identities(sc: StructureConstants) -> IdentityReport:
     dd = _dense(sc.d, n)
     f_rows = _rows(fd, n)
     checks = (
-        _check_swap("f-first-pair-antisymmetry", fd, n, -1),
-        _check_cyclic("f-cyclic", fd, n),
-        _check_swap("d-first-pair-symmetry", dd, n, +1),
-        _check_cyclic("d-cyclic", dd, n),
+        _check_permuted("f-first-pair-antisymmetry", fd, n, (1, 0, 2), -1),
+        _check_permuted("f-cyclic", fd, n, (1, 2, 0), +1),
+        _check_permuted("d-first-pair-symmetry", dd, n, (1, 0, 2), +1),
+        _check_permuted("d-cyclic", dd, n, (1, 2, 0), +1),
         _check_quartic("jacobi-ff", f_rows, fd, n, -1),
         _check_quartic("jacobi-fd", f_rows, dd, n, +1),
     )
-    return IdentityReport(dim=n, checks=checks)
+    return IdentityReport(checks)

@@ -180,7 +180,7 @@ class Poly:
 
     def evaluate(self, assignment: dict[str, Scalar]) -> Scalar:
         """Value of the polynomial at a full scalar assignment."""
-        total: Scalar = Fraction(0)
+        total: Scalar = 0
         for mono, coef in self.terms.items():
             val: Scalar = coef
             for var, exp in mono:

@@ -70,6 +70,7 @@ __all__ = [
     "ChargeFit",
     "default_charges",
     "check_table_numeric",
+    "NUMERIC_TABLES",
     "stage_deviations",
     "BracketDeviation",
     "measure_cubic_coefficient",
@@ -393,9 +394,6 @@ class OperatorMatrix:
             state_add(out, self.column(key), amp)
         return out
 
-    def matrix_element(self, row_key: tuple, col_key: tuple) -> complex:
-        return self.column(col_key).get(row_key, 0.0)
-
     def commutator_column(self, other: "OperatorMatrix", key: tuple) -> dict:
         out = self.apply(other.column(key))
         state_add(out, other.apply(self.column(key)), -1.0)
@@ -488,8 +486,6 @@ class ChargeFit:
 
 def _column_ratio(numer: dict, denom: dict) -> tuple:
     """Best single coefficient with max-norm residual of numer - c*denom."""
-    if not denom:
-        raise FitError("reference column is zero; no element to fit against")
     ref_key = max(denom, key=lambda k: abs(denom[k]))
     c = numer.get(ref_key, 0.0) / denom[ref_key]
     keys = set(numer) | set(denom)
@@ -497,22 +493,61 @@ def _column_ratio(numer: dict, denom: dict) -> tuple:
     return c, resid
 
 
-def _real_coeff(c: complex, what: str) -> float:
+def _fit(
+    gens: RealizedGenerators,
+    x: tuple,
+    y: tuple,
+    bilinear: list,
+    reference: Callable[[tuple], dict],
+    probes: list,
+    what: str,
+) -> tuple:
+    """Fit [x, y] plus its bilinear columns against a reference, probe by probe.
+
+    ``x`` and ``y`` are (label, momentum) pairs of realized generators;
+    ``bilinear`` lists (label, momentum, coeff) columns added to the
+    commutator in that order, a term with a zero coeff dropped before its
+    handle is made; ``reference(probe)`` is the column the sum should be a
+    multiple of.  A probe where both columns vanish is skipped, and an empty
+    reference under a nonzero column fits c = 0 with the column's norm as its
+    residual.  The probes must agree on c within _FIT_TOL and c must be real.
+    Returns (c, worst residual); the caller judges the residual.
+    """
+    op_x = gens.operator(*x)
+    op_y = gens.operator(*y)
+    terms = [(gens.operator(label, r), a) for label, r, a in bilinear if a != 0]
+    vals, resids = [], []
+    for probe in probes:
+        col = op_x.commutator_column(op_y, probe)
+        for op, a in terms:
+            state_add(col, op.column(probe), a)
+        ref = reference(probe)
+        if not col and not ref:
+            continue
+        c, resid = _column_ratio(col, ref) if ref else (0.0, _column_distance(col, {}))
+        vals.append(c)
+        resids.append(resid)
+    if not vals:
+        raise FitError(f"no usable probe for {what}")
+    if max(abs(c - vals[0]) for c in vals) > _FIT_TOL:
+        raise FitError(f"{what} varies across probes: {vals}")
+    c = complex(vals[0])
     if abs(c.imag) > _FIT_TOL:
         raise FitError(f"{what} came out non-real: {c}")
-    return c.real
+    return c.real, max(resids)
 
 
-def _s1_reference_column(gens: RealizedGenerators, m: tuple, n: tuple, probe: tuple) -> dict:
-    """Column of m_rho S1^rho(m+n) on the probe state."""
-    space = gens.space
-    r = tuple(a + b for a, b in zip(m, n))
-    out: dict = {}
-    for rho in range(1, space.spec.N + 1):
-        if m[rho - 1] == 0:
-            continue
-        state_add(out, gens.operator(("S1", rho), r).column(probe), m[rho - 1])
-    return out
+def _unit_pair(space: VertexSpace, what: str) -> tuple:
+    """(e1, e2, e1 + e2), the momenta of the fits against m_rho S1^rho(m+n).
+
+    With m = e1 that reference is the single column S1^1(e1 + e2).
+    """
+    N = space.spec.N
+    if N < 2:
+        raise ValueError(f"{what} needs N >= 2")
+    m = (1,) + (0,) * (N - 1)
+    n = (0, 1) + (0,) * (N - 2)
+    return m, n, tuple(a + b for a, b in zip(m, n))
 
 
 def measure_vertex_level(space: VertexSpace) -> float:
@@ -523,22 +558,15 @@ def measure_vertex_level(space: VertexSpace) -> float:
     identically at zero argument, so the diagonal carries no information).
     Returns k; it must agree with wick_currents.measure_level.
     """
-    if space.spec.N < 2:
-        raise ValueError("needs N >= 2 so that m and m+n can differ")
+    m, n, r = _unit_pair(space, "the level fit")
     gens = RealizedGenerators(space)
-    m = (1,) + (0,) * (space.spec.N - 1)
-    n = (0, 1) + (0,) * (space.spec.N - 2)
-    probe = (p_slot_key(1), tuple(0 for _ in range(space.spec.N)), ())
-    op_m = gens.operator(("J", 1), m)
-    op_n = gens.operator(("J", 1), n)
-    bracket = op_m.commutator_column(op_n, probe)
+    probe = (p_slot_key(1), tuple(0 for _ in m), ())
     # f^{11c} = 0, so the whole column is the central part
-    ref = _s1_reference_column(gens, m, n, probe)
-    coeff, resid = _column_ratio(bracket, ref)
-    k = _real_coeff(-coeff, "vertex level k")
+    ref = gens.operator(("S1", 1), r).column
+    coeff, resid = _fit(gens, (("J", 1), m), (("J", 1), n), [], ref, [probe], "vertex level k")
     if resid > _FIT_TOL:
         raise FitError(f"level fit residual {resid} too large")
-    return k
+    return -coeff
 
 
 def measure_c1_c2(space: VertexSpace, include_T: bool = True) -> ChargeFit:
@@ -549,48 +577,22 @@ def measure_c1_c2(space: VertexSpace, include_T: bool = True) -> ChargeFit:
     With m = e_1, n = e_2 the index pair (mu,nu) = (2,1) isolates c1 and
     (1,2) isolates c2.  Requires N >= 2.
     """
-    if space.spec.N < 2:
-        raise ValueError("c1/c2 are only separable for N >= 2")
+    m, n, r = _unit_pair(space, "separating c1 from c2")
     gens = RealizedGenerators(space, include_T=include_T)
-    N = space.spec.N
-    zero = tuple(0 for _ in range(N))
-    m = (1,) + (0,) * (N - 1)
-    n = (0, 1) + (0,) * (N - 2)
-    r = tuple(a + b for a, b in zip(m, n))
-    probes = [
-        (p_slot_key(1), zero, ()),
-        (p_slot_key(2), zero, ()),
-    ]
+    zero = tuple(0 for _ in m)
+    probes = [(p_slot_key(1), zero, ()), (p_slot_key(2), zero, ())]
+    ref = gens.operator(("S1", 1), r).column
 
-    def cocycle(mu: int, nu: int) -> tuple:
-        op_m = gens.operator(("L", mu), m)
-        op_n = gens.operator(("L", nu), n)
-        vals, resids = [], []
-        for probe in probes:
-            col = op_m.commutator_column(op_n, probe)
-            # subtract the bilinear part: n_mu L_nu(m+n) - m_nu L_mu(m+n)
-            if n[mu - 1] != 0:
-                state_add(col, gens.operator(("L", nu), r).column(probe), -n[mu - 1])
-            if m[nu - 1] != 0:
-                state_add(col, gens.operator(("L", mu), r).column(probe), m[nu - 1])
-            ref = _s1_reference_column(gens, m, n, probe)
-            c, resid = _column_ratio(col, ref)
-            vals.append(c)
-            resids.append(resid)
-        if abs(vals[0] - vals[1]) > _FIT_TOL:
-            raise FitError(f"cocycle fit disagrees between probes: {vals}")
-        return vals[0], max(resids)
+    def cocycle(mu: int, nu: int, what: str) -> tuple:
+        # subtract the bilinear part: n_mu L_nu(m+n) - m_nu L_mu(m+n)
+        bilinear = [(("L", nu), r, -n[mu - 1]), (("L", mu), r, m[nu - 1])]
+        return _fit(gens, (("L", mu), m), (("L", nu), n), bilinear, ref, probes, what)
 
     # (mu,nu)=(2,1): pattern = c1 * m_1 n_2 = c1;  (1,2): pattern = c2
-    raw_c1, res1 = cocycle(2, 1)
-    raw_c2, res2 = cocycle(1, 2)
+    c1, res1 = cocycle(2, 1, "c1")
+    c2, res2 = cocycle(1, 2, "c2")
     k_s1 = measure_vertex_level(space)
-    return ChargeFit(
-        c1=_real_coeff(raw_c1, "c1"),
-        c2=_real_coeff(raw_c2, "c2"),
-        k_s1=k_s1,
-        residual=max(res1, res2),
-    )
+    return ChargeFit(c1=c1, c2=c2, k_s1=k_s1, residual=max(res1, res2))
 
 
 @dataclass(frozen=True)
@@ -625,7 +627,12 @@ def _expected_column(
     n: tuple,
     probe: tuple,
 ) -> dict:
-    """Realize the closed form of one formal bracket as a numeric column."""
+    """Realize the closed form of one formal bracket as a numeric column.
+
+    The column is a sum of projected generator columns, so it already lies
+    inside the cutoffs.  The numeric tables are FORMAL, so no term is of the
+    scalar species "1" that only CONCRETE_3D evaluation produces.
+    """
     N = gens.space.spec.N
     expr = fa.bracket(table, _symbolic_generator(label1, "m", N), _symbolic_generator(label2, "n", N))
     vectors = {"m": m, "n": n}
@@ -639,9 +646,6 @@ def _expected_column(
             continue
         coeff = complex(poly.evaluate(assignment))
         if coeff == 0:
-            continue
-        if term.species == "1":
-            _add_at(out, probe, coeff)
             continue
         state_add(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)
     return out
@@ -661,13 +665,13 @@ def default_charges(space: VertexSpace, include_c: bool = False) -> dict:
     return charges
 
 
-_NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
+NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
 
 
 def _numeric_context(table_name: str, space: VertexSpace, charges: Optional[dict]) -> tuple:
     """(table, generators, charges) for a numeric sweep of one table."""
-    if table_name not in _NUMERIC_TABLES:
-        raise ValueError(f"numeric sweep supports {_NUMERIC_TABLES}, not {table_name!r}")
+    if table_name not in NUMERIC_TABLES:
+        raise ValueError(f"numeric sweep supports {NUMERIC_TABLES}, not {table_name!r}")
     table = fa.make_table(table_name, space.sc, space.spec.N)
     if charges is None:
         charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
@@ -676,10 +680,10 @@ def _numeric_context(table_name: str, space: VertexSpace, charges: Optional[dict
 
 def _deviation(gens: RealizedGenerators, table, charges: dict, lab1: tuple, m: tuple, lab2: tuple, n: tuple,
                probe: tuple) -> float:
-    """Distance between the realized commutator column and the projected
-    closed form of the same bracket, on one probe state."""
+    """Distance between the realized commutator column and the closed form
+    of the same bracket, on one probe state."""
     lhs = gens.operator(lab1, m).commutator_column(gens.operator(lab2, n), probe)
-    rhs = gens.space.project(_expected_column(gens, table, charges, lab1, m, lab2, n, probe))
+    rhs = _expected_column(gens, table, charges, lab1, m, lab2, n, probe)
     return _column_distance(lhs, rhs)
 
 
@@ -823,27 +827,15 @@ def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False) -> Cu
     pairs = [(2, -1), (2, 1), (1, -2), (1, 2), (-2, 1), (1, -1), (2, -2)]
     values = []
     for m, n in pairs:
-        op_m = gens.operator(("L", 1), (m,))
-        op_n = gens.operator(("L", 1), (n,))
         r = (m + n,)
-        ref_op = build_vertex(r, 0, space)
-        coeffs = []
-        for probe in _degeneration_probes(space, m, n):
-            col = op_m.commutator_column(op_n, probe)
-            state_add(col, gens.operator(("L", 1), r).column(probe), -(n - m))
-            ref = ref_op.column(probe)
-            if not col and not ref:
-                continue
-            c, resid = _column_ratio(col, ref) if ref else (0.0, _column_distance(col, {}))
-            if resid > _FIT_TOL:
-                raise FitError(f"extension at ({m},{n}) is not proportional to the vertex zero mode: residual {resid}")
-            coeffs.append(c)
-        if not coeffs:
-            raise FitError(f"no usable probe for ({m},{n})")
-        spread = max(abs(c - coeffs[0]) for c in coeffs)
-        if spread > _FIT_TOL:
-            raise FitError(f"extension coefficient at ({m},{n}) varies across probes: {coeffs}")
-        values.append(((m, n), _real_coeff(complex(coeffs[0]), "extension coefficient")))
+        what = f"extension coefficient at ({m},{n})"
+        coeff, resid = _fit(
+            gens, (("L", 1), (m,)), (("L", 1), (n,)), [(("L", 1), r, -(n - m))],
+            build_vertex(r, 0, space).column, _degeneration_probes(space, m, n), what,
+        )
+        if resid > _FIT_TOL:
+            raise FitError(f"extension at ({m},{n}) is not proportional to the vertex zero mode: residual {resid}")
+        values.append(((m, n), coeff))
 
     # solve gamma(m,n) = alpha*(m-n)*(m+n)^2 + beta*(m-n) from the grid
     rows = [((m - n) * (m + n) ** 2, (m - n), g) for (m, n), g in values]

@@ -171,6 +171,10 @@ def test_verify_fock_small_window(capsys):
     assert "k1 = 3" in out
     assert "k2 = 27" in out
     assert "mode_transform" in out
+    # the whole report is byte-deterministic, like the pins above
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "0f4e700282fa0c3c828765639284ca34c2370f1a8003f0b10923659f8bdcdb5a"
+    )
 
 
 def test_verify_fock_mode_room_beyond_the_level_cutoff(capsys):

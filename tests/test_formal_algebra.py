@@ -318,7 +318,7 @@ def test_redefine_golden():
 def test_embeddings_match(pair, sc, N):
     src, tgt = pair
     rep = verify_embedding(make_table(src, sc, N), make_table(tgt, sc, N))
-    assert rep.passed, rep.describe()
+    assert rep.passed, rep
     assert rep.pairs_checked > 0
 
 
@@ -335,7 +335,7 @@ def test_embedding_rejects_unsupported_pair():
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_jacobiator_vanishes(name, sc, N):
     rep = jacobi_sweep(make_table(name, sc, N))
-    assert rep.passed, rep.describe()
+    assert rep.passed, rep
     assert rep.triples_checked > 0
 
 
@@ -347,7 +347,7 @@ _EMB1_TRIPLES = {(3, 2): (63, 301), (3, 3): (135, 1889), (8, 2): (1088, 4896), (
 def test_emb1_obstruction_formal(sc, N):
     table = make_table("EMB1", sc, N)
     rep = emb1_obstruction(table)
-    assert rep.passed, rep.describe()
+    assert rep.passed, rep
     assert (rep.jgg_checked, rep.other_checked) == _EMB1_TRIPLES[(sc.dim, N)]
     # one J^a times an unordered pair (with repetition) of the dim*N generators G^{b mu}
     assert rep.jgg_checked == sc.dim * math.comb(sc.dim * N + 1, 2)
@@ -402,10 +402,10 @@ def test_concrete_epsilon_signs():
 
 def test_concrete_obstruction_on_support():
     rep = emb1_obstruction(make_table("EMB1", SU3, 3, chain_mode="CONCRETE_3D"))
-    assert rep.passed, rep.describe()
+    assert rep.passed, rep
     assert rep.nonzero_on_support
     rep2 = emb1_obstruction(make_table("EMB1", SU2, 3, chain_mode="CONCRETE_3D"))
-    assert rep2.passed, rep2.describe()
+    assert rep2.passed, rep2
     assert not rep2.nonzero_on_support
 
 
@@ -415,8 +415,8 @@ def test_concrete_jacobi_both_modes_agree_for_MF():
     for sc in (SU2, SU3):
         formal = jacobi_sweep(make_table("MF", sc, 3))
         concrete = jacobi_sweep(make_table("MF", sc, 3, chain_mode="CONCRETE_3D"))
-        assert formal.passed, formal.describe()
-        assert concrete.passed, concrete.describe()
+        assert formal.passed, formal
+        assert concrete.passed, concrete
 
 
 def test_discharge_on_support():

@@ -105,7 +105,7 @@ def test_su3_textbook_values():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_all_identities_pass(n):
     report = verify_identities(build_su(n))
-    assert report.passed, report.describe()
+    assert report.passed, report
     assert len(report.checks) == 6
 
 
@@ -130,7 +130,8 @@ def test_planted_violation_is_located():
     failed = [c for c in report.checks if not c.passed]
     assert failed[0].name == "f-first-pair-antisymmetry"
     assert failed[0].first_violation == (1, 1, 2)
-    assert "FAIL at (1,1,2)" in failed[0].describe()
+    assert failed[0].violation_value == 2
+    assert (failed[1].name, failed[1].first_violation, failed[1].violation_value) == ("f-cyclic", (1, 1, 2), -1)
 
 
 def test_text_roundtrip_exact():

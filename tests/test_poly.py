@@ -58,6 +58,11 @@ def test_evaluate():
     x, y = _v("x"), _v("y")
     p = x * x + 2 * y
     assert p.evaluate({"x": Fraction(1, 2), "y": 3}) == Fraction(25, 4)
+    # the sum starts from int 0, so int and float assignments keep their type
+    at_int = p.evaluate({"x": 2, "y": 3})
+    assert at_int == 10 and type(at_int) is int
+    at_float = p.evaluate({"x": 2.0, "y": 3.0})
+    assert at_float == 10.0 and type(at_float) is float
     with pytest.raises(KeyError):
         p.evaluate({"x": 1})
 

@@ -8,12 +8,14 @@ import time
 
 import pytest
 
-from curralg.formal_algebra import generator_labels
+from curralg.formal_algebra import generator_labels, make_table
 from curralg.lie_core import build_su
 from curralg.wick_currents import measure_level, measure_k1_k2
 from curralg.vertex_fock import (
+    NUMERIC_TABLES,
     VACUUM_QP,
     BoundaryError,
+    FitError,
     RealizedGenerators,
     TruncationSpec,
     VertexSpace,
@@ -29,6 +31,8 @@ from curralg.vertex_fock import (
     q_slot_key,
     stage_deviations,
     total_level,
+    _expected_column,
+    _fit,
 )
 
 SU2 = build_su(2)
@@ -108,7 +112,6 @@ def test_vertex_zero_mode_shifts_vacuum():
     op = build_vertex(m, 0, space)
     vac = space.vacuum_key()
     shifted = space.vacuum_key(m)
-    assert op.matrix_element(shifted, vac) == 1
     col = op.column(vac)
     assert col[shifted] == 1
     assert all(key[1] == m for key in col)
@@ -415,6 +418,52 @@ def test_charge_fits_need_two_directions():
         measure_c1_c2(space)
 
 
+# The fit kernel on the (J^1(e1), J^1(e2)) bracket, whose column is
+# -k S1^1(e1 + e2) with k = 8 on both probes.
+_FIT_PROBES = [(p_slot_key(1), (0, 0), ()), (p_slot_key(2), (0, 0), ())]
+_J_E1, _J_E2 = (("J", 1), (1, 0)), (("J", 1), (0, 1))
+
+
+def _s1_column(probe):
+    return _gens().operator(("S1", 1), (1, 1)).column(probe)
+
+
+def test_fit_kernel_reads_the_level():
+    assert _fit(_gens(), _J_E1, _J_E2, [], _s1_column, _FIT_PROBES, "k") == (-8.0, 0.0)
+
+
+def test_fit_kernel_refuses_probes_that_disagree():
+    scale = dict(zip(_FIT_PROBES, (1.0, 2.0)))
+
+    def reference(probe):
+        return {key: amp * scale[probe] for key, amp in _s1_column(probe).items()}
+
+    with pytest.raises(FitError, match="varies across probes"):
+        _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
+
+
+def test_fit_kernel_refuses_a_non_real_coefficient():
+    def reference(probe):
+        return {key: 1j * amp for key, amp in _s1_column(probe).items()}
+
+    with pytest.raises(FitError, match="non-real"):
+        _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
+
+
+def test_fit_kernel_refuses_when_no_probe_is_usable():
+    # [X, X] vanishes and so does the reference: every probe is skipped
+    with pytest.raises(FitError, match="no usable probe"):
+        _fit(_gens(), _J_E1, _J_E1, [], lambda probe: {}, _FIT_PROBES, "k")
+
+
+def test_fit_kernel_reads_an_empty_reference_as_zero():
+    gens = _gens()
+    op_x, op_y = gens.operator(*_J_E1), gens.operator(*_J_E2)
+    norm = max(max(abs(a) for a in op_x.commutator_column(op_y, probe).values()) for probe in _FIT_PROBES)
+    assert norm > 0
+    assert _fit(gens, _J_E1, _J_E2, [], lambda probe: {}, _FIT_PROBES, "k") == (0.0, norm)
+
+
 def test_default_charges_contents():
     ch = dict(_charges())
     assert ch["k"] == 8.0
@@ -431,6 +480,26 @@ def test_numeric_table_sweep_is_exact_on_safe_probes(table_name):
     assert rows
     worst = max(rows, key=lambda r: r.deviation)
     assert worst.deviation < 1e-9, worst
+
+
+@pytest.mark.parametrize("table_name", NUMERIC_TABLES)
+def test_expected_columns_lie_inside_the_cutoffs(table_name):
+    """The closed-form column is a sum of projected columns, so projecting
+    it again changes nothing, on interior and boundary probes alike."""
+    space, gens, charges = _space(), _gens(), dict(_charges())
+    table = make_table(table_name, SU2, DEFAULT.N)
+    labels = generator_labels(table.species, SU2.dim, DEFAULT.N)
+    vecs = [(1, 0), (0, -1), (-1, 1)]
+    checked = 0
+    for probe in default_probe_keys(space) + boundary_probe_keys(space):
+        for i, lab1 in enumerate(labels):
+            for lab2 in labels[i:]:
+                for m in vecs:
+                    for n in vecs:
+                        col = _expected_column(gens, table, charges, lab1, m, lab2, n, probe)
+                        assert space.project(col) == col, (lab1, m, lab2, n, probe)
+                        checked += bool(col)
+    assert checked
 
 
 def test_numeric_sweep_rejects_symbolic_only_tables():
