@@ -15,7 +15,7 @@ from curralg.formal_algebra import (
     G,
     J,
     L,
-    MomentumSymbol,
+    Momentum,
     bracket,
     emb1_obstruction,
     jacobi_sweep,
@@ -29,7 +29,7 @@ def main():
     su3 = build_su(3)
     su2 = build_su(2)
     N = 3
-    m, n, r = (MomentumSymbol(name, N) for name in "mnr")
+    m, n, r = (Momentum.symbol(name, N) for name in "mnr")
 
     def flat(expr):
         return "  +  ".join(expr.render().splitlines())

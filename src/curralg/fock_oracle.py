@@ -53,7 +53,6 @@ __all__ = [
     "state_project",
     "states_equal",
     "apply_oscillator",
-    "apply_bilinear",
     "apply_body",
     "enumerate_keys",
     "FockOracle",
@@ -254,11 +253,6 @@ def apply_body(state: State, body: dict, m: int, cutoffs=None) -> State:
                 continue
             _add_at(out, new_key, amp * count * coeff)
     return out
-
-
-def apply_bilinear(state: State, A, B, m: int) -> State:
-    """sum_k :A_{m-k} Bbar_k: applied exactly (no cutoff inside the sum)."""
-    return apply_body(state, {(A, B): 1}, m)
 
 
 def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:

@@ -29,7 +29,6 @@ from .poly import Poly, format_poly
 from .scalars import as_int_if_integral
 
 __all__ = [
-    "MomentumSymbol",
     "Momentum",
     "GeneratorTerm",
     "Expression",
@@ -79,20 +78,6 @@ class TableMismatchError(ValueError):
     """A species was used with a table that does not define it."""
 
 
-@dataclass(frozen=True)
-class MomentumSymbol:
-    """A formal momentum vector with N components, independent of all others."""
-
-    name: str
-    N: int
-
-    def __add__(self, other):
-        return Momentum.of(self) + Momentum.of(other)
-
-    def __neg__(self):
-        return -Momentum.of(self)
-
-
 class Momentum(NamedTuple):
     """Integer linear combination of momentum symbols.
 
@@ -103,20 +88,12 @@ class Momentum(NamedTuple):
     parts: tuple  # tuple[tuple[str, int], ...] sorted by symbol name
 
     @classmethod
-    def of(cls, x) -> "Momentum":
-        if isinstance(x, Momentum):
-            return x
-        if isinstance(x, MomentumSymbol):
-            return cls(x.N, ((x.name, 1),))
-        raise TypeError(f"cannot interpret {x!r} as a momentum")
-
-    @classmethod
-    def zero(cls, N: int) -> "Momentum":
-        return cls(N, ())
+    def symbol(cls, name: str, N: int) -> "Momentum":
+        """A formal momentum vector with N components, independent of all others."""
+        return cls(N, ((name, 1),))
 
     def __add__(self, other):
         """One merge of the two sorted ``parts``, dropping zero coefficients."""
-        other = Momentum.of(other)
         if other.N != self.N:
             raise ValueError("momenta live in different dimensions")
         p1, p2 = self.parts, other.parts
@@ -223,7 +200,7 @@ class GeneratorTerm(NamedTuple):
     def render(self) -> str:
         sp = self.species
         if sp == "1":
-            return ""
+            return f"delta({self.arg.render()})"
         body = sp
         if sp in ("J", "G", "H"):
             body += f"^{self.adjoint}"
@@ -261,15 +238,14 @@ def _normal_term(species, adjoint, sidx, arg) -> tuple[int, Optional[GeneratorTe
     return sign, GeneratorTerm(species, adjoint, sidx, arg)
 
 
-# Expression term key: (GeneratorTerm, delta argument or None)
-
-
 class Expression:
-    """Finite sum of (polynomial coefficient) x (generator) x (optional delta).
+    """Finite sum of (polynomial coefficient) x (generator), keyed by
+    :class:`GeneratorTerm`.
 
-    Held in normal form: zero coefficients pruned, antisymmetric index blocks
-    normalized at construction.  Equality is structural equality of normal
-    forms.
+    The scalar species "1" at argument a is delta(a), the value CONCRETE_3D
+    gives a three-chain.  Held in normal form: zero coefficients pruned,
+    antisymmetric index blocks normalized at construction.  Equality is
+    structural equality of normal forms.
     """
 
     __slots__ = ("terms",)
@@ -319,45 +295,37 @@ class Expression:
 
         Each coefficient multiplying delta(a) is reduced modulo the ideal
         generated by the components of a (the substitution that sets a = 0);
-        delta markers are kept.  Terms whose coefficient vanishes on support
+        the deltas are kept.  Terms whose coefficient vanishes on support
         drop out.
         """
         out = {}
-        for (term, delta), poly in self.terms.items():
-            if delta is not None and not delta.is_zero:
-                poly = poly.substitute(_ideal_substitution(delta))
-                if poly.is_zero:
-                    continue
-            out[(term, delta)] = poly
+        for term, poly in self.terms.items():
+            if term.species == "1" and not term.arg.is_zero:
+                poly = poly.substitute(_ideal_substitution(term.arg))
+            out[term] = poly
         return Expression(out)
 
     def render(self) -> str:
         if self.is_zero:
             return "0"
         lines = []
-        for (term, delta) in sorted(
-            self.terms, key=lambda kd: (kd[0].sort_key(), kd[1].parts if kd[1] else ())
-        ):
-            poly = self.terms[(term, delta)]
-            cs = format_poly(poly)
+        for term in sorted(self.terms, key=GeneratorTerm.sort_key):
+            cs = format_poly(self.terms[term])
             if " + " in cs or " - " in cs:
                 cs = f"({cs})"
-            pieces = [p for p in (term.render(), f"delta({delta.render()})" if delta else "") if p]
-            body = "*".join(pieces) if pieces else "1"
-            lines.append(f"{cs}*{body}")
+            lines.append(f"{cs}*{term.render()}")
         return "\n".join(lines)
 
     def __repr__(self):
         return f"<Expression {self.render()!r}>"
 
 
-def _single(species, adjoint, sidx, arg, coeff=None, delta=None) -> Expression:
-    arg = Momentum.of(arg)
+def _single(species, adjoint, sidx, arg, coeff=None) -> Expression:
     sign, term = _normal_term(species, adjoint, sidx, arg)
     if term is None:
         return Expression()
     poly = Poly.const(sign) if coeff is None else coeff * sign
-    return Expression({(term, delta): poly})
+    return Expression({term: poly})
 
 
 def J(a: int, arg) -> Expression:
@@ -475,13 +443,11 @@ class _Out:
             return
         if sign != 1:
             coeff = coeff * sign
-        key = (term, None)
         if species == "S3" and self.table.chain_mode == "CONCRETE_3D":
             # S3^{123}(a) -> +delta(a); other index orders already folded in
-            unit = GeneratorTerm("1", 0, (), Momentum.zero(arg.N))
-            key = (unit, arg)
-        acc = self.terms.get(key)
-        self.terms[key] = coeff if acc is None else acc + coeff
+            term = GeneratorTerm("1", 0, (), arg)
+        acc = self.terms.get(term)
+        self.terms[term] = coeff if acc is None else acc + coeff
 
     def expression(self) -> Expression:
         return Expression(self.terms)
@@ -577,16 +543,16 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
     is bracketed, so an undefined species is rejected on either side even
     when the other side is zero.
     """
-    for term, _ in itertools.chain(X.terms, Y.terms):
+    for term in itertools.chain(X.terms, Y.terms):
         if term.species != "1" and term.species not in table.species:
             raise TableMismatchError(f"species {term.species} is not defined by table {table.name}")
     out = Expression()
     terms = out.terms
-    for (t1, d1), c1 in X.terms.items():
+    for t1, c1 in X.terms.items():
         if t1.species == "1":
-            continue  # pure delta terms are central
+            continue  # deltas are central
         key1 = t1.sort_key()
-        for (t2, d2), c2 in Y.terms.items():
+        for t2, c2 in Y.terms.items():
             if t2.species == "1":
                 continue
             if key1 <= t2.sort_key():
@@ -595,15 +561,8 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
                 base, sign = _elementary(table, t2, t1), -1
             if base.is_zero:
                 continue
-            carried = d1 if d1 is not None else d2
-            if d1 is not None and d2 is not None:
-                raise NotImplementedError("bracket of two delta-carrying terms")
             coeff = c1 * c2 if sign == 1 else -(c1 * c2)
             for key, poly in base.terms.items():
-                if carried is not None:
-                    if key[1] is not None:
-                        raise NotImplementedError("stacked delta factors")
-                    key = (key[0], carried)
                 acc = terms.get(key)
                 val = poly * coeff
                 if acc is not None:
@@ -668,8 +627,8 @@ def _wedge_vanishes(comps: dict, arg: Momentum, N: int) -> bool:
 def reduce_closedness(X: Expression) -> Expression:
     """Delete chain contractions that vanish by closedness.
 
-    One-chain groups (fixed argument and delta marker) are reduced to the
-    canonical representative modulo multiples of the argument vector, so any
+    One-chain groups (fixed argument) are reduced to the canonical
+    representative modulo multiples of the argument vector, so any
     coefficient pattern q * a_mu against S1^mu(a) drops out exactly.  At
     N = 3 the single three-chain component is reduced modulo the ideal of
     the argument components; at N >= 4 a whole three-chain group is deleted
@@ -678,19 +637,19 @@ def reduce_closedness(X: Expression) -> Expression:
     out: dict = {}
     s1_groups: dict = {}
     s3_groups: dict = {}
-    for (term, delta), poly in X.terms.items():
+    for term, poly in X.terms.items():
         if term.species == "S1" and not term.arg.is_zero:
-            s1_groups.setdefault((term.arg, delta), {})[term.sidx[0]] = poly
+            s1_groups.setdefault(term.arg, {})[term.sidx[0]] = poly
         elif term.species == "S3" and not term.arg.is_zero:
-            s3_groups.setdefault((term.arg, delta), {})[term.sidx] = poly
+            s3_groups.setdefault(term.arg, {})[term.sidx] = poly
         else:
-            out[(term, delta)] = poly
+            out[term] = poly
 
-    for (arg, delta), comps in s1_groups.items():
+    for arg, comps in s1_groups.items():
         for mu, poly in _pivot_division(comps, arg, arg.N).items():
-            out[(GeneratorTerm("S1", 0, (mu,), arg), delta)] = poly
+            out[GeneratorTerm("S1", 0, (mu,), arg)] = poly
 
-    for (arg, delta), comps in s3_groups.items():
+    for arg, comps in s3_groups.items():
         N = arg.N
         if N == 3:
             sub = _ideal_substitution(arg)
@@ -701,7 +660,7 @@ def reduce_closedness(X: Expression) -> Expression:
         else:
             reduced = comps
         for tri, poly in reduced.items():
-            out[(GeneratorTerm("S3", 0, tri, arg), delta)] = poly
+            out[GeneratorTerm("S3", 0, tri, arg)] = poly
 
     return Expression(out)
 
@@ -717,21 +676,19 @@ def jacobiator(table: AlgebraTable, X: Expression, Y: Expression, Z: Expression)
 def redefine(X: Expression) -> Expression:
     """The current redefinition J^a(m) -> J^a(m) + m_mu G^{a mu}(m)."""
     out = Expression()
-    for (term, delta), poly in X.terms.items():
-        out = out + Expression({(term, delta): poly})
+    for term, poly in X.terms.items():
+        out = out + Expression({term: poly})
         if term.species == "J":
             for mu in range(1, term.arg.N + 1):
-                out = out + _single(
-                    "G", term.adjoint, (mu,), term.arg, poly * term.arg.component(mu), delta
-                )
+                out = out + _single("G", term.adjoint, (mu,), term.arg, poly * term.arg.component(mu))
     return out
 
 
 # -- generator sweeps ----------------------------------------------------------
 
 
-def all_generators(table: AlgebraTable, sym: MomentumSymbol) -> list[tuple[str, Expression]]:
-    """Every generator of the table with the given momentum symbol, labelled."""
+def all_generators(table: AlgebraTable, sym: Momentum) -> list[tuple[str, Expression]]:
+    """Every generator of the table at the momentum symbol ``sym``, labelled."""
     if sym.N != table.N:
         raise ValueError("symbol dimension differs from table dimension")
     gens = [generator(label, sym) for label in generator_labels(table.species, table.sc.dim, table.N)]
@@ -754,7 +711,7 @@ def _triples(table: AlgebraTable):
     Yields three (label, expression) pairs, at m, n and r in that order,
     following the order of ``all_generators``.
     """
-    gens = [all_generators(table, MomentumSymbol(s, table.N)) for s in ("m", "n", "r")]
+    gens = [all_generators(table, Momentum.symbol(s, table.N)) for s in ("m", "n", "r")]
     n_gen = len(gens[0])
     for i in range(n_gen):
         for jdx in range(i, n_gen):
@@ -764,7 +721,7 @@ def _triples(table: AlgebraTable):
 
 def _generator(expr: Expression) -> GeneratorTerm:
     """The generator of a single-generator expression such as J(a, m)."""
-    return next(iter(expr.terms))[0]
+    return next(iter(expr.terms))
 
 
 # Sweep reports list at most this many failing triples, in sweep order.
@@ -886,10 +843,8 @@ def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingRep
         raise ValueError("source and target must share structure constants")
     if source.N != target.N:
         raise ValueError("source and target must share N")
-    m = MomentumSymbol("m", source.N)
-    n = MomentumSymbol("n", source.N)
-    xs = all_generators(source, m)
-    ys = all_generators(source, n)
+    xs = all_generators(source, Momentum.symbol("m", source.N))
+    ys = all_generators(source, Momentum.symbol("n", source.N))
     checked = 0
     mismatches: list = []
     for i, (lab_x, x) in enumerate(xs):

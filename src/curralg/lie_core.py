@@ -128,14 +128,12 @@ class StructureConstants:
     """Exact f and d tensors over a basis with unit metric.
 
     ``f`` and ``d`` map 1-based index triples to nonzero exact scalars;
-    absent triples are zero.  The metric is required to be the Kronecker
-    delta; a non-unit ``metric`` argument is rejected rather than stored.
+    absent triples are zero.
     """
 
     dim: int
     f: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
     d: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
-    metric: dict[tuple[int, int], Scalar] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -147,14 +145,6 @@ class StructureConstants:
         # filtered copies: the caller's dicts are left as they were passed
         self.f = {key: val for key, val in self.f.items() if val != 0}
         self.d = {key: val for key, val in self.d.items() if val != 0}
-        if self.metric is not None:
-            for (a, b), val in self.metric.items():
-                expect = 1 if a == b else 0
-                if val != expect:
-                    raise ValueError(
-                        f"metric must be the Kronecker delta; g[{a},{b}] = {format_scalar(val)}"
-                    )
-            self.metric = None  # canonical form: implicit identity
 
     # -- element access ---------------------------------------------------
 

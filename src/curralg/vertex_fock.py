@@ -34,8 +34,13 @@ column depends on the operator and the space alone, so every generator set
 on one space, and every table sweep and charge fit run on it, computes each
 column once.
 
-This is the only module that computes in floating point (complex doubles);
-everything upstream is exact.
+Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
+n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
+every commutator and fitted charge as it is, and takes the factors i of
+the q creators, the p annihilators and the zero mode p_{mu,0} (and the -i
+of the momentum part of L) out of every amplitude, so all amplitudes are
+real.  This is the only module that computes in floating point (real
+doubles); everything upstream is exact.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ __all__ = [
 ]
 
 _TRAJ = "traj"
-# Fits of exact-in-principle float amplitudes: residuals, probe spreads and
-# imaginary parts above this are failures.
+# Fits of exact-in-principle float amplitudes: residuals and probe spreads
+# above this are failures.
 _FIT_TOL = 1e-9
 
 
@@ -240,16 +245,17 @@ class VertexSpace:
         """The (new_qp_key, coeff) terms of V_{m,j} on one trajectory key.
 
         Enumerate p-annihilator submultisets, then q-creator multisets whose
-        level matches the mode constraint.  Coefficients (i m_mu)^r / r! on
-        both sides.  Terms are listed in emission order and not merged, so
-        the caller's float sums run in a fixed order.
+        level matches the mode constraint.  Coefficients m_mu^r / r! on both
+        sides (the factors i^r are rephased away).  Terms are listed in
+        emission order and not merged, so the caller's float sums run in a
+        fixed order.
         """
         N, M = self.spec.N, self.spec.M
         pslots = [(slot, cnt) for slot, cnt in qp_key if slot[1]]
         terms: list = []
 
         # enumerate annihilator choices r_i <= cnt_i over p slots
-        def ann(i: int, mode_sum: int, coeff: complex, key: tuple):
+        def ann(i: int, mode_sum: int, coeff: float, key: tuple):
             if i == len(pslots):
                 level = mode_sum - j
                 if level < 0:
@@ -257,7 +263,7 @@ class VertexSpace:
                 for lam in _creator_multisets(N, M, level):
                     c2, key2 = coeff, key
                     for (mu, k), r in lam:
-                        c2 *= (1j * m[mu - 1]) ** r / math.factorial(r)
+                        c2 *= m[mu - 1] ** r / math.factorial(r)
                         if c2 == 0:
                             break
                         key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
@@ -271,7 +277,7 @@ class VertexSpace:
             c, fall = coeff, 1.0
             for r in range(1, cnt + 1):
                 fall *= -(cnt - r + 1)  # q_k on a p slot: -count per quantum
-                c = coeff * ((1j * m[mu - 1]) ** r / math.factorial(r)) * fall
+                c = coeff * (m[mu - 1] ** r / math.factorial(r)) * fall
                 if c == 0:
                     break
                 ann(i + 1, mode_sum + k * r, c, _key_with(key, slot, -r))
@@ -321,7 +327,7 @@ class VertexSpace:
                 continue
             mid = self.apply_vertex(m, -k, state)
             if mid:
-                state_add(out, self._qp_osc(mid, rho, False, k), 1j * k)
+                state_add(out, self._qp_osc(mid, rho, False, k), k)
         return out
 
     def apply_L(self, mu: int, m: tuple, state: dict, include_T: bool = True) -> dict:
@@ -330,21 +336,22 @@ class VertexSpace:
         The momentum part is -i :V_m p_mu: with p's creation modes left of
         the vertex factor, annihilation modes right, and the zero mode acting
         on the undressed lattice label (diagonal value i w_mu) before the
-        shift.  The current part is m_nu sum_j V_{m,j} T^nu_{mu,-j}.
+        shift; in the rephased basis the -i and the zero mode's i drop out.
+        The current part is m_nu sum_j V_{m,j} T^nu_{mu,-j}.
         """
         out: dict = {}
         for k in range(1, self.spec.M + 1):
             # p_{mu,-k} V_{m,k}: vertex first, then the p creator
             mid = self.apply_vertex(m, k, state)
             if mid:
-                state_add(out, self._qp_osc(mid, mu, True, -k), -1j)
+                state_add(out, self._qp_osc(mid, mu, True, -k))
             # V_{m,-k} p_{mu,k}: the p annihilator first
             mid = self._qp_osc(state, mu, True, k)
             if mid:
-                state_add(out, self.apply_vertex(m, -k, mid), -1j)
-        diag = {key: amp * (1j * key[1][mu - 1]) for key, amp in state.items() if key[1][mu - 1] != 0}
+                state_add(out, self.apply_vertex(m, -k, mid))
+        diag = {key: amp * key[1][mu - 1] for key, amp in state.items() if key[1][mu - 1] != 0}
         if diag:
-            state_add(out, self.apply_vertex(m, 0, diag), -1j)
+            state_add(out, self.apply_vertex(m, 0, diag))
         if include_T:
             for nu in range(1, self.spec.N + 1):
                 if m[nu - 1] == 0:
@@ -357,11 +364,11 @@ def _apply_body_to_key(body: CurrentBody, mode: int, cur_key: tuple) -> list:
     """Exact bilinear application on a current-sector occupation key.
 
     The terms come from the oscillator core of :mod:`curralg.fock_oracle`;
-    this merges them per key in complex arithmetic, in the order they come.
+    this merges them per key in float arithmetic, in the order they come.
     """
     merged: dict = {}
     for key2, coeff, count in body_terms(cur_key, body, mode):
-        merged[key2] = merged.get(key2, 0.0) + complex(coeff) * count
+        merged[key2] = merged.get(key2, 0.0) + float(coeff) * count
     return [(k, v) for k, v in merged.items() if v != 0]
 
 
@@ -510,8 +517,8 @@ def _fit(
     handle is made; ``reference(probe)`` is the column the sum should be a
     multiple of.  A probe where both columns vanish is skipped, and an empty
     reference under a nonzero column fits c = 0 with the column's norm as its
-    residual.  The probes must agree on c within _FIT_TOL and c must be real.
-    Returns (c, worst residual); the caller judges the residual.
+    residual.  The probes must agree on c within _FIT_TOL.  Returns
+    (c, worst residual); the caller judges the residual.
     """
     op_x = gens.operator(*x)
     op_y = gens.operator(*y)
@@ -531,10 +538,7 @@ def _fit(
         raise FitError(f"no usable probe for {what}")
     if max(abs(c - vals[0]) for c in vals) > _FIT_TOL:
         raise FitError(f"{what} varies across probes: {vals}")
-    c = complex(vals[0])
-    if abs(c.imag) > _FIT_TOL:
-        raise FitError(f"{what} came out non-real: {c}")
-    return c.real, max(resids)
+    return vals[0] + 0.0, max(resids)  # +0.0 folds -0.0
 
 
 def _unit_pair(space: VertexSpace, what: str) -> tuple:
@@ -614,7 +618,7 @@ def _symbolic_generator(label: tuple, symbol: str, N: int) -> fa.Expression:
     Shared by every caller, so nobody may mutate the result;
     :func:`formal_algebra.bracket` only reads its arguments.
     """
-    return fa.generator(label, fa.MomentumSymbol(symbol, N))
+    return fa.generator(label, fa.Momentum.symbol(symbol, N))
 
 
 def _expected_column(
@@ -630,8 +634,8 @@ def _expected_column(
     """Realize the closed form of one formal bracket as a numeric column.
 
     The column is a sum of projected generator columns, so it already lies
-    inside the cutoffs.  The numeric tables are FORMAL, so no term is of the
-    scalar species "1" that only CONCRETE_3D evaluation produces.
+    inside the cutoffs.  The numeric tables are FORMAL, so no term is a
+    delta, which only CONCRETE_3D produces.
     """
     N = gens.space.spec.N
     expr = fa.bracket(table, _symbolic_generator(label1, "m", N), _symbolic_generator(label2, "n", N))
@@ -641,10 +645,8 @@ def _expected_column(
         assignment[f"m_{i+1}"] = m[i]
         assignment[f"n_{i+1}"] = n[i]
     out: dict = {}
-    for (term, delta), poly in expr.terms.items():
-        if delta is not None and any(delta.at(vectors)):
-            continue
-        coeff = complex(poly.evaluate(assignment))
+    for term, poly in expr.terms.items():
+        coeff = float(poly.evaluate(assignment))
         if coeff == 0:
             continue
         state_add(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)

@@ -102,7 +102,7 @@ def body_combine(dst: CurrentBody, src: CurrentBody, factor=1) -> None:
 
 
 def body_render(body: CurrentBody) -> str:
-    """Deterministic one-line text form, used by reports and goldens."""
+    """Deterministic one-line text form, used by the demos."""
     if not body:
         return "0"
     parts = []

@@ -1,7 +1,9 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the README's library example, runs to completion
+against the current package."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,3 +20,13 @@ def test_demo_runs(script):
         [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "1/3*sqrt(3)*m_3*S3{1,2,3}(m+n+r)\n"
+    assert namespace["fit"].c1 == 4.0
+    assert namespace["fit"].c2 == 27.0

@@ -181,9 +181,3 @@ def test_zero_entries_leave_the_callers_dict_alone():
     assert f == {(1, 2, 3): Fraction(1), (1, 1, 1): Fraction(0)}
     assert sc.f == {(1, 2, 3): Fraction(1)}
 
-
-def test_metric_must_be_kronecker():
-    with pytest.raises(ValueError, match="Kronecker"):
-        StructureConstants(dim=2, metric={(1, 2): 1})
-    sc = StructureConstants(dim=2, metric={(1, 1): 1, (2, 2): 1})
-    assert sc.metric is None

@@ -118,14 +118,15 @@ def test_vertex_zero_mode_shifts_vacuum():
 
 
 def test_vertex_creator_mode_on_vacuum():
-    # (V_m)_{-1}|0> = i m_mu q^mu_{-1}|m>; positive modes annihilate.
+    # (V_m)_{-1}|0> = i m_mu q^mu_{-1}|m>, which is m_mu q^mu_{-1}|m> in the
+    # basis rephased by i^(n_q - n_p); positive modes annihilate.
     space = _space()
     m = (1, -1)
     vac = space.vacuum_key()
     col = build_vertex(m, -1, space).column(vac)
     want = {
-        (q_slot_key(1), m, ()): 1j * m[0],
-        (q_slot_key(2), m, ()): 1j * m[1],
+        (q_slot_key(1), m, ()): m[0],
+        (q_slot_key(2), m, ()): m[1],
     }
     assert _dist(col, want) == 0
     assert build_vertex(m, 1, space).column(vac) == {}
@@ -217,7 +218,7 @@ def test_current_bracket_f_channel():
     got = gens.operator(("J", 1), m).commutator_column(gens.operator(("J", 2), n), probe)
     want: dict = {}
     for c in (1, 2, 3):
-        coeff = complex(SU2.f_at(1, 2, c))
+        coeff = float(SU2.f_at(1, 2, c))
         if coeff:
             _merge(want, gens.operator(("J", c), r).column(probe), coeff)
     assert _dist(got, want) < 1e-12
@@ -410,6 +411,19 @@ def test_c1_c2_with_currents_switched_off():
     assert abs(fit.c2 - 0.0) < 1e-8
 
 
+def test_rephased_sector_holds_only_real_amplitudes():
+    # In the basis rephased by i^(n_q - n_p) every realized amplitude is a
+    # real double, and a zero charge fits as +0.0.
+    space = _space()
+    measure_c1_c2(space)
+    check_table_numeric("DIFF_EXT", space, window=1, charges=dict(_charges()))
+    amps = [amp for columns in space._columns.values() for col in columns.values() for amp in col.values()]
+    assert amps
+    assert {type(amp) for amp in amps} == {float}
+    c2 = measure_c1_c2(space, include_T=False).c2
+    assert c2 == 0.0 and math.copysign(1.0, c2) == 1.0
+
+
 def test_charge_fits_need_two_directions():
     space = VertexSpace(SU2, TruncationSpec(N=1, L=4, P=3, M=2, current_cap=3))
     with pytest.raises(ValueError):
@@ -439,14 +453,6 @@ def test_fit_kernel_refuses_probes_that_disagree():
         return {key: amp * scale[probe] for key, amp in _s1_column(probe).items()}
 
     with pytest.raises(FitError, match="varies across probes"):
-        _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
-
-
-def test_fit_kernel_refuses_a_non_real_coefficient():
-    def reference(probe):
-        return {key: 1j * amp for key, amp in _s1_column(probe).items()}
-
-    with pytest.raises(FitError, match="non-real"):
         _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
 
 

@@ -18,7 +18,6 @@ from curralg.cli import oracle_sweep
 from curralg.lie_core import StructureConstants, build_su
 from curralg.fock_oracle import (
     apply_body,
-    apply_bilinear,
     apply_oscillator,
     enumerate_keys,
     key_level,
@@ -102,7 +101,7 @@ def test_oracle_bilinear_level_bookkeeping():
     body = {("A", "B"): Fraction(1), ("B", "A"): Fraction(2)}
     start = apply_oscillator(apply_oscillator(vacuum(), "A", True, -2), "B", False, -1)
     for m in (-2, -1, 0, 1, 2, 3):
-        out = apply_bilinear(start, "A", "B", m)
+        out = apply_body(start, {("A", "B"): 1}, m)
         for key in out:
             assert key_level(key) == 3 - m
     out = apply_body(start, body, 1)
