@@ -50,10 +50,10 @@ def main():
         ("interior,     L-G     ", (("L", 1), m1, ("G", 1, 2), m_1, (VACUUM_QP, (0, 0), (PHI1,)))),
     ]
     dev_small = stage_deviations(
-        "DIFF_EXT", small, [e for _, e in elements], default_charges(small, include_c=True)
+        "DIFF_EXT", small, [e for _, e in elements], default_charges(small)
     )
     dev_big = stage_deviations(
-        "DIFF_EXT", big, [e for _, e in elements], default_charges(big, include_c=True)
+        "DIFF_EXT", big, [e for _, e in elements], default_charges(big)
     )
     print("deviation of fixed elements, small stage vs enlarged stage:")
     for (name, _), ds, db in zip(elements, dev_small, dev_big):

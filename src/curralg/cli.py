@@ -43,17 +43,18 @@ class RunConfig:
     level: int = 4
     momentum_window: int = 1
     mode_window: int = 3
-    tolerance: float = 0.0  # 0 means "per-command default"
+    tolerance: float = 1e-8
     format: str = "text"
     output: str = ""
     timestamp: bool = True
-    current_cap: int = 3
 
     def validated(self) -> "RunConfig":
         if not self.algebra_file:
             parse_su(self.algebra)  # raises UsageError on bad selectors
         if self.dim < 1:
             raise UsageError(f"dim must be at least 1, got {self.dim}")
+        if not self.tables:
+            raise UsageError("tables must name at least one table")
         bad = [t for t in self.tables if t not in fa.TABLE_NAMES]
         if bad:
             raise UsageError(f"unknown tables {bad}; known: {', '.join(fa.TABLE_NAMES)}")
@@ -65,8 +66,6 @@ class RunConfig:
             raise UsageError("tolerance must not be negative")
         if self.format not in ("text", "json"):
             raise UsageError(f"format must be text or json, got {self.format!r}")
-        if self.current_cap < 2:
-            raise UsageError("current_cap below 2 leaves no room for a bilinear")
         return self
 
 
@@ -255,6 +254,8 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
 
 # -- verify-fock ---------------------------------------------------------------
 
+_CURRENT_CAP = 3  # current-sector particle cap of verify-fock's oracle and measure's vertex space
+
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -307,7 +308,7 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
             ("algebra", name),
             ("dim", N),
             ("level_cutoff", cfg.level),
-            ("particle_cap", cfg.current_cap),
+            ("particle_cap", _CURRENT_CAP),
             ("mode_window", cfg.mode_window),
         ],
     )
@@ -321,7 +322,7 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
     W = cfg.mode_window
     mode_pairs = [(m, n) for m in range(-W, W + 1) for n in range(m, W + 1)]
     sweep = oracle_sweep(
-        wc.build_currents(sc, N), wc.flavors_for(sc.dim, N), cfg.level, cfg.current_cap, mode_pairs
+        wc.build_currents(sc, N), wc.flavors_for(sc.dim, N), cfg.level, _CURRENT_CAP, mode_pairs
     )
     if sweep.mismatches:
         ok = False
@@ -371,7 +372,7 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
 def _measure_space(cfg: RunConfig, sc) -> vf.VertexSpace:
     P = max(2, 2 * cfg.momentum_window)
     spec = vf.TruncationSpec(
-        N=cfg.dim, L=cfg.level, P=P, M=2, current_cap=cfg.current_cap
+        N=cfg.dim, L=cfg.level, P=P, M=2, current_cap=_CURRENT_CAP
     )
     return vf.VertexSpace(sc, spec)
 
@@ -383,7 +384,7 @@ def cmd_measure(cfg: RunConfig) -> tuple:
     idrep = verify_identities(sc)
     if not idrep.passed:
         return _invalid_constants(Report("charge measurement"), idrep)
-    tol = cfg.tolerance or 1e-8
+    tol = cfg.tolerance
 
     try:
         k = wc.measure_level(sc, cfg.dim)
@@ -412,7 +413,7 @@ def cmd_measure(cfg: RunConfig) -> tuple:
     charges = {"k": float(k), "c1": fit.c1, "c2": fit.c2}
     numeric_tables = [t for t in cfg.tables if t in vf.NUMERIC_TABLES]
     for table_name in numeric_tables:
-        rows = vf.check_table_numeric(table_name, space, window=cfg.momentum_window, charges=charges)
+        rows = vf.check_table_numeric(table_name, space, charges, window=cfg.momentum_window)
         worst = max(rows, key=lambda r: r.deviation)
         key = f"sweep_{table_name}"
         residuals[key] = max(worst.deviation, floor)

@@ -853,8 +853,7 @@ def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingRep
             lhs = bracket(target, rx, redefine(y))
             rhs = redefine(bracket(source, x, y))
             checked += 1
-            if lhs != rhs:
-                if len(mismatches) < 10:
-                    diff = lhs - rhs
-                    mismatches.append((f"[{lab_x}, {lab_y}]", "difference:\n" + diff.render()))
+            if lhs != rhs and len(mismatches) < _FAILURES_LISTED:
+                diff = lhs - rhs
+                mismatches.append((f"[{lab_x}, {lab_y}]", "difference:\n" + diff.render()))
     return EmbeddingReport(checked, mismatches)

@@ -28,11 +28,11 @@ list order, so memoised and recomputed columns agree bit for bit.  Folding
 the amplitude in, or merging the vertex terms per key, would reorder the
 float sums.
 
-The projected columns live per space too, keyed by operator
-((label, m, include_T) for a realized generator) and then by basis key.  A
-column depends on the operator and the space alone, so every generator set
-on one space, and every table sweep and charge fit run on it, computes each
-column once.
+The projected columns live per space too, keyed by operator and then by
+basis key.  The operator key is the only description of an operator, and
+:meth:`VertexSpace.apply` maps it to the operator.  A column depends on the
+operator and the space alone, so every generator set on one space, and every
+table sweep and charge fit run on it, computes each column once.
 
 Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
 n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
@@ -175,6 +175,7 @@ class VertexSpace:
         self.spec = spec
         self.bodies = build_currents(sc, spec.N)
         self.flavors = flavors_for(sc.dim, spec.N)
+        self.labels = frozenset(fa.generator_labels(("L", "J", "G", "H", "S1"), sc.dim, spec.N))
         # Per-key term memos.  Their entries depend on sc, N and M, so they
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
@@ -184,15 +185,12 @@ class VertexSpace:
 
     # -- truncation --------------------------------------------------------
 
-    def in_window(self, w: tuple) -> bool:
-        return all(abs(c) <= self.spec.P for c in w)
-
     def project(self, state: dict) -> dict:
         sp = self.spec
         out = {}
         for key, amp in state.items():
             qp_key, w, cur_key = key
-            if not self.in_window(w):
+            if any(abs(c) > sp.P for c in w):
                 continue
             level, npart = key_level_npart(cur_key)
             if key_level(qp_key) + level > sp.L or npart > sp.current_cap:
@@ -306,6 +304,17 @@ class VertexSpace:
 
     # -- realized generators --------------------------------------------------
 
+    def apply(self, op_key: tuple, state: dict) -> dict:
+        """Apply the operator ``op_key`` names (see :class:`OperatorMatrix`)."""
+        head, m, arg = op_key
+        if head == "V":
+            return self.apply_vertex(m, arg, state)
+        if head[0] == "S1":
+            return self.apply_S1(head[1], m, state)
+        if head[0] == "L":
+            return self.apply_L(head[1], m, state, include_T=arg)
+        return self._dressed_current(head, m, state)
+
     def _dressed_current(self, label: tuple, m: tuple, state: dict) -> dict:
         """sum_j V_{m,j} C_{-j} for a current family C; finite per state."""
         out: dict = {}
@@ -377,21 +386,28 @@ class OperatorMatrix:
 
     ``column(key)`` is the exact application to one basis state followed by
     projection onto the truncated space, so operator products compose with
-    matrix semantics (project after every factor).  The columns live in the
-    space, under ``op_key``: every handle built with the same key on the
-    same space reads and fills one dict, so ``op_key`` must name the
-    operator that ``apply_fn`` applies.
+    matrix semantics (project after every factor).  ``op_key`` is the
+    operator, ("V", m, j) for V_{m,j} or (label, m, include_T) for a label in
+    ``space.labels``, with m in the lattice window.  Its columns live in the
+    space: every handle with the same key on one space fills one dict.
     """
 
-    def __init__(self, space: VertexSpace, op_key: tuple, apply_fn: Callable[[dict], dict]):
+    def __init__(self, space: VertexSpace, op_key: tuple):
+        label, m, arg = op_key
+        if label not in space.labels and not (label == "V" and type(arg) is int):
+            raise ValueError(f"unknown generator label {label!r}")
+        if len(m) != space.spec.N:
+            raise ValueError("lattice vector has wrong dimension")
+        if any(abs(c) > space.spec.P for c in m):
+            raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
         self.space = space
-        self._apply_fn = apply_fn
+        self.op_key = op_key
         self._columns = space._columns.setdefault(op_key, {})
 
     def column(self, key: tuple) -> dict:
         hit = self._columns.get(key)
         if hit is None:
-            hit = self.space.project(self._apply_fn({key: 1.0}))
+            hit = self.space.project(self.space.apply(self.op_key, {key: 1.0}))
             self._columns[key] = hit
         return hit
 
@@ -409,12 +425,7 @@ class OperatorMatrix:
 
 def build_vertex(m: tuple, n: int, space: VertexSpace) -> OperatorMatrix:
     """The n-th Fourier mode of the vertex factor for lattice vector m."""
-    m = tuple(m)
-    if len(m) != space.spec.N:
-        raise ValueError("lattice vector has wrong dimension")
-    if any(abs(c) > space.spec.P for c in m):
-        raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
-    return OperatorMatrix(space, ("V", m, n), lambda st: space.apply_vertex(m, n, st))
+    return OperatorMatrix(space, ("V", tuple(m), n))
 
 
 class RealizedGenerators:
@@ -433,25 +444,10 @@ class RealizedGenerators:
         self._memo: dict = {}
 
     def operator(self, label: tuple, m) -> OperatorMatrix:
-        m = tuple(m)
-        memo_key = (label, m)
-        hit = self._memo.get(memo_key)
-        if hit is not None:
-            return hit  # only in-window momenta are memoised
-        sp = self.space
-        if any(abs(c) > sp.spec.P for c in m):
-            raise BoundaryError(f"momentum {m} exits the lattice window P={sp.spec.P}")
-        kind = label[0]
-        if kind in ("J", "G", "H"):
-            fn = lambda st: sp._dressed_current(label, m, st)
-        elif kind == "S1":
-            fn = lambda st, rho=label[1]: sp.apply_S1(rho, m, st)
-        elif kind == "L":
-            fn = lambda st, mu=label[1]: sp.apply_L(mu, m, st, include_T=self.include_T)
-        else:
-            raise ValueError(f"unknown generator label {label!r}")
-        op = OperatorMatrix(sp, (label, m, self.include_T), fn)
-        self._memo[memo_key] = op
+        key = (label, tuple(m))
+        op = self._memo.get(key)
+        if op is None:  # OperatorMatrix checks the key, so only valid keys are memoised
+            op = self._memo[key] = OperatorMatrix(self.space, key + (self.include_T,))
         return op
 
 
@@ -495,9 +491,7 @@ def _column_ratio(numer: dict, denom: dict) -> tuple:
     """Best single coefficient with max-norm residual of numer - c*denom."""
     ref_key = max(denom, key=lambda k: abs(denom[k]))
     c = numer.get(ref_key, 0.0) / denom[ref_key]
-    keys = set(numer) | set(denom)
-    resid = max(abs(numer.get(k, 0.0) - c * denom.get(k, 0.0)) for k in keys)
-    return c, resid
+    return c, _column_distance(numer, {k: c * v for k, v in denom.items()})
 
 
 def _fit(
@@ -653,31 +647,24 @@ def _expected_column(
     return out
 
 
-def default_charges(space: VertexSpace, include_c: bool = False) -> dict:
+def default_charges(space: VertexSpace) -> dict:
     """Numeric values for the charge indeterminates of the formal tables.
 
-    k always comes from the exact engine; c1/c2 (only meaningful for the
-    vector-field table) from the realized fit when requested.
+    k comes from the exact engine, c1/c2 (read only by the vector-field
+    table) from the realized fit.
     """
-    charges = {"k": float(measure_level(space.sc, space.spec.N)), "c1": 0.0, "c2": 0.0}
-    if include_c:
-        fit = measure_c1_c2(space)
-        charges["c1"] = fit.c1
-        charges["c2"] = fit.c2
-    return charges
+    fit = measure_c1_c2(space)
+    return {"k": float(measure_level(space.sc, space.spec.N)), "c1": fit.c1, "c2": fit.c2}
 
 
 NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
 
 
-def _numeric_context(table_name: str, space: VertexSpace, charges: Optional[dict]) -> tuple:
-    """(table, generators, charges) for a numeric sweep of one table."""
+def _numeric_context(table_name: str, space: VertexSpace) -> tuple:
+    """(table, generators) for a numeric sweep of one table."""
     if table_name not in NUMERIC_TABLES:
         raise ValueError(f"numeric sweep supports {NUMERIC_TABLES}, not {table_name!r}")
-    table = fa.make_table(table_name, space.sc, space.spec.N)
-    if charges is None:
-        charges = default_charges(space, include_c=(table_name == "DIFF_EXT"))
-    return table, RealizedGenerators(space), charges
+    return fa.make_table(table_name, space.sc, space.spec.N), RealizedGenerators(space)
 
 
 def _deviation(gens: RealizedGenerators, table, charges: dict, lab1: tuple, m: tuple, lab2: tuple, n: tuple,
@@ -692,15 +679,16 @@ def _deviation(gens: RealizedGenerators, table, charges: dict, lab1: tuple, m: t
 def check_table_numeric(
     table_name: str,
     space: VertexSpace,
+    charges: dict,
     window: int = 1,
     probes: Optional[list] = None,
-    charges: Optional[dict] = None,
 ) -> list:
     """Compare every realized bracket of a one-chain table with its closed form.
 
     Sweeps all unordered generator pairs over every momentum pair with
     components in [-window, window], and over the probe states; returns one
     BracketDeviation per generator pair holding the worst deviation found.
+    ``charges`` gives the charges k, c1, c2 (see :func:`default_charges`).
     Only the tables whose species are all realized here are accepted (the
     three-chain tables are not); a negative window or an empty probe list
     would check nothing and is rejected.
@@ -709,7 +697,7 @@ def check_table_numeric(
         raise ValueError(f"window must not be negative, got {window}")
     if probes is not None and not probes:
         raise ValueError("probe list is empty")
-    table, gens, charges = _numeric_context(table_name, space, charges)
+    table, gens = _numeric_context(table_name, space)
     vecs = list(itertools.product(range(-window, window + 1), repeat=space.spec.N))
     if probes is None:
         probes = default_probe_keys(space)
@@ -760,7 +748,7 @@ def stage_deviations(
     table_name: str,
     space: VertexSpace,
     elements: list,
-    charges: Optional[dict] = None,
+    charges: dict,
 ) -> list:
     """Deviation of fixed tested elements (bracket, momenta, probe) in one space.
 
@@ -769,7 +757,7 @@ def stage_deviations(
     """
     if not elements:
         raise ValueError("element list is empty")
-    table, gens, charges = _numeric_context(table_name, space, charges)
+    table, gens = _numeric_context(table_name, space)
     out = []
     for lab1, mv, lab2, nv, probe in elements:
         dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)

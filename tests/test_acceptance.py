@@ -151,8 +151,8 @@ def test_criterion_7_convergence():
         (("J", 1), m1, ("J", 2), m_1, (p_slot_key(1), (0, 0), ())),
         (("L", 1), m1, ("G", 1, 2), m_1, (VACUUM_QP, (0, 0), phi1)),
     ]
-    dev_small = stage_deviations("DIFF_EXT", small, elements, default_charges(small, include_c=True))
-    dev_big = stage_deviations("DIFF_EXT", big, elements, default_charges(big, include_c=True))
+    dev_small = stage_deviations("DIFF_EXT", small, elements, default_charges(small))
+    dev_big = stage_deviations("DIFF_EXT", big, elements, default_charges(big))
 
     ok = True
     near_boundary = 0

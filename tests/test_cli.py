@@ -5,8 +5,10 @@ small mode window; the default windows are exercised by the acceptance
 suite.
 """
 
+import argparse
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -156,6 +158,13 @@ def test_unknown_table_is_a_usage_error(capsys):
     assert "BOGUS" in err
 
 
+def test_empty_table_list_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify-tables", "--tables", ",")
+    assert code == 2
+    assert out == ""
+    assert "at least one table" in err
+
+
 # -- verify-fock ---------------------------------------------------------------
 
 
@@ -219,14 +228,16 @@ def test_measure_su2_defaults(capsys):
 
 
 def test_measure_tolerance_below_certification_floor_fails(capsys):
-    code, out, _ = run(
-        capsys, "measure", "--algebra", "su2", "--dim", "2",
-        "--tables", "CLASSICAL_MF", "--tolerance", "1e-20", "--no-timestamp",
-    )
-    assert code == 1
-    assert "status = FAIL" in out
-    assert "worst bracket" in out
-    assert "1e-20" in out
+    # a zero tolerance is a tolerance, not a request for the default
+    for tolerance in ("1e-20", "0"):
+        code, out, _ = run(
+            capsys, "measure", "--algebra", "su2", "--dim", "2",
+            "--tables", "CLASSICAL_MF", "--tolerance", tolerance, "--no-timestamp",
+        )
+        assert code == 1
+        assert "status = FAIL" in out
+        assert "worst bracket" in out
+        assert f"exceeds tolerance {tolerance}" in out
 
 
 def test_measure_json_contract(capsys):
@@ -376,9 +387,17 @@ def test_runconfig_validation_errors():
     with pytest.raises(UsageError):
         RunConfig(format="yaml").validated()
     with pytest.raises(UsageError):
-        RunConfig(current_cap=1).validated()
-    with pytest.raises(UsageError):
         RunConfig(level=0).validated()
+    with pytest.raises(UsageError):
+        RunConfig(tables=()).validated()
+
+
+def test_every_config_key_is_a_flag():
+    # config keys mirror the flags, so no setting is reachable from a file alone
+    keys = {f.name for f in fields(RunConfig)}
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        assert keys <= {a.dest for a in parser._actions}, name
 
 
 # -- output handling -------------------------------------------------------------

@@ -54,7 +54,7 @@ def _gens(spec: TruncationSpec = DEFAULT, include_T: bool = True) -> RealizedGen
 
 @functools.lru_cache(maxsize=None)
 def _charges(spec: TruncationSpec = DEFAULT) -> tuple:
-    ch = default_charges(_space(spec), include_c=True)
+    ch = default_charges(_space(spec))
     return tuple(sorted(ch.items()))
 
 
@@ -274,6 +274,22 @@ def test_momentum_window_enforced_after_the_label_is_memoised():
         with pytest.raises(BoundaryError):
             gens.operator(("J", 1), m)
         assert gens.operator(("J", 1), (2, 0)) is inside
+
+
+def test_operator_keys_are_checked_when_the_handle_is_made():
+    # labels the space does not realize, or a lattice vector of the wrong
+    # dimension, are refused before any column is built
+    space = VertexSpace(SU2, DEFAULT)
+    gens = RealizedGenerators(space)
+    for label in (("S1", 5), ("L", 3), ("G", 1, 3), ("J", 9), ("H", 1, 2, 1), "V"):
+        with pytest.raises(ValueError, match="unknown generator label"):
+            gens.operator(label, (1, 0))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        gens.operator(("J", 1), (1, 0, 0))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        build_vertex((1, 0, 0), 0, space)
+    assert not space._columns and not space._current_memo and not space._vertex_memo
+    assert gens.operator(("J", 1), (1, 0)).op_key == (("J", 1), (1, 0), True)
 
 
 # -- charge measurements (the cross-sector identities) -----------------------
@@ -510,9 +526,9 @@ def test_expected_columns_lie_inside_the_cutoffs(table_name):
 
 def test_numeric_sweep_rejects_symbolic_only_tables():
     with pytest.raises(ValueError):
-        check_table_numeric("MF", _space())
+        check_table_numeric("MF", _space(), {})
     with pytest.raises(ValueError):
-        check_table_numeric("EMB1", _space())
+        check_table_numeric("EMB1", _space(), {})
 
 
 def test_numeric_sweeps_reject_inputs_that_check_nothing():
