@@ -19,7 +19,6 @@ from curralg.wick_currents import (
     body_render,
     build_currents,
     check_km_table,
-    flavors_for,
     measure_k1_k2,
     measure_level,
     mode_commutator,
@@ -61,7 +60,7 @@ def main():
 
     # brute-force cross check of one column at level cutoff 4
     oracle = FockOracle(fams, 4, 3)
-    key = oracle.safe_keys(flavors_for(sc.dim, N), 2, -2)[1]
+    key = oracle.safe_keys(2, -2)[1]
     got = oracle.commutator_column(("J", 1), 2, ("J", 1), -2, key)
     body, anomaly = mode_commutator(J1, 2, J1, -2)
     want = apply_body({key: Fraction(1)}, body, 0)

@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .scalars import format_scalar
 from .lie_core import StructureConstants, build_su, verify_identities
@@ -48,7 +48,7 @@ class RunConfig:
     output: str = ""
     timestamp: bool = True
 
-    def validated(self) -> "RunConfig":
+    def __post_init__(self):
         if not self.algebra_file:
             parse_su(self.algebra)  # raises UsageError on bad selectors
         if self.dim < 1:
@@ -66,7 +66,6 @@ class RunConfig:
             raise UsageError("tolerance must not be negative")
         if self.format not in ("text", "json"):
             raise UsageError(f"format must be text or json, got {self.format!r}")
-        return self
 
 
 def parse_su(name: str) -> int:
@@ -120,7 +119,10 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _parse_config_value(key, value, f"{path}:{lineno}")
+        try:
+            values[key] = _PARSE[RunConfig.__dataclass_fields__[key].type](value)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}")
     return values
 
 
@@ -128,25 +130,17 @@ def _split_tables(value: str) -> tuple:
     return tuple(t.strip().upper() for t in value.split(",") if t.strip())
 
 
-def _parse_config_value(key: str, value: str, where: str):
-    kind = RunConfig.__dataclass_fields__[key].type
-    try:
-        if key == "tables":
-            return _split_tables(value)
-        if key == "timestamp":
-            low = value.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise UsageError(f"{where}: {exc}")
+def _parse_bool(value: str) -> bool:
+    low = value.lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+# option text -> value, by the declared type of the RunConfig field
+_PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool, "tuple": _split_tables}
 
 
 # -- verify-lie ---------------------------------------------------------------
@@ -267,7 +261,7 @@ class SweepReport:
     first_mismatch: str = ""
 
 
-def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs) -> SweepReport:
+def oracle_sweep(fams: dict, level_max: int, npart_max: int, mode_pairs) -> SweepReport:
     """Compare the closed-form commutator with the oscillator oracle.
 
     Every unordered pair of families at every mode pair (m, n), column by
@@ -283,7 +277,7 @@ def oracle_sweep(fams: dict, flavors, level_max: int, npart_max: int, mode_pairs
         for lab2 in labels[i:]:
             for m, n in mode_pairs:
                 body, anomaly = wc.mode_commutator(fams[lab1], m, fams[lab2], n)
-                for key in oracle.safe_keys(flavors, m, n):
+                for key in oracle.safe_keys(m, n):
                     want = apply_body({key: 1}, body, m + n, (level_max, npart_max))
                     if anomaly != 0:
                         state_add(want, {key: 1}, anomaly)  # a safe key is inside the cutoffs
@@ -321,9 +315,7 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
 
     W = cfg.mode_window
     mode_pairs = [(m, n) for m in range(-W, W + 1) for n in range(m, W + 1)]
-    sweep = oracle_sweep(
-        wc.build_currents(sc, N), wc.flavors_for(sc.dim, N), cfg.level, _CURRENT_CAP, mode_pairs
-    )
+    sweep = oracle_sweep(wc.build_currents(sc, N), cfg.level, _CURRENT_CAP, mode_pairs)
     if sweep.mismatches:
         ok = False
     sweep_rows = [
@@ -510,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--algebra", help="algebra selector, e.g. su2 or su3")
     common.add_argument("--algebra-file", dest="algebra_file", help="structure constant file")
     common.add_argument("--dim", type=int, help="spacetime dimension N")
-    common.add_argument("--tables", help="comma separated table subset")
+    common.add_argument("--tables", type=_split_tables, help="comma separated table subset")
     common.add_argument("--level", type=int, help="oscillator level cutoff")
     common.add_argument("--momentum-window", dest="momentum_window", type=int, help="lattice sweep bound")
     common.add_argument("--mode-window", dest="mode_window", type=int, help="circle mode sweep bound")
@@ -556,10 +548,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
-            if key == "tables":
-                flag = _split_tables(flag)
             values[key] = flag
-    return RunConfig(**values).validated()
+    return RunConfig(**values)
 
 
 def _check_writable(path: str) -> None:

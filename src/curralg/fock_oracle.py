@@ -42,8 +42,6 @@ projected columns, which are exactly the columns of the truncated matrix.
 
 from __future__ import annotations
 
-from .scalars import Scalar
-
 __all__ = [
     "vacuum",
     "key_level",
@@ -145,13 +143,7 @@ def state_project(state: State, level_max: int, npart_max: int) -> State:
 
 
 def states_equal(x: State, y: State) -> bool:
-    if len(x) != len(y):
-        return False
-    for key, amp in x.items():
-        other = y.get(key)
-        if other is None or other != amp:
-            return False
-    return True
+    return x == y
 
 
 def _osc_key(key: BasisKey, flavor, barred: bool, mode: int):
@@ -304,7 +296,8 @@ class FockOracle:
     projects after every factor.  Projection acts
     key by key, so each memoised column is already projected: it holds only
     the terms that survive the cutoffs, and applying an operator to a state
-    merges columns.
+    merges columns.  The basis is built from ``flavors``, every flavor that
+    appears in a body.
 
     The memo holds one dict per label, so a sweep that is done with a label
     frees its columns at no cost with :meth:`forget`.
@@ -314,8 +307,9 @@ class FockOracle:
         self.bodies = bodies
         self.level_max = level_max
         self.npart_max = npart_max
+        self.flavors = {fl for body in bodies.values() for pair in body for fl in pair}
         self._memo: dict = {}  # label -> {(mode, key): column}
-        self._safe: dict = {}  # (flavors, room) -> safe keys
+        self._safe: dict = {}  # room -> safe keys
 
     def apply_exact(self, label, mode: int, key: BasisKey) -> State:
         """Exact column of the truncated matrix of ``label`` at ``mode``, memoised.
@@ -348,18 +342,17 @@ class FockOracle:
         state_add(xy, yx, -1)
         return xy
 
-    def safe_keys(self, flavors, m: int, n: int) -> list:
+    def safe_keys(self, m: int, n: int) -> list:
         """Basis keys on which truncation provably cannot bite.
 
         Applying either factor must stay inside the cutoffs: one bilinear
         raises the level by at most max(-m, -n, 0) and the particle count
         by at most 2, so columns at level <= L - max(-m, -n, 0) and npart
         <= cap - 2 commute with the projections.  The list is built once per
-        (flavors, room) and shared; callers must not mutate it.
+        room and shared; callers must not mutate it.
         """
         room = max(-m, -n, 0)
-        memo_key = (tuple(flavors), room)
-        keys = self._safe.get(memo_key)
+        keys = self._safe.get(room)
         if keys is None:
-            keys = self._safe[memo_key] = enumerate_keys(flavors, self.level_max - room, self.npart_max - 2)
+            keys = self._safe[room] = enumerate_keys(self.flavors, self.level_max - room, self.npart_max - 2)
         return keys

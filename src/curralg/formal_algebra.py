@@ -579,24 +579,17 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
 
 def _pivot_division(comps: dict, arg: Momentum, N: int) -> dict:
     """Canonical representative of a one-chain coefficient vector modulo the
-    rank-one relation submodule spanned by the components of ``arg``."""
+    rank-one relation submodule spanned by the components of ``arg``.
+
+    ``arg`` is nonzero, so every component is, and the pivot is the last one.
+    """
     avec = {mu: arg.component(mu) for mu in range(1, N + 1)}
-    pivot = None
-    for mu in range(N, 0, -1):
-        if not avec[mu].is_zero:
-            pivot = mu
-            break
-    if pivot is None:
-        return comps
     # divide by the component variable of the alphabetically last symbol
-    lead_sym = arg.parts[-1][0]
-    lead_var = f"{lead_sym}_{pivot}"
-    c_pivot = comps.get(pivot, Poly())
-    q, rem = c_pivot.divmod_linear(avec[pivot], lead_var)
+    lead_var = f"{arg.parts[-1][0]}_{N}"
+    q, rem = comps.get(N, Poly()).divmod_linear(avec[N], lead_var)
     out = {}
     for mu in range(1, N + 1):
-        c = comps.get(mu, Poly())
-        red = rem if mu == pivot else c - q * avec[mu]
+        red = rem if mu == N else comps.get(mu, Poly()) - q * avec[mu]
         if not red.is_zero:
             out[mu] = red
     return out

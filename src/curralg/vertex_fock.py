@@ -54,7 +54,7 @@ from typing import Callable, Optional
 from . import formal_algebra as fa
 from .fock_oracle import _add_at, _key_with, _osc_key, body_terms, key_level, key_level_npart, state_add
 from .lie_core import StructureConstants
-from .wick_currents import CurrentBody, build_currents, flavors_for, measure_level
+from .wick_currents import CurrentBody, build_currents, measure_level
 
 __all__ = [
     "TruncationSpec",
@@ -174,7 +174,6 @@ class VertexSpace:
         self.sc = sc
         self.spec = spec
         self.bodies = build_currents(sc, spec.N)
-        self.flavors = flavors_for(sc.dim, spec.N)
         self.labels = frozenset(fa.generator_labels(("L", "J", "G", "H", "S1"), sc.dim, spec.N))
         # Per-key term memos.  Their entries depend on sc, N and M, so they
         # belong to this space; see apply_current and apply_vertex.
@@ -207,9 +206,7 @@ class VertexSpace:
     # -- trajectory oscillators ---------------------------------------------
 
     def _qp_osc(self, state: dict, mu: int, is_p: bool, mode: int) -> dict:
-        """One oscillator q^mu_mode (is_p False) or p_{mu,mode} (is_p True)."""
-        if mode == 0:
-            raise ValueError("mode 0 is not an oscillator here")
+        """One oscillator q^mu_mode (is_p False) or p_{mu,mode} (is_p True); mode != 0."""
         out: dict = {}
         fl = (_TRAJ, mu)
         for (qp_key, w, cur_key), amp in state.items():
@@ -733,15 +730,13 @@ def boundary_probe_keys(space: VertexSpace) -> list:
     edge = (sp.P,) + zero[1:]
     phi1 = ((("phi", 1), False, 0), 1)
     phi2 = ((("phi", 2), False, 0), 1)
-    probes = [
+    cap_filler = (phi1, (phi2[0], sp.current_cap - 2)) if sp.current_cap > 2 else (phi1,)
+    return [
         (VACUUM_QP, edge, ()),
         (p_slot_key(1), edge, ()),
+        (VACUUM_QP, zero, tuple(sorted(cap_filler))),
+        (VACUUM_QP, edge, (phi1,)),
     ]
-    if sp.current_cap >= 2:
-        cap_filler = (phi1, (phi2[0], sp.current_cap - 2)) if sp.current_cap > 2 else (phi1,)
-        probes.append((VACUUM_QP, zero, tuple(sorted(cap_filler))))
-        probes.append((VACUUM_QP, edge, (phi1,)))
-    return probes
 
 
 def stage_deviations(
@@ -830,9 +825,7 @@ def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False) -> Cu
     # solve gamma(m,n) = alpha*(m-n)*(m+n)^2 + beta*(m-n) from the grid
     rows = [((m - n) * (m + n) ** 2, (m - n), g) for (m, n), g in values]
     (a1, b1, g1), (a2, b2, g2) = rows[0], rows[1]
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        raise FitError("degenerate fit grid")
+    det = a1 * b2 - a2 * b1  # -24 on this grid
     alpha = (g1 * b2 - g2 * b1) / det + 0.0  # +0.0 folds -0.0
     beta = (a1 * g2 - a2 * g1) / det + 0.0
     residual = max(abs(a * alpha + b * beta - g) for a, b, g in rows)

@@ -39,7 +39,6 @@ from .scalars import Scalar, as_int_if_integral, format_scalar
 __all__ = [
     "CurrentBody",
     "AnomalyPatternError",
-    "zeta_flavor",
     "flavors_for",
     "build_currents",
     "mode_commutator",
@@ -62,7 +61,7 @@ class AnomalyPatternError(ValueError):
     """Raised when a measured anomaly does not match its declared index pattern."""
 
 
-def zeta_flavor(a: int, mu: int, nu: int):
+def _zeta_flavor(a: int, mu: int, nu: int):
     """Sorted zeta flavor and exchange sign; None when mu == nu."""
     if mu == nu:
         return None
@@ -178,7 +177,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                 if x != a:
                     continue
                 for nu in range(1, N + 1):
-                    zf = zeta_flavor(c, mu, nu)
+                    zf = _zeta_flavor(c, mu, nu)
                     if zf is None:
                         continue
                     fl, sign = zf
@@ -205,8 +204,8 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
                 _badd(body, (("psi", a, mu), ("psi", a, nu)), 1)
             for a in range(1, dim + 1):
                 for rho in range(1, N + 1):
-                    zf1 = zeta_flavor(a, mu, rho)
-                    zf2 = zeta_flavor(a, nu, rho)
+                    zf1 = _zeta_flavor(a, mu, rho)
+                    zf2 = _zeta_flavor(a, nu, rho)
                     if zf1 is None or zf2 is None:
                         continue
                     (fl1, s1), (fl2, s2) = zf1, zf2
@@ -223,9 +222,9 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
     """Table right-hand side for a bracket of two family labels.
 
     Returns (body, anomaly_slope) where the anomaly on m + n = 0 is
-    anomaly_slope * m.  Charge slopes are taken from the double-contraction
-    sums of the actual bodies, so this encodes only the index structure of
-    the table, not independent charge values.
+    anomaly_slope * m.  Charge slopes are read off :func:`mode_commutator`
+    on the actual bodies (see :func:`_slope`), so this encodes only the index
+    structure of the table, not independent charge values.
     """
     s1, s2 = lab1[0], lab2[0]
     o1, o2 = _SPECIES_ORDER[s1], _SPECIES_ORDER[s2]
@@ -241,7 +240,7 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
         a, b = lab1[1], lab2[1]
         terms = [(("J", c), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
         if a == b:
-            slope = -_double_sum(fams[lab1], fams[lab1])
+            slope = _slope(fams[lab1], fams[lab1])
     elif (s1, s2) == ("J", "G"):
         a, (b, mu) = lab1[1], (lab2[1], lab2[2])
         terms = [(("G", c, mu), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
@@ -292,22 +291,18 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
     return out, slope
 
 
-def _double_sum(P: CurrentBody, Q: CurrentBody) -> Scalar:
-    tot: Scalar = Fraction(0)
-    for (a1, b1), al in P.items():
-        for (a2, b2), be in Q.items():
-            if b1 == a2 and b2 == a1:
-                tot = tot + al * be
-    return tot
+def _slope(P: CurrentBody, Q: CurrentBody) -> Scalar:
+    """Anomaly slope of [C_m, D_-m]: the anomaly of :func:`mode_commutator` at m = 1."""
+    return mode_commutator(P, 1, Q, -1)[1]
 
 
 def _tt_slopes(fams: dict, N: int):
     # slopes from two index patterns that isolate k1 and k2
     if N >= 2:
-        k1 = -_double_sum(fams[("T", 1, 2)], fams[("T", 2, 1)])
-        k2 = -_double_sum(fams[("T", 1, 1)], fams[("T", 2, 2)])
+        k1 = _slope(fams[("T", 1, 2)], fams[("T", 2, 1)])
+        k2 = _slope(fams[("T", 1, 1)], fams[("T", 2, 2)])
     else:
-        both = -_double_sum(fams[("T", 1, 1)], fams[("T", 1, 1)])
+        both = _slope(fams[("T", 1, 1)], fams[("T", 1, 1)])
         k1, k2 = both, Fraction(0)  # inseparable at N = 1; report the sum as k1
     return k1, k2
 

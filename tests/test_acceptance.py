@@ -19,7 +19,6 @@ from curralg.formal_algebra import (
 )
 from curralg.wick_currents import (
     build_currents,
-    flavors_for,
     measure_k1_k2,
     measure_level,
     mode_commutator,
@@ -99,7 +98,7 @@ def test_criterion_5_wick_oracle_equivalence():
     fams = build_currents(sc, N)
     labels = sorted(fams)
     mode_pairs = [(m, n) for m in range(-2, 3) for n in range(m, 3)]
-    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, mode_pairs)
+    sweep = oracle_sweep(fams, L, cap, mode_pairs)
     ok = sweep.mismatches == 0 and sweep.columns > 100000
 
     # anomaly location and shape among the current-family brackets

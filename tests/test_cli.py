@@ -374,22 +374,30 @@ def test_config_value_parsing(tmp_path):
 
 def test_config_bad_int(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("level = six\n")
-    with pytest.raises(UsageError, match="run.cfg:1"):
-        load_config_file(str(cfg))
+    for line in ("level = six", "timestamp = maybe", "tolerance = tiny"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(UsageError, match="run.cfg:1"):
+            load_config_file(str(cfg))
+
+
+def test_tables_flag_and_config_key_parse_alike(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tables = mf, emb1\n")
+    args = cli._build_parser().parse_args(["verify-tables", "--tables", "mf,emb1"])
+    assert cli.build_config(args).tables == load_config_file(str(cfg))["tables"] == ("MF", "EMB1")
 
 
 def test_runconfig_validation_errors():
     with pytest.raises(UsageError):
-        RunConfig(dim=0).validated()
+        RunConfig(dim=0)
     with pytest.raises(UsageError):
-        RunConfig(tables=("MF", "NOPE")).validated()
+        RunConfig(tables=("MF", "NOPE"))
     with pytest.raises(UsageError):
-        RunConfig(format="yaml").validated()
+        RunConfig(format="yaml")
     with pytest.raises(UsageError):
-        RunConfig(level=0).validated()
+        RunConfig(level=0)
     with pytest.raises(UsageError):
-        RunConfig(tables=()).validated()
+        RunConfig(tables=())
 
 
 def test_every_config_key_is_a_flag():

@@ -141,8 +141,15 @@ def test_negative_cutoff_admits_no_key(level_max, npart_max):
 def test_safe_keys_are_empty_when_the_mode_room_exceeds_the_level():
     fams = build_currents(build_su(2), 1)
     oracle = FockOracle(fams, 1, 3)
-    assert oracle.safe_keys(flavors_for(3, 1), -3, 2) == []
-    assert oracle.safe_keys(flavors_for(3, 1), -1, 1)[0] == ()
+    assert oracle.safe_keys(-3, 2) == []
+    assert oracle.safe_keys(-1, 1)[0] == ()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_oracle_flavors_are_the_flavors_of_its_bodies(n, N):
+    sc = build_su(n)
+    assert FockOracle(build_currents(sc, N), 4, 3).flavors == set(flavors_for(sc.dim, N))
 
 
 # -- the integer fast path ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import time
@@ -593,12 +594,13 @@ def test_boundary_deviations_shrink_at_next_stage():
 
 
 def test_boundary_probe_keys_sit_on_the_boundary():
-    space = _space()
-    keys = boundary_probe_keys(space)
-    assert any(key[1][0] == space.spec.P for key in keys)
     from curralg.fock_oracle import key_npart
 
-    assert any(key_npart(key[2]) == space.spec.current_cap - 1 for key in keys)
+    for cap in (2, 3, 5):  # cap 2 fills with one phi quantum, a larger cap adds phi^2 quanta
+        space = _space(dataclasses.replace(DEFAULT, current_cap=cap))
+        keys = boundary_probe_keys(space)
+        assert any(key[1][0] == space.spec.P for key in keys)
+        assert any(key_npart(key[2]) == cap - 1 for key in keys)
 
 
 # -- N = 1 degeneration --------------------------------------------------------

@@ -32,7 +32,6 @@ from curralg.wick_currents import (
     check_km_table,
     conventions,
     expected_bracket,
-    flavors_for,
     jacobi_residual,
     measure_k1_k2,
     measure_level,
@@ -132,7 +131,7 @@ def test_wick_engine_matches_matrix_oracle_everywhere():
     t0 = time.time()
     sc, N, L, cap = SU2, 2, 4, 3
     fams = build_currents(sc, N)
-    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, MODE_PAIRS)
+    sweep = oracle_sweep(fams, L, cap, MODE_PAIRS)
     elapsed = time.time() - t0
     assert sweep.mismatches == 0, sweep.first_mismatch
     assert sweep.pairs == len(fams) * (len(fams) + 1) // 2 * len(MODE_PAIRS)
@@ -151,7 +150,7 @@ def test_wick_engine_matches_matrix_oracle_su3_n2():
     sc, N, L, cap = SU3, 2, 1, 3
     fams = build_currents(sc, N)
     mode_pairs = ((-1, 1), (0, 0), (0, 1), (1, 1))
-    sweep = oracle_sweep(fams, flavors_for(sc.dim, N), L, cap, mode_pairs)
+    sweep = oracle_sweep(fams, L, cap, mode_pairs)
     elapsed = time.time() - t0
     assert sweep.mismatches == 0, sweep.first_mismatch
     assert sweep.pairs == len(fams) * (len(fams) + 1) // 2 * len(mode_pairs)
