@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -62,8 +63,8 @@ class RunConfig:
             raise UsageError("level must be at least 1")
         if self.momentum_window < 1 or self.mode_window < 1:
             raise UsageError("momentum and mode windows must be at least 1")
-        if self.tolerance < 0:
-            raise UsageError("tolerance must not be negative")
+        if not 0 <= self.tolerance < math.inf:
+            raise UsageError(f"tolerance must be finite and not negative, got {self.tolerance!r}")
         if self.format not in ("text", "json"):
             raise UsageError(f"format must be text or json, got {self.format!r}")
 
@@ -389,33 +390,28 @@ def cmd_measure(cfg: RunConfig) -> tuple:
 
     scale = max(abs(float(v)) for v in (k, k1, k2, fit.c1, fit.c2))
     floor = certification_floor(scale)
-    residuals = {
-        "k_cross_sector": max(abs(k_s1 - float(k)), floor),
-        "c1_identity": max(abs(fit.c1 - (1 + float(k1))), floor),
-        "c2_identity": max(abs(fit.c2 - float(k2)), floor),
-        "cocycle_fit": max(fit.residual, floor),
-    }
-    brackets = {
-        "k_cross_sector": "[J^a(m), J^a(n)] one-chain term vs [J^a_m, J^a_n] anomaly",
-        "c1_identity": "[L_2(m), L_1(n)] cocycle vs 1 + k1",
-        "c2_identity": "[L_1(m), L_2(n)] cocycle vs k2",
-        "cocycle_fit": "[L_mu(m), L_nu(n)] minus its bilinear part vs m_rho S1^rho(m+n)",
-    }
-
+    # one (key, residual, bracket) row per measured check
+    checks = [
+        ("k_cross_sector", max(abs(k_s1 - float(k)), floor),
+         "[J^a(m), J^a(n)] one-chain term vs [J^a_m, J^a_n] anomaly"),
+        ("c1_identity", max(abs(fit.c1 - (1 + float(k1))), floor), "[L_2(m), L_1(n)] cocycle vs 1 + k1"),
+        ("c2_identity", max(abs(fit.c2 - float(k2)), floor), "[L_1(m), L_2(n)] cocycle vs k2"),
+        ("cocycle_fit", max(fit.residual, floor),
+         "[L_mu(m), L_nu(n)] minus its bilinear part vs m_rho S1^rho(m+n)"),
+    ]
     charges = {"k": float(k), "c1": fit.c1, "c2": fit.c2}
-    numeric_tables = [t for t in cfg.tables if t in vf.NUMERIC_TABLES]
-    for table_name in numeric_tables:
+    for table_name in [t for t in cfg.tables if t in vf.NUMERIC_TABLES]:
         rows = vf.check_table_numeric(table_name, space, charges, window=cfg.momentum_window)
         worst = max(rows, key=lambda r: r.deviation)
-        key = f"sweep_{table_name}"
-        residuals[key] = max(worst.deviation, floor)
         if worst.deviation > 0:
-            brackets[key] = f"[{worst.label1}({worst.m}), {worst.label2}({worst.n})]"
+            where = f"[{worst.label1}({worst.m}), {worst.label2}({worst.n})]"
         else:
-            brackets[key] = f"all {len(rows)} brackets exact at this window"
+            where = f"all {len(rows)} brackets exact at this window"
+        checks.append((f"sweep_{table_name}", max(worst.deviation, floor), where))
 
-    worst_key = max(residuals, key=lambda key: residuals[key])
-    ok = residuals[worst_key] <= tol
+    residuals = {key: value for key, value, _ in checks}
+    _, worst_value, worst_bracket = max(checks, key=lambda check: check[1])
+    ok = worst_value <= tol
 
     report = Report("charge measurement")
     report.add(
@@ -456,7 +452,7 @@ def cmd_measure(cfg: RunConfig) -> tuple:
         result_rows.append(
             (
                 "diagnostic",
-                f"worst bracket: {brackets[worst_key]}; residual {residuals[worst_key]:.3e} "
+                f"worst bracket: {worst_bracket}; residual {worst_value:.3e} "
                 f"exceeds tolerance {tol:g}",
             )
         )

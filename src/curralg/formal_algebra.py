@@ -35,6 +35,7 @@ __all__ = [
     "AlgebraTable",
     "TableMismatchError",
     "TABLE_NAMES",
+    "TABLE_SPECIES",
     "make_table",
     "J",
     "G",
@@ -59,15 +60,15 @@ __all__ = [
 
 _SPECIES_ORDER = {"L": 0, "J": 1, "G": 2, "H": 3, "S1": 4, "S3": 5, "1": 9}
 
-TABLE_NAMES = ("MF", "EMB1", "CLASSICAL_MF", "EMB2", "DIFF_EXT")
-
-_TABLE_SPECIES = {
+# the species of each table; its extension terms are the ones these allow
+TABLE_SPECIES = {
     "MF": ("J", "H", "S3"),
     "EMB1": ("J", "G", "H", "S3"),
     "CLASSICAL_MF": ("J", "H", "S1"),
     "EMB2": ("J", "G", "H", "S1"),
     "DIFF_EXT": ("L", "J", "G", "H", "S1"),
 }
+TABLE_NAMES = tuple(TABLE_SPECIES)
 
 _K = Poly.variable("k")
 _C1 = Poly.variable("c1")
@@ -396,18 +397,18 @@ class AlgebraTable:
             raise ValueError(f"unknown chain_mode {chain_mode!r}")
         if N < 1:
             raise ValueError("N must be positive")
-        if name in ("MF", "EMB1") and N < 2:
+        if "S3" in TABLE_SPECIES[name] and N < 2:
             raise ValueError(f"{name} table needs N >= 2 (the three-chain species is trivial only from N = 2 up)")
         if chain_mode == "CONCRETE_3D":
             if N != 3:
                 raise ValueError("CONCRETE_3D chain mode requires N = 3")
-            if "S3" not in _TABLE_SPECIES[name]:
+            if "S3" not in TABLE_SPECIES[name]:
                 raise ValueError(f"{name} table has no three-chain to concretize")
         self.name = name
         self.sc = sc
         self.N = N
         self.chain_mode = chain_mode
-        self.species = _TABLE_SPECIES[name]
+        self.species = TABLE_SPECIES[name]
         # sparse views of f and d for the adjoint sums; integral values as int
         self._f_rows: dict = {}
         self._d_rows: dict = {}
@@ -460,75 +461,49 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
     if cached is not None:
         return cached
 
-    name = table.name
     s1, s2 = t1.species, t2.species
     m, n = t1.arg, t2.arg
     tot = m + n
     out = _Out(table)
 
-    if s1 == "J" and s2 == "J":
+    if s1 == "J" and s2 in _ADJOINT_SPECIES:
+        # the adjoint action [J^a, X^b] = f^{abc} X^c, then the extension
+        # terms that the table's species allow
         a, b = t1.adjoint, t2.adjoint
         for c, v in table._f_rows.get((a, b), ()):
-            out.add("J", c, (), tot, v)
-        if name in ("MF", "CLASSICAL_MF"):
+            out.add(s2, c, t2.sidx, tot, v)
+        if s2 == "J" and "G" not in table.species:
             for c, v in table._d_rows.get((a, b), ()):
                 for mu in range(1, table.N + 1):
                     for nu in range(1, table.N + 1):
                         if mu != nu:
                             out.add("H", c, (mu, nu), tot, m.component(mu) * n.component(nu) * v)
-        if name in ("CLASSICAL_MF", "EMB2", "DIFF_EXT") and a == b:
+        if s2 == "J" and a == b and "S1" in table.species:
             for rho in range(1, table.N + 1):
                 out.add("S1", 0, (rho,), tot, -_K * m.component(rho))
-    elif s1 == "J" and s2 == "G":
-        a, b = t1.adjoint, t2.adjoint
-        for c, v in table._f_rows.get((a, b), ()):
-            out.add("G", c, t2.sidx, tot, v)
-    elif s1 == "J" and s2 == "H":
-        a, b = t1.adjoint, t2.adjoint
-        for c, v in table._f_rows.get((a, b), ()):
-            out.add("H", c, t2.sidx, tot, v)
-        if name in ("MF", "EMB1") and a == b:
+        if s2 == "H" and a == b and "S3" in table.species:
             mu, nu = t2.sidx
             for rho in range(1, table.N + 1):
                 out.add("S3", 0, (mu, nu, rho), tot, m.component(rho))
     elif s1 == "G" and s2 == "G":
-        a, b = t1.adjoint, t2.adjoint
-        if name in ("EMB1", "EMB2", "DIFF_EXT"):
-            mu, nu = t1.sidx[0], t2.sidx[0]
-            for c, v in table._d_rows.get((a, b), ()):
-                out.add("H", c, (mu, nu), tot, v)
+        for c, v in table._d_rows.get((t1.adjoint, t2.adjoint), ()):
+            out.add("H", c, t1.sidx + t2.sidx, tot, v)
+    elif s1 == "L" and s2 == "L":
+        mu, nu = t1.sidx[0], t2.sidx[0]
+        out.add("L", 0, (nu,), tot, n.component(mu))
+        out.add("L", 0, (mu,), tot, -m.component(nu))
+        cocycle = _C1 * m.component(nu) * n.component(mu) + _C2 * m.component(mu) * n.component(nu)
+        for rho in range(1, table.N + 1):
+            out.add("S1", 0, (rho,), tot, cocycle * m.component(rho))
     elif s1 == "L":
-        mu = t1.sidx[0]
-        if s2 == "L":
-            nu = t2.sidx[0]
-            out.add("L", 0, (nu,), tot, n.component(mu))
-            out.add("L", 0, (mu,), tot, -m.component(nu))
-            cocycle = _C1 * m.component(nu) * n.component(mu) + _C2 * m.component(mu) * n.component(nu)
-            for rho in range(1, table.N + 1):
-                out.add("S1", 0, (rho,), tot, cocycle * m.component(rho))
-        elif s2 == "J":
-            out.add("J", t2.adjoint, (), tot, n.component(mu))
-        elif s2 == "G":
-            nu = t2.sidx[0]
-            out.add("G", t2.adjoint, (nu,), tot, n.component(mu))
-            if nu == mu:
-                for rho in range(1, table.N + 1):
-                    out.add("G", t2.adjoint, (rho,), tot, m.component(rho))
-        elif s2 == "H":
-            nu, rho = t2.sidx
-            out.add("H", t2.adjoint, (nu, rho), tot, n.component(mu))
+        # the Lie derivative: n_mu X(m+n), plus m_sig X(m+n) with each
+        # spacetime index of X that equals mu moved to sig
+        mu, sidx = t1.sidx[0], t2.sidx
+        out.add(s2, t2.adjoint, sidx, tot, n.component(mu))
+        for i, nu in enumerate(sidx):
             if nu == mu:
                 for sig in range(1, table.N + 1):
-                    out.add("H", t2.adjoint, (sig, rho), tot, m.component(sig))
-            if rho == mu:
-                for sig in range(1, table.N + 1):
-                    out.add("H", t2.adjoint, (nu, sig), tot, m.component(sig))
-        elif s2 == "S1":
-            nu = t2.sidx[0]
-            out.add("S1", 0, (nu,), tot, n.component(mu))
-            if nu == mu:
-                for rho in range(1, table.N + 1):
-                    out.add("S1", 0, (rho,), tot, m.component(rho))
+                    out.add(s2, t2.adjoint, sidx[:i] + (sig,) + sidx[i + 1:], tot, m.component(sig))
     # every other ordered pair (chains against non-L, H against G/H, ...) is zero
 
     expr = out.expression()

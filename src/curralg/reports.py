@@ -40,12 +40,9 @@ class Report:
     def add(self, name: str, rows) -> None:
         self._sections.append((name, [(str(k), str(v)) for k, v in rows]))
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
+    def extend(self, other: "Report", prefix: str) -> None:
         for name, rows in other._sections:
-            self._sections.append((prefix + name if prefix else name, list(rows)))
-
-    def to_dict(self) -> dict:
-        return {name: dict(rows) for name, rows in self._sections}
+            self._sections.append((prefix + name, list(rows)))
 
     def render_text(self, timestamp: bool = True) -> str:
         lines = [f"# {self.title}"]
@@ -60,4 +57,5 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
-        return json.dumps({"title": self.title, "sections": self.to_dict()}, indent=2) + "\n"
+        sections = {name: dict(rows) for name, rows in self._sections}
+        return json.dumps({"title": self.title, "sections": sections}, indent=2) + "\n"

@@ -654,7 +654,7 @@ def default_charges(space: VertexSpace) -> dict:
     return {"k": float(measure_level(space.sc, space.spec.N)), "c1": fit.c1, "c2": fit.c2}
 
 
-NUMERIC_TABLES = ("CLASSICAL_MF", "EMB2", "DIFF_EXT")
+NUMERIC_TABLES = tuple(name for name, species in fa.TABLE_SPECIES.items() if "S3" not in species)
 
 
 def _numeric_context(table_name: str, space: VertexSpace) -> tuple:

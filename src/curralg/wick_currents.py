@@ -236,52 +236,38 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
 
     terms = []
     slope: Scalar = Fraction(0)
-    if (s1, s2) == ("J", "J"):
+    if s1 == "J" and s2 in ("J", "G", "H"):
+        # the adjoint action [J^a, X^b] = f^{abc} X^c
         a, b = lab1[1], lab2[1]
-        terms = [(("J", c), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
-        if a == b:
+        terms = [((s2, c) + lab2[2:], sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
+        if lab1 == lab2:
             slope = _slope(fams[lab1], fams[lab1])
-    elif (s1, s2) == ("J", "G"):
-        a, (b, mu) = lab1[1], (lab2[1], lab2[2])
-        terms = [(("G", c, mu), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
-    elif (s1, s2) == ("J", "H"):
-        a, (b, mu, nu) = lab1[1], (lab2[1], lab2[2], lab2[3])
-        terms = [(("H", c, mu, nu), sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
     elif (s1, s2) == ("G", "G"):
-        (a, mu), (b, nu) = (lab1[1], lab1[2]), (lab2[1], lab2[2])
-        if mu != nu:
-            sign = 1 if mu < nu else -1
-            lo, hi = min(mu, nu), max(mu, nu)
-            terms = [(("H", c, lo, hi), sc.d_at(a, b, c) * sign) for c in range(1, sc.dim + 1)]
-    elif (s1, s2) in (("G", "H"), ("H", "H"), ("J", "T")):
-        pass  # these brackets vanish
+        (a, mu), (b, nu) = lab1[1:], lab2[1:]
+        for c in range(1, sc.dim + 1):
+            zf = _zeta_flavor(c, mu, nu)
+            if zf is not None:
+                terms.append((("H",) + zf[0][1:], sc.d_at(a, b, c) * zf[1]))
     elif (s1, s2) == ("G", "T"):
-        (a, sig), (mu, nu) = (lab1[1], lab1[2]), (lab2[1], lab2[2])
+        (a, sig), (mu, nu) = lab1[1:], lab2[1:]
         if sig == nu:
             terms = [(("G", a, mu), Fraction(-1))]
     elif (s1, s2) == ("H", "T"):
-        (a, sig, tau), (mu, nu) = (lab1[1], lab1[2], lab1[3]), (lab2[1], lab2[2])
-        raw = []
-        if sig == nu:
-            raw.append((a, mu, tau, -1))
-        if tau == nu:
-            raw.append((a, sig, mu, -1))
-        for aa, x, y, sgn in raw:
-            if x == y:
-                continue
-            flip = 1 if x < y else -1
-            raw_lab = ("H", aa, min(x, y), max(x, y))
-            terms.append((raw_lab, Fraction(sgn * flip)))
+        (a, sig, tau), (mu, nu) = lab1[1:], lab2[1:]
+        # -H^{a mu tau} when sig == nu, -H^{a sig mu} when tau == nu
+        for hit, x, y in ((sig == nu, mu, tau), (tau == nu, sig, mu)):
+            zf = _zeta_flavor(a, x, y)
+            if hit and zf is not None:
+                terms.append((("H",) + zf[0][1:], Fraction(-zf[1])))
     elif (s1, s2) == ("T", "T"):
-        (mu, nu), (sig, tau) = (lab1[1], lab1[2]), (lab2[1], lab2[2])
+        (mu, nu), (sig, tau) = lab1[1:], lab2[1:]
         if sig == nu:
             terms.append((("T", mu, tau), Fraction(1)))
         if mu == tau:
             terms.append((("T", sig, nu), Fraction(-1)))
         k1, k2 = _tt_slopes(fams, N)
         slope = k1 * int(mu == tau) * int(sig == nu) + k2 * int(mu == nu) * int(sig == tau)
-    else:
-        raise AssertionError(f"no table entry for {lab1} {lab2}")
+    # every other species pair (G-H, H-H, J-T) vanishes
 
     out: CurrentBody = {}
     for label, coeff in terms:

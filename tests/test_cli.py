@@ -13,6 +13,7 @@ from dataclasses import fields
 import pytest
 
 from curralg import cli
+from curralg import vertex_fock as vf
 from curralg.cli import RunConfig, UsageError, load_config_file, main, parse_su
 
 
@@ -240,6 +241,29 @@ def test_measure_tolerance_below_certification_floor_fails(capsys):
         assert f"exceeds tolerance {tolerance}" in out
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_measure_rejects_a_tolerance_that_is_not_finite(capsys, tolerance):
+    code, out, err = run(capsys, "measure", "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be finite and not negative" in err
+
+
+def test_measure_names_the_worst_sweep_bracket(capsys, monkeypatch):
+    # the sweeps pass at su(2), so a planted deviation stands in for a failing one
+    deviation = vf.BracketDeviation(("J", 1), ("H", 1, 1, 2), (1, 0), (0, 1), 0.5)
+    monkeypatch.setattr(vf, "check_table_numeric", lambda *args, **kwargs: [deviation])
+    code, out, _ = run(
+        capsys, "measure", "--algebra", "su2", "--dim", "2", "--tables", "CLASSICAL_MF", "--no-timestamp",
+    )
+    assert code == 1
+    assert "sweep_CLASSICAL_MF = 5.000e-01\n" in out
+    assert out.endswith(
+        "diagnostic = worst bracket: [('J', 1)((1, 0)), ('H', 1, 1, 2)((0, 1))]; "
+        "residual 5.000e-01 exceeds tolerance 1e-08\n"
+    )
+
+
 def test_measure_json_contract(capsys):
     code, out, _ = run(
         capsys, "measure", "--algebra", "su2", "--dim", "2",
@@ -398,6 +422,9 @@ def test_runconfig_validation_errors():
         RunConfig(level=0)
     with pytest.raises(UsageError):
         RunConfig(tables=())
+    for tolerance in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError, match="tolerance must be finite and not negative"):
+            RunConfig(tolerance=tolerance)
 
 
 def test_every_config_key_is_a_flag():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -36,7 +37,7 @@ from curralg.formal_algebra import (
     reduce_closedness,
     verify_embedding,
 )
-from curralg.formal_algebra import _triples
+from curralg.formal_algebra import _FAILURES_LISTED, _triples
 from curralg.poly import Poly
 from curralg.scalars import SurdSum
 
@@ -338,6 +339,15 @@ def test_jacobiator_vanishes(name, sc, N):
     assert rep.triples_checked > 0
 
 
+def test_emb1_is_not_a_lie_algebra():
+    # the (J, G, G) obstruction makes the plain sweep fail; the report lists
+    # the first failures in sweep order
+    rep = jacobi_sweep(make_table("EMB1", SU3, 3))
+    assert not rep.passed
+    assert len(rep.failures) == _FAILURES_LISTED == 20
+    assert rep.failures[0] == ("(J^1(m), G^1{1}(n), G^8{2}(r))", "1/3*sqrt(3)*m_3*S3{1,2,3}(m+n+r)")
+
+
 # (J, G, G) and other triple counts of the EMB1 sweep, by (dim of the Lie algebra, N)
 _EMB1_TRIPLES = {(3, 2): (63, 301), (3, 3): (135, 1889), (8, 2): (1088, 4896), (8, 3): (2400, 30109)}
 
@@ -521,3 +531,38 @@ def test_generator_terms_keep_fields_repr_and_equality():
     assert term != GeneratorTerm("J", 1, (), _sym("n"))
     assert arg + _sym("n") == Momentum(3, (("m", 1), ("n", 1)))
     assert (arg + -arg).is_zero
+
+
+# -- pinned tables ---------------------------------------------------------------
+
+# SHA-256 of every rendered bracket [x_i(m), y_j(n)], i <= j in all_generators
+# order, one per line.  The Jacobi sweeps pass on any consistent table; these
+# digests change when any entry of a table does.
+_TABLE_DIGESTS = {
+    (3, 3, "MF"): "3190a94c0450f827ed8c2d2b8e12943fe5fc88897a3786aad2dbc2d89cc0623f",
+    (3, 3, "EMB1"): "8830f45d646d99bf4c44d1cba8acd57cbec4ffd6c7d5df5df4a99e80d66a77b4",
+    (3, 3, "CLASSICAL_MF"): "3de20a65b14aa5e7653e8e5232169fa5837d3b51329733f4355c7a0bb70c8ccd",
+    (3, 3, "EMB2"): "e28ff81599dddeb6f7b020682adf8fcb70c0c108b4fe841da075852ffa353523",
+    (3, 3, "DIFF_EXT"): "3668aae8c1ab692def82d0d2a4e907cd1d6e56d3f8ea549e0baa80934f06264a",
+    (2, 4, "MF"): "c198d4de927520ec8c11b437cdebf31052dff1a3a1e167a9eca2c07fa94a1687",
+    (2, 4, "EMB1"): "ec0e1edcb5a8da362e03365ce2a7bc2ec694d9bae3489a1946c97efe173fa3fc",
+    (2, 4, "CLASSICAL_MF"): "60ed3da5b6442d29f3b2671aac1708cee8e80a292e183d5ab2a9d28e6ea0af20",
+    (2, 4, "EMB2"): "651b155f5ea27ff5e8abec607d8e5b94377a6ddf169dc2bd69f87529201795cd",
+    (2, 4, "DIFF_EXT"): "467057898f5e48e53ca634c2ef9c1fcfe0af2bd8f4d97f9e7598c8bfdce07dc5",
+}
+
+
+def test_every_table_entry_is_pinned():
+    got = {}
+    for n, N in ((3, 3), (2, 4)):
+        sc = build_su(n)
+        for name in TABLE_NAMES:
+            table = make_table(name, sc, N)
+            xs = all_generators(table, _sym("m", N))
+            ys = all_generators(table, _sym("n", N))
+            digest = hashlib.sha256()
+            for i, (_, x) in enumerate(xs):
+                for _, y in ys[i:]:
+                    digest.update((bracket(table, x, y).render() + "\n").encode("utf-8"))
+            got[(n, N, name)] = digest.hexdigest()
+    assert got == _TABLE_DIGESTS

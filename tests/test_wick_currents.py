@@ -37,6 +37,7 @@ from curralg.wick_currents import (
     measure_level,
     mode_commutator,
 )
+from curralg.wick_currents import _check_pair
 
 SU2 = build_su(2)
 SU3 = build_su(3)
@@ -262,6 +263,27 @@ def test_su3_gg_bracket_hits_d_channel():
                     want[pair] = new
     assert SU3.d_at(1, 1, 8) != 0
     assert body == want
+
+
+@pytest.mark.parametrize(
+    "planted, pair, detail",
+    [
+        (("G", 2, 1), (("J", 1), ("G", 2, 1)), "bilinear mismatch"),
+        (
+            ("T", 1, 1),
+            (("T", 1, 1), ("T", 1, 1)),
+            "anomaly at m=1 is not -57*m; anomaly at m=2 is not -57*m; anomaly at m=3 is not -57*m",
+        ),
+    ],
+    ids=["G-body", "T-anomaly"],
+)
+def test_check_pair_catches_a_doubled_body(planted, pair, detail):
+    fams = build_currents(SU2, 2)
+    assert _check_pair(fams, SU2, 2, *pair).ok
+    fams[planted] = {key: 2 * coeff for key, coeff in fams[planted].items()}
+    check = _check_pair(fams, SU2, 2, *pair)
+    assert not check.ok
+    assert check.detail == detail
 
 
 def test_expected_bracket_antisymmetry():
