@@ -230,7 +230,7 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
         report.add(f"table {table_name}", rows)
 
     emb_rows = []
-    for src_name, dst_name in (("CLASSICAL_MF", "EMB2"), ("MF", "EMB1")):
+    for src_name, dst_name in fa.EMBEDDINGS:
         if dst_name not in cfg.tables and src_name not in cfg.tables:
             continue
         erep = fa.verify_embedding(

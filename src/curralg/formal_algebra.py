@@ -49,6 +49,7 @@ __all__ = [
     "jacobiator",
     "reduce_closedness",
     "redefine",
+    "EMBEDDINGS",
     "verify_embedding",
     "all_generators",
     "jacobi_sweep",
@@ -794,6 +795,10 @@ class EmbeddingReport:
         return not self.mismatches
 
 
+# the (source, target) table pairs the redefinition embeds one into the other
+EMBEDDINGS = (("CLASSICAL_MF", "EMB2"), ("MF", "EMB1"))
+
+
 def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingReport:
     """Exact check that the redefinition intertwines source and target brackets.
 
@@ -801,11 +806,10 @@ def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingRep
     bracket(target, redefine(X), redefine(Y)) and redefine(bracket(source, X, Y))
     must agree exactly.
     """
-    allowed = {("MF", "EMB1"), ("CLASSICAL_MF", "EMB2")}
-    if (source.name, target.name) not in allowed:
+    if (source.name, target.name) not in EMBEDDINGS:
         raise ValueError(
             f"unsupported pair ({source.name}, {target.name}); "
-            f"supported source -> target pairs: {sorted(allowed)}"
+            f"supported source -> target pairs: {sorted(EMBEDDINGS)}"
         )
     if source.sc is not target.sc and (source.sc.f != target.sc.f or source.sc.d != target.sc.d):
         raise ValueError("source and target must share structure constants")

@@ -20,19 +20,31 @@ hold to float precision on any state inside the cutoffs; deviations appear
 only where the momentum window or the current-sector particle cap clips an
 intermediate state, and those shrink as the truncation stage grows.
 
-Each space memoises the per-key terms of its two kernels: the current
-bilinear terms per (label, mode, cur_key) and the vertex terms per
-(m, j, qp_key).  A list holds the terms as its kernel produced them,
-without the state's amplitude, and a state adds ``amp * coeff`` per term in
-list order, so memoised and recomputed columns agree bit for bit.  Folding
-the amplitude in, or merging the vertex terms per key, would reorder the
-float sums.
+Every realized operator shifts the lattice label w by its momentum m, and
+but for one term of L its amplitudes do not depend on w, so a column is its
+kernel at w + m.  The kernel of an operator on an oscillator key
+(qp_key, cur_key) is its projected column on (qp_key, 0, cur_key) with the
+lattice label taken out, built once.  The column on (qp_key, w, cur_key)
+puts every kernel term at w + m, and is empty when w + m leaves the window,
+since all its terms land on that one point.  The term that depends on w is
+L's zero mode w_mu V_{m,0}: L's kernel keeps it apart and adds it times w_mu
+after the momentum part and before the current part, where the direct sum
+adds it.  Built at amplitude 1.0 and kept in column order, a kernel column
+is the projected exact application bit for bit.
 
-The projected columns live per space too, keyed by operator and then by
-basis key.  The operator key is the only description of an operator, and
-:meth:`VertexSpace.apply` maps it to the operator.  A column depends on the
-operator and the space alone, so every generator set on one space, and every
-table sweep and charge fit run on it, computes each column once.
+Each space also memoises the per-key terms the kernels are built from: the
+current bilinear terms per (label, mode, cur_key) and the vertex terms per
+(m, j, qp_key).  A list holds the terms as they were produced, without the
+state's amplitude, and a state adds ``amp * coeff`` per term in list order,
+so memoised and recomputed columns agree bit for bit.  Folding the amplitude
+in, or merging the vertex terms per key, would reorder the float sums.
+
+The kernels and the projected columns live per space, keyed by operator and
+then by oscillator key or basis key.  The operator key is the only
+description of an operator, and :meth:`VertexSpace.apply` maps it to the
+operator.  A column depends on the operator and the space alone, so every
+generator set on one space, and every table sweep and charge fit run on it,
+computes each kernel and each column once.
 
 Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
 n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
@@ -49,6 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
@@ -179,17 +192,23 @@ class VertexSpace:
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
         self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
-        # Projected columns: operator key -> {basis key: column}; see OperatorMatrix.
+        # Column kernels: operator key -> {(qp_key, cur_key): kernel}, and the
+        # projected columns: operator key -> {basis key: column}; see OperatorMatrix.
+        self._kernels: dict = {}
         self._columns: dict = {}
 
     # -- truncation --------------------------------------------------------
+
+    def in_window(self, w: tuple) -> bool:
+        """Whether the lattice point w lies in the window |w_mu| <= P."""
+        return max(map(abs, w)) <= self.spec.P
 
     def project(self, state: dict) -> dict:
         sp = self.spec
         out = {}
         for key, amp in state.items():
             qp_key, w, cur_key = key
-            if any(abs(c) > sp.P for c in w):
+            if not self.in_window(w):
                 continue
             level, npart = key_level_npart(cur_key)
             if key_level(qp_key) + level > sp.L or npart > sp.current_cap:
@@ -337,33 +356,65 @@ class VertexSpace:
         return out
 
     def apply_L(self, mu: int, m: tuple, state: dict, include_T: bool = True) -> dict:
-        """Dressed momentum plus current part.
+        """Dressed momentum plus current part, key by key (see :meth:`_L_parts`)."""
+        out: dict = {}
+        for key, amp in state.items():
+            for part, axis in self._L_parts(mu, m, {key: amp}, include_T):
+                state_add(out, part, 1 if axis is None else key[1][axis])
+        return out
+
+    def _L_parts(self, mu: int, m: tuple, state: dict, include_T: bool) -> list:
+        """The summands of L_mu(m) on ``state``, as (part, axis) pairs in the order they add up.
 
         The momentum part is -i :V_m p_mu: with p's creation modes left of
         the vertex factor, annihilation modes right, and the zero mode acting
         on the undressed lattice label (diagonal value i w_mu) before the
         shift; in the rephased basis the -i and the zero mode's i drop out.
-        The current part is m_nu sum_j V_{m,j} T^nu_{mu,-j}.
+        That zero-mode term w_mu V_{m,0} is the one term of any operator here
+        that depends on w: its part is V_{m,0} alone, with axis mu - 1, and
+        is added times w[axis].  Every other part has axis None.  The current
+        part is m_nu sum_j V_{m,j} T^nu_{mu,-j}, one part per nu, with m_nu
+        already multiplied in (adding it then multiplies by 1, which keeps
+        every float).
         """
-        out: dict = {}
+        momentum: dict = {}
         for k in range(1, self.spec.M + 1):
             # p_{mu,-k} V_{m,k}: vertex first, then the p creator
             mid = self.apply_vertex(m, k, state)
             if mid:
-                state_add(out, self._qp_osc(mid, mu, True, -k))
+                state_add(momentum, self._qp_osc(mid, mu, True, -k))
             # V_{m,-k} p_{mu,k}: the p annihilator first
             mid = self._qp_osc(state, mu, True, k)
             if mid:
-                state_add(out, self.apply_vertex(m, -k, mid))
-        diag = {key: amp * key[1][mu - 1] for key, amp in state.items() if key[1][mu - 1] != 0}
-        if diag:
-            state_add(out, self.apply_vertex(m, 0, diag))
+                state_add(momentum, self.apply_vertex(m, -k, mid))
+        parts = [(momentum, None), (self.apply_vertex(m, 0, state), mu - 1)]
         if include_T:
             for nu in range(1, self.spec.N + 1):
                 if m[nu - 1] == 0:
                     continue
-                state_add(out, self._dressed_current(("T", nu, mu), m, state), m[nu - 1])
-        return out
+                current: dict = {}
+                state_add(current, self._dressed_current(("T", nu, mu), m, state), m[nu - 1])
+                parts.append((current, None))
+        return parts
+
+    def kernel(self, op_key: tuple, qp_key: tuple, cur_key: tuple) -> tuple:
+        """The column of ``op_key`` on (qp_key, 0, cur_key), with its lattice label taken out.
+
+        Returns (terms, rest).  ``terms`` is the projected column of every
+        operator but L, as (qp_key, cur_key, amplitude) triples in column
+        order; for L it holds the momentum part, and ``rest`` its other
+        parts in order (see :meth:`_L_parts`), each as (terms, axis).  Every
+        term sits at w = m, inside the window, so the projection filters
+        only levels and caps, which no operator's w enters.
+        """
+        head, m, arg = op_key
+        state = {(qp_key, (0,) * self.spec.N, cur_key): 1.0}
+        parts = self._L_parts(head[1], m, state, arg) if head[0] == "L" else [(self.apply(op_key, state), None)]
+        (terms, _), *rest = [
+            (tuple((qp2, cur2, amp) for (qp2, _, cur2), amp in self.project(part).items()), axis)
+            for part, axis in parts
+        ]
+        return terms, tuple(rest)
 
 
 def _apply_body_to_key(body: CurrentBody, mode: int, cur_key: tuple) -> list:
@@ -383,10 +434,14 @@ class OperatorMatrix:
 
     ``column(key)`` is the exact application to one basis state followed by
     projection onto the truncated space, so operator products compose with
-    matrix semantics (project after every factor).  ``op_key`` is the
+    matrix semantics (project after every factor).  It is read off the
+    kernel of the key's oscillator part (:meth:`VertexSpace.kernel`), whose
+    terms it puts at w + m, adding L's zero-mode term w_mu V_{m,0} in its
+    place; it is empty when w + m leaves the window.  ``op_key`` is the
     operator, ("V", m, j) for V_{m,j} or (label, m, include_T) for a label in
-    ``space.labels``, with m in the lattice window.  Its columns live in the
-    space: every handle with the same key on one space fills one dict.
+    ``space.labels``, with m in the lattice window.  Its kernels and columns
+    live in the space: every handle with the same key on one space fills
+    one dict of each.
     """
 
     def __init__(self, space: VertexSpace, op_key: tuple):
@@ -395,16 +450,28 @@ class OperatorMatrix:
             raise ValueError(f"unknown generator label {label!r}")
         if len(m) != space.spec.N:
             raise ValueError("lattice vector has wrong dimension")
-        if any(abs(c) > space.spec.P for c in m):
+        if not space.in_window(m):
             raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
         self.space = space
         self.op_key = op_key
+        self._kernels = space._kernels.setdefault(op_key, {})
         self._columns = space._columns.setdefault(op_key, {})
 
     def column(self, key: tuple) -> dict:
         hit = self._columns.get(key)
         if hit is None:
-            hit = self.space.project(self.space.apply(self.op_key, {key: 1.0}))
+            qp_key, w, cur_key = key
+            w2 = tuple(map(add, w, self.op_key[1]))
+            hit = {}
+            if self.space.in_window(w2):
+                kernel = self._kernels.get((qp_key, cur_key))
+                if kernel is None:
+                    kernel = self._kernels[qp_key, cur_key] = self.space.kernel(self.op_key, qp_key, cur_key)
+                terms, rest = kernel
+                hit = {(qp2, w2, cur2): amp for qp2, cur2, amp in terms}
+                for terms, axis in rest:
+                    part = {(qp2, w2, cur2): amp for qp2, cur2, amp in terms}
+                    state_add(hit, part, 1 if axis is None else w[axis])
             self._columns[key] = hit
         return hit
 
@@ -430,9 +497,11 @@ class RealizedGenerators:
 
     Labels are those of :attr:`formal_algebra.GeneratorTerm.label` for the
     species J, G, H, S1 and L; each takes a lattice vector m.  Each set keeps
-    its own handle per (label, m), but the columns behind a handle live in
-    the shared :class:`VertexSpace` under (label, m, include_T), beside its
-    per-key term memos, so two sets on one space share every column.
+    its own handle per (label, m), but the kernels and columns behind a
+    handle live in the shared :class:`VertexSpace` under (label, m,
+    include_T), beside its per-key term memos, so two sets on one space
+    share every kernel and column.  A column is its kernel at w + m; only
+    L's zero-mode term w_mu V_{m,0} depends on w (see :class:`OperatorMatrix`).
     """
 
     def __init__(self, space: VertexSpace, include_T: bool = True):
@@ -612,6 +681,12 @@ def _symbolic_generator(label: tuple, symbol: str, N: int) -> fa.Expression:
     return fa.generator(label, fa.Momentum.symbol(symbol, N))
 
 
+@lru_cache(maxsize=None)
+def _momentum_variables(N: int) -> tuple:
+    """The component variables m_1..m_N, n_1..n_N of the momentum symbols m and n."""
+    return tuple(f"{symbol}_{mu}" for symbol in "mn" for mu in range(1, N + 1))
+
+
 def _expected_column(
     gens: RealizedGenerators,
     table,
@@ -632,9 +707,7 @@ def _expected_column(
     expr = fa.bracket(table, _symbolic_generator(label1, "m", N), _symbolic_generator(label2, "n", N))
     vectors = {"m": m, "n": n}
     assignment = dict(charges)
-    for i in range(N):
-        assignment[f"m_{i+1}"] = m[i]
-        assignment[f"n_{i+1}"] = n[i]
+    assignment.update(zip(_momentum_variables(N), m + n))
     out: dict = {}
     for term, poly in expr.terms.items():
         coeff = float(poly.evaluate(assignment))
@@ -688,10 +761,13 @@ def check_table_numeric(
     ``charges`` gives the charges k, c1, c2 (see :func:`default_charges`).
     Only the tables whose species are all realized here are accepted (the
     three-chain tables are not); a negative window or an empty probe list
-    would check nothing and is rejected.
+    would check nothing and is rejected.  A closed form holds generators at
+    m + n, so the window must satisfy 2 * window <= P.
     """
     if window < 0:
         raise ValueError(f"window must not be negative, got {window}")
+    if 2 * window > space.spec.P:
+        raise ValueError(f"window {window} needs P >= {2 * window}, got P={space.spec.P}")
     if probes is not None and not probes:
         raise ValueError("probe list is empty")
     table, gens = _numeric_context(table_name, space)

@@ -127,15 +127,21 @@ def test_verify_tables_report_bytes_are_pinned(capsys, algebra, dim, digest):
 
 
 # The measure report prints floats, so its digest also pins the order of
-# every float operation in the vertex Fock space.
+# every float operation in the vertex Fock space.  Momentum window 2 runs at
+# P = 4, so its columns include shifted kernels at the window's edge.
+_MEASURE_DIGESTS = [
+    ((), "8bc50f16625f65b91ccf836fe3e41e4c1d3ec7bc6e681c332d4e88fcdc07f1d6"),
+    (("--momentum-window", "2"), "b1bad86be29a4e4baa76ea25f704d2d76c7d2a55fac8ad32053f169c138c7b50"),
+]
+
+
 def test_measure_report_bytes_are_pinned(capsys):
-    code, out, _ = run(
-        capsys, "measure", "--algebra", "su2", "--dim", "2", "--tables", "CLASSICAL_MF", "--no-timestamp",
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "8bc50f16625f65b91ccf836fe3e41e4c1d3ec7bc6e681c332d4e88fcdc07f1d6"
-    )
+    for flags, digest in _MEASURE_DIGESTS:
+        code, out, _ = run(
+            capsys, "measure", "--algebra", "su2", "--dim", "2", *flags, "--tables", "CLASSICAL_MF", "--no-timestamp",
+        )
+        assert code == 0, flags
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, flags
 
 
 def test_verify_tables_rejects_dim_1(capsys):

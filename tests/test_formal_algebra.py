@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,7 +324,11 @@ def test_embeddings_match(pair, sc, N):
 
 
 def test_embedding_rejects_unsupported_pair():
-    with pytest.raises(ValueError, match="unsupported pair"):
+    text = (
+        "unsupported pair (CLASSICAL_MF, MF); "
+        "supported source -> target pairs: [('CLASSICAL_MF', 'EMB2'), ('MF', 'EMB1')]"
+    )
+    with pytest.raises(ValueError, match=re.escape(text)):
         verify_embedding(make_table("CLASSICAL_MF", SU3, 3), make_table("MF", SU3, 3))
 
 

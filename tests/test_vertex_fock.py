@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import math
 import time
 
@@ -17,6 +18,7 @@ from curralg.vertex_fock import (
     VACUUM_QP,
     BoundaryError,
     FitError,
+    OperatorMatrix,
     RealizedGenerators,
     TruncationSpec,
     VertexSpace,
@@ -289,7 +291,7 @@ def test_operator_keys_are_checked_when_the_handle_is_made():
         gens.operator(("J", 1), (1, 0, 0))
     with pytest.raises(ValueError, match="wrong dimension"):
         build_vertex((1, 0, 0), 0, space)
-    assert not space._columns and not space._current_memo and not space._vertex_memo
+    assert not space._columns and not space._kernels and not space._current_memo and not space._vertex_memo
     assert gens.operator(("J", 1), (1, 0)).op_key == (("J", 1), (1, 0), True)
 
 
@@ -384,6 +386,62 @@ def test_column_store_keeps_include_T_apart():
     for include_T, cols in ((True, cols_T), (False, cols_no_T)):
         fresh = RealizedGenerators(VertexSpace(SU2, DEFAULT), include_T=include_T).operator(("L", 1), m)
         assert cols == [fresh.column(key) for key in _MEMO_STATES]
+
+
+# Oscillator keys, each met at several lattice points: the centre, the
+# window's edges and corners, and points with both w_mu nonzero.  Each
+# operator builds one kernel per oscillator key and serves every lattice
+# point from it; a momentum that carries w + m out of the window empties the
+# column.
+_KERNEL_OSC = [
+    (VACUUM_QP, ()),
+    (p_slot_key(1), ()),
+    (q_slot_key(2), (PHI1,)),
+    (p_slot_key(1) + p_slot_key(2), (PHI1,)),
+]
+_KERNEL_W = [(0, 0), (1, -1), (-1, 2), (2, 0), (0, -2), (2, 2), (-2, 1)]
+_KERNEL_MOMENTA = [(1, 0), (0, -1), (1, 1), (-2, 1)]
+_KERNEL_OPS = (
+    [("V", m, j) for m in _KERNEL_MOMENTA for j in (-1, 0, 2)]
+    + [(label, m, True) for label in _MEMO_LABELS[:4] for m in _KERNEL_MOMENTA]
+    + [(("L", mu), m, include_T) for mu in (1, 2) for m in _KERNEL_MOMENTA + [(0, 0)] for include_T in (True, False)]
+)
+
+
+# SHA-256 of the columns below, recorded when each column was projected
+# from its own exact application; it pins L's order of parts, which
+# VertexSpace.apply shares with the kernels.
+_KERNEL_DIGEST = "5d477366f470e335d07d535e7d481ff292dc8c633b65eca737f9b0940d907cc1"
+
+
+def test_kernel_columns_are_the_projected_columns():
+    # a column is its kernel re-keyed at w + m, with L's zero-mode term
+    # w_mu V_{m,0} added between its momentum and current parts; the amplitudes
+    # and the order of the keys are those of projecting the exact application
+    space = VertexSpace(SU2, DEFAULT)
+    counts = {"empty": 0, "edge": 0, "w_mu": 0}
+    digest = hashlib.sha256()
+    served = set()  # (operator, oscillator key) pairs with a column whose w + m is in the window
+    for op_key in _KERNEL_OPS:
+        op = OperatorMatrix(space, op_key)
+        for qp_key, cur_key in _KERNEL_OSC:
+            for w in _KERNEL_W:
+                key = (qp_key, w, cur_key)
+                col = op.column(key)
+                want = space.project(space.apply(op_key, {key: 1.0}))
+                assert list(col.items()) == list(want.items()), (op_key, key)
+                digest.update(repr(list(col.items())).encode())
+                if space.in_window([a + b for a, b in zip(w, op_key[1])]):
+                    served.add((op_key, qp_key, cur_key))
+                if not col:
+                    counts["empty"] += 1
+                    continue
+                counts["edge"] += DEFAULT.P in map(abs, next(iter(col))[1])
+                counts["w_mu"] += op_key[0][0] == "L" and w[op_key[0][1] - 1] != 0
+    assert min(counts.values()) > 0, counts
+    assert digest.hexdigest() == _KERNEL_DIGEST
+    # one kernel per operator and oscillator key it serves, whatever the lattice point
+    assert sum(len(kernels) for kernels in space._kernels.values()) == len(served)
 
 
 def test_vertex_level_equals_wick_level():
@@ -536,6 +594,9 @@ def test_numeric_sweeps_reject_inputs_that_check_nothing():
     space, charges = _space(), dict(_charges())
     with pytest.raises(ValueError, match="window"):
         check_table_numeric("CLASSICAL_MF", space, window=-1, charges=charges)
+    # the closed form reaches m + n, out to twice the window
+    with pytest.raises(ValueError, match=r"window 2 needs P >= 4, got P=2"):
+        check_table_numeric("CLASSICAL_MF", space, window=2, charges=charges)
     with pytest.raises(ValueError, match="probe"):
         check_table_numeric("CLASSICAL_MF", space, probes=[], charges=charges)
     element = (("J", 1), (1, 0), ("J", 2), (0, 1), (p_slot_key(1), (0, 0), ()))
