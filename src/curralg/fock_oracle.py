@@ -187,47 +187,20 @@ def _candidate_modes(key: BasisKey, A, B, m: int, creators: bool = True):
     return ks
 
 
-def body_terms(key: BasisKey, body: dict, m: int, creators: bool = True):
-    """Every term of sum_k :A_{m-k} Bbar_k: over ``body`` on one basis key.
-
-    Yields ``(new_key, coeff, count)``: the body coefficient of the pair and
-    the integer product of the two oscillator amplitudes, so each caller
-    keeps its own arithmetic (exact here, complex in the vertex space).
-    Terms come in body order, then candidate-mode order, and are not merged.
-    ``creators=False`` leaves out the terms where both oscillators create,
-    the only ones that add two particles.  Without them every term
-    annihilates an occupied slot of A or B, so a pair with neither flavor
-    in ``key`` is skipped.
-    """
-    present = None if (m <= -1 and creators) else {slot[0] for slot, _ in key}
-    for (A, B), coeff in body.items():
-        if present is not None and A not in present and B not in present:
-            continue
-        for k in _candidate_modes(key, A, B, m, creators):
-            a_mode, b_mode = m - k, k
-            if a_mode > 0 and b_mode <= -1:
-                first, second = ((A, False, a_mode), (B, True, b_mode))
-            else:
-                first, second = ((B, True, b_mode), (A, False, a_mode))
-            hit = _osc_key(key, *first)
-            if hit is None:
-                continue
-            mid_key, f1 = hit
-            hit = _osc_key(mid_key, *second)
-            if hit is None:
-                continue
-            new_key, f2 = hit
-            yield new_key, coeff, f1 * f2
-
-
 def apply_body(state: State, body: dict, m: int, cutoffs=None) -> State:
     """sum over ``body`` of sum_k :A_{m-k} Bbar_k:, exact, uncut unless ``cutoffs`` is given.
 
-    With ``cutoffs = (level_max, npart_max)`` only the terms inside them are
-    emitted, which equals :func:`state_project` of the uncut result.  Every
-    term moves the level by exactly -m, so a key whose level - m exceeds
-    ``level_max`` contributes nothing; the pure-creator terms (+2 particles)
-    are never generated when they would exceed ``npart_max``.
+    Each term is the body coefficient of a pair times the integer product of
+    its two oscillator amplitudes.  Per key, terms come in body order, then
+    candidate-mode order, and add up in that order.  With ``cutoffs =
+    (level_max, npart_max)`` only the terms inside them are emitted, which
+    equals :func:`state_project` of the uncut result.  Every term moves the
+    level by exactly -m, so a key whose level - m exceeds ``level_max``
+    contributes nothing.  The pure-creator terms, where both oscillators
+    create, are the only ones that add two particles; they are never
+    generated when they would exceed ``npart_max``.  Without them every term
+    annihilates an occupied slot of A or B, so a pair with neither flavor in
+    the key is skipped.
     """
     out: State = {}
     if cutoffs is not None:
@@ -240,10 +213,27 @@ def apply_body(state: State, body: dict, m: int, cutoffs=None) -> State:
                 continue
             creators = npart + 2 <= npart_max
             recheck = npart > npart_max  # a key outside the cap: only -2 terms may return
-        for new_key, coeff, count in body_terms(key, body, m, creators):
-            if recheck and key_npart(new_key) > npart_max:
+        present = None if (m <= -1 and creators) else {slot[0] for slot, _ in key}
+        for (A, B), coeff in body.items():
+            if present is not None and A not in present and B not in present:
                 continue
-            _add_at(out, new_key, amp * count * coeff)
+            for k in _candidate_modes(key, A, B, m, creators):
+                a_mode, b_mode = m - k, k
+                if a_mode > 0 and b_mode <= -1:
+                    first, second = ((A, False, a_mode), (B, True, b_mode))
+                else:
+                    first, second = ((B, True, b_mode), (A, False, a_mode))
+                hit = _osc_key(key, *first)
+                if hit is None:
+                    continue
+                mid_key, f1 = hit
+                hit = _osc_key(mid_key, *second)
+                if hit is None:
+                    continue
+                new_key, f2 = hit
+                if recheck and key_npart(new_key) > npart_max:
+                    continue
+                _add_at(out, new_key, amp * (f1 * f2) * coeff)
     return out
 
 

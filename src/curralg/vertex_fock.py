@@ -20,27 +20,27 @@ hold to float precision on any state inside the cutoffs; deviations appear
 only where the momentum window or the current-sector particle cap clips an
 intermediate state, and those shrink as the truncation stage grows.
 
-Every realized operator shifts the lattice label w by its momentum m, and
-but for one term of L its amplitudes do not depend on w, so a column is its
-kernel at w + m.  The kernel of an operator on an oscillator key
-(qp_key, cur_key) is its projected column on (qp_key, 0, cur_key) with the
-lattice label taken out, built once.  The column on (qp_key, w, cur_key)
-puts every kernel term at w + m, and is empty when w + m leaves the window,
-since all its terms land on that one point.  The term that depends on w is
-L's zero mode w_mu V_{m,0}: L's kernel keeps it apart and adds it times w_mu
-after the momentum part and before the current part, where the direct sum
-adds it.  Built at amplitude 1.0 and kept in column order, a kernel column
-is the projected exact application bit for bit.
+Translation rule: every realized operator shifts the lattice label w by
+its momentum m, and but for one term of L its amplitudes do not depend on w,
+so a column is its kernel at w + m.  The kernel of an operator on an
+oscillator key (qp_key, cur_key) is its projected column on
+(qp_key, 0, cur_key) with the lattice label taken out, built once.  The
+column on (qp_key, w, cur_key) puts every kernel term at w + m, and is empty
+when w + m leaves the window, since all its terms land on that one point.
+The term that depends on w is L_mu's zero mode w_mu V_{m,0}, which vanishes
+at w = 0: L applies it last, and a column at w_mu != 0 adds w_mu times
+V_{m,0}'s kernel last.  Built at amplitude 1.0 and kept in column order, a
+kernel column is the projected exact application bit for bit.
 
 Each space also memoises the per-key terms the kernels are built from: the
-current bilinear terms per (label, mode, cur_key) and the vertex terms per
-(m, j, qp_key).  A list holds the terms as they were produced, without the
-state's amplitude, and a state adds ``amp * coeff`` per term in list order,
-so memoised and recomputed columns agree bit for bit.  Folding the amplitude
-in, or merging the vertex terms per key, would reorder the float sums.
+current bilinear terms per (label, mode, cur_key), read off
+:func:`curralg.fock_oracle.apply_body` with each exact amplitude rounded
+once, and the vertex terms per (m, j, qp_key), in emission order and not
+merged.  A state adds ``amp * coeff`` per term in list order, so memoised
+and recomputed columns agree bit for bit.
 
 The kernels and the projected columns live per space, keyed by operator and
-then by oscillator key or basis key.  The operator key is the only
+oscillator key or basis key.  The operator key is the only
 description of an operator, and :meth:`VertexSpace.apply` maps it to the
 operator.  A column depends on the operator and the space alone, so every
 generator set on one space, and every table sweep and charge fit run on it,
@@ -65,7 +65,7 @@ from operator import add
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
-from .fock_oracle import _add_at, _key_with, _osc_key, body_terms, key_level, key_level_npart, state_add
+from .fock_oracle import _add_at, _key_with, _osc_key, apply_body, key_level, key_level_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, measure_level
 
@@ -192,7 +192,7 @@ class VertexSpace:
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
         self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
-        # Column kernels: operator key -> {(qp_key, cur_key): kernel}, and the
+        # Column kernels: (op_key, qp_key, cur_key) -> kernel (see kernel), and the
         # projected columns: operator key -> {basis key: column}; see OperatorMatrix.
         self._kernels: dict = {}
         self._columns: dict = {}
@@ -304,8 +304,9 @@ class VertexSpace:
     def apply_current(self, label: tuple, mode: int, state: dict) -> dict:
         """One exact current bilinear mode on the current sector.
 
-        The terms of each key come from :func:`_apply_body_to_key`, once per
-        (label, mode, cur_key).
+        The terms of each key come from :func:`curralg.fock_oracle.apply_body`,
+        once per (label, mode, cur_key), each exact amplitude rounded once to
+        a double.
         """
         body: CurrentBody = self.bodies[label]
         memo = self._current_memo
@@ -313,7 +314,8 @@ class VertexSpace:
         for (qp_key, w, cur_key), amp in state.items():
             terms = memo.get((label, mode, cur_key))
             if terms is None:
-                terms = memo[label, mode, cur_key] = _apply_body_to_key(body, mode, cur_key)
+                exact = apply_body({cur_key: 1}, body, mode)
+                terms = memo[label, mode, cur_key] = [(key2, float(amp)) for key2, amp in exact.items()]
             for new_cur, factor in terms:
                 _add_at(out, (qp_key, w, new_cur), amp * factor)
         return out
@@ -356,77 +358,51 @@ class VertexSpace:
         return out
 
     def apply_L(self, mu: int, m: tuple, state: dict, include_T: bool = True) -> dict:
-        """Dressed momentum plus current part, key by key (see :meth:`_L_parts`)."""
-        out: dict = {}
-        for key, amp in state.items():
-            for part, axis in self._L_parts(mu, m, {key: amp}, include_T):
-                state_add(out, part, 1 if axis is None else key[1][axis])
-        return out
-
-    def _L_parts(self, mu: int, m: tuple, state: dict, include_T: bool) -> list:
-        """The summands of L_mu(m) on ``state``, as (part, axis) pairs in the order they add up.
+        """L_mu(m): the dressed momentum part, the current part, then the zero-mode term, key by key.
 
         The momentum part is -i :V_m p_mu: with p's creation modes left of
-        the vertex factor, annihilation modes right, and the zero mode acting
-        on the undressed lattice label (diagonal value i w_mu) before the
-        shift; in the rephased basis the -i and the zero mode's i drop out.
-        That zero-mode term w_mu V_{m,0} is the one term of any operator here
-        that depends on w: its part is V_{m,0} alone, with axis mu - 1, and
-        is added times w[axis].  Every other part has axis None.  The current
-        part is m_nu sum_j V_{m,j} T^nu_{mu,-j}, one part per nu, with m_nu
-        already multiplied in (adding it then multiplies by 1, which keeps
-        every float).
+        the vertex factor and annihilation modes right; in the rephased basis
+        the -i drops out.  The current part is m_nu sum_j V_{m,j} T^nu_{mu,-j}.
+        p's zero mode acts on the undressed lattice label (diagonal value
+        i w_mu, whose i the rephasing also takes out) before the shift, which
+        gives w_mu V_{m,0}, the one term of any operator here that depends on
+        w.  It is added last, so a column can take it from V_{m,0}'s kernel
+        (see :class:`OperatorMatrix`).
         """
-        momentum: dict = {}
-        for k in range(1, self.spec.M + 1):
-            # p_{mu,-k} V_{m,k}: vertex first, then the p creator
-            mid = self.apply_vertex(m, k, state)
-            if mid:
-                state_add(momentum, self._qp_osc(mid, mu, True, -k))
-            # V_{m,-k} p_{mu,k}: the p annihilator first
-            mid = self._qp_osc(state, mu, True, k)
-            if mid:
-                state_add(momentum, self.apply_vertex(m, -k, mid))
-        parts = [(momentum, None), (self.apply_vertex(m, 0, state), mu - 1)]
-        if include_T:
-            for nu in range(1, self.spec.N + 1):
-                if m[nu - 1] == 0:
-                    continue
-                current: dict = {}
-                state_add(current, self._dressed_current(("T", nu, mu), m, state), m[nu - 1])
-                parts.append((current, None))
-        return parts
+        out: dict = {}
+        for key, amp in state.items():
+            sub = {key: amp}
+            for k in range(1, self.spec.M + 1):
+                # p_{mu,-k} V_{m,k}: vertex first, then the p creator
+                mid = self.apply_vertex(m, k, sub)
+                if mid:
+                    state_add(out, self._qp_osc(mid, mu, True, -k))
+                # V_{m,-k} p_{mu,k}: the p annihilator first
+                mid = self._qp_osc(sub, mu, True, k)
+                if mid:
+                    state_add(out, self.apply_vertex(m, -k, mid))
+            if include_T:
+                for nu in range(1, self.spec.N + 1):
+                    if m[nu - 1]:
+                        state_add(out, self._dressed_current(("T", nu, mu), m, sub), m[nu - 1])
+            if key[1][mu - 1]:
+                state_add(out, self.apply_vertex(m, 0, sub), key[1][mu - 1])
+        return out
 
     def kernel(self, op_key: tuple, qp_key: tuple, cur_key: tuple) -> tuple:
-        """The column of ``op_key`` on (qp_key, 0, cur_key), with its lattice label taken out.
+        """The projected column of ``op_key`` on (qp_key, 0, cur_key), memoised.
 
-        Returns (terms, rest).  ``terms`` is the projected column of every
-        operator but L, as (qp_key, cur_key, amplitude) triples in column
-        order; for L it holds the momentum part, and ``rest`` its other
-        parts in order (see :meth:`_L_parts`), each as (terms, axis).  Every
-        term sits at w = m, inside the window, so the projection filters
-        only levels and caps, which no operator's w enters.
+        Returned as (qp_key, cur_key, amplitude) triples in column order, the
+        lattice label taken out.  Every term sits at w = m, inside the window,
+        so the projection filters only levels and caps, which no operator's w
+        enters.  At w = 0 L's zero-mode term vanishes.
         """
-        head, m, arg = op_key
-        state = {(qp_key, (0,) * self.spec.N, cur_key): 1.0}
-        parts = self._L_parts(head[1], m, state, arg) if head[0] == "L" else [(self.apply(op_key, state), None)]
-        (terms, _), *rest = [
-            (tuple((qp2, cur2, amp) for (qp2, _, cur2), amp in self.project(part).items()), axis)
-            for part, axis in parts
-        ]
-        return terms, tuple(rest)
-
-
-def _apply_body_to_key(body: CurrentBody, mode: int, cur_key: tuple) -> list:
-    """Exact bilinear application on a current-sector occupation key.
-
-    The terms come from the oscillator core of :mod:`curralg.fock_oracle`;
-    this merges them per key in float arithmetic, in the order they come.
-    """
-    merged: dict = {}
-    for key2, coeff, count in body_terms(cur_key, body, mode):
-        merged[key2] = merged.get(key2, 0.0) + float(coeff) * count
-    return [(k, v) for k, v in merged.items() if v != 0]
+        hit = self._kernels.get((op_key, qp_key, cur_key))
+        if hit is None:
+            state = {(qp_key, (0,) * self.spec.N, cur_key): 1.0}
+            column = self.project(self.apply(op_key, state)).items()
+            hit = self._kernels[op_key, qp_key, cur_key] = tuple((qp2, cur2, amp) for (qp2, _, cur2), amp in column)
+        return hit
 
 
 class OperatorMatrix:
@@ -436,12 +412,12 @@ class OperatorMatrix:
     projection onto the truncated space, so operator products compose with
     matrix semantics (project after every factor).  It is read off the
     kernel of the key's oscillator part (:meth:`VertexSpace.kernel`), whose
-    terms it puts at w + m, adding L's zero-mode term w_mu V_{m,0} in its
-    place; it is empty when w + m leaves the window.  ``op_key`` is the
-    operator, ("V", m, j) for V_{m,j} or (label, m, include_T) for a label in
-    ``space.labels``, with m in the lattice window.  Its kernels and columns
-    live in the space: every handle with the same key on one space fills
-    one dict of each.
+    terms it puts at w + m; for L_mu at w_mu != 0 it then adds w_mu times
+    the kernel of ("V", m, 0), L's zero-mode term.  It is empty when w + m
+    leaves the window.  ``op_key`` is the operator, ("V", m, j) for V_{m,j}
+    or (label, m, include_T) for a label in ``space.labels``, with m in the
+    lattice window.  Its kernels and columns live in the space: every handle
+    with the same key on one space fills the same stores.
     """
 
     def __init__(self, space: VertexSpace, op_key: tuple):
@@ -454,24 +430,21 @@ class OperatorMatrix:
             raise BoundaryError(f"momentum {m} exits the lattice window P={space.spec.P}")
         self.space = space
         self.op_key = op_key
-        self._kernels = space._kernels.setdefault(op_key, {})
         self._columns = space._columns.setdefault(op_key, {})
 
     def column(self, key: tuple) -> dict:
         hit = self._columns.get(key)
         if hit is None:
             qp_key, w, cur_key = key
-            w2 = tuple(map(add, w, self.op_key[1]))
+            head, m, _ = self.op_key
+            w2 = tuple(map(add, w, m))
             hit = {}
             if self.space.in_window(w2):
-                kernel = self._kernels.get((qp_key, cur_key))
-                if kernel is None:
-                    kernel = self._kernels[qp_key, cur_key] = self.space.kernel(self.op_key, qp_key, cur_key)
-                terms, rest = kernel
-                hit = {(qp2, w2, cur2): amp for qp2, cur2, amp in terms}
-                for terms, axis in rest:
-                    part = {(qp2, w2, cur2): amp for qp2, cur2, amp in terms}
-                    state_add(hit, part, 1 if axis is None else w[axis])
+                kernel = self.space.kernel
+                hit = {(qp2, w2, cur2): amp for qp2, cur2, amp in kernel(self.op_key, qp_key, cur_key)}
+                if head[0] == "L" and w[head[1] - 1]:
+                    zero = {(qp2, w2, cur2): amp for qp2, cur2, amp in kernel(("V", m, 0), qp_key, cur_key)}
+                    state_add(hit, zero, w[head[1] - 1])
             self._columns[key] = hit
         return hit
 
@@ -501,7 +474,8 @@ class RealizedGenerators:
     handle live in the shared :class:`VertexSpace` under (label, m,
     include_T), beside its per-key term memos, so two sets on one space
     share every kernel and column.  A column is its kernel at w + m; only
-    L's zero-mode term w_mu V_{m,0} depends on w (see :class:`OperatorMatrix`).
+    L's zero-mode term w_mu V_{m,0} depends on w, and it comes from
+    V_{m,0}'s kernel in the same store (see :class:`OperatorMatrix`).
     """
 
     def __init__(self, space: VertexSpace, include_T: bool = True):
@@ -824,10 +798,16 @@ def stage_deviations(
     """Deviation of fixed tested elements (bracket, momenta, probe) in one space.
 
     Accepts the same tables as :func:`check_table_numeric`; an empty element
-    list would check nothing and is rejected.
+    list would check nothing and is rejected.  A closed form holds generators
+    at m + n, so m, n and m + n must each lie in the lattice window; every
+    element is checked before any column is built.
     """
     if not elements:
         raise ValueError("element list is empty")
+    for element in elements:
+        _, mv, _, nv, _ = element
+        if not all(space.in_window(v) for v in (mv, nv, tuple(map(add, mv, nv)))):
+            raise ValueError(f"element {element} needs m, n and m + n within P={space.spec.P}")
     table, gens = _numeric_context(table_name, space)
     out = []
     for lab1, mv, lab2, nv, probe in elements:

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 import time
 
 import pytest
@@ -401,47 +402,84 @@ _KERNEL_OSC = [
 ]
 _KERNEL_W = [(0, 0), (1, -1), (-1, 2), (2, 0), (0, -2), (2, 2), (-2, 1)]
 _KERNEL_MOMENTA = [(1, 0), (0, -1), (1, 1), (-2, 1)]
-_KERNEL_OPS = (
-    [("V", m, j) for m in _KERNEL_MOMENTA for j in (-1, 0, 2)]
-    + [(label, m, True) for label in _MEMO_LABELS[:4] for m in _KERNEL_MOMENTA]
-    + [(("L", mu), m, include_T) for mu in (1, 2) for m in _KERNEL_MOMENTA + [(0, 0)] for include_T in (True, False)]
-)
 
 
-# SHA-256 of the columns below, recorded when each column was projected
-# from its own exact application; it pins L's order of parts, which
-# VertexSpace.apply shares with the kernels.
-_KERNEL_DIGEST = "5d477366f470e335d07d535e7d481ff292dc8c633b65eca737f9b0940d907cc1"
+def _kernel_ops(labels: list, L_momenta: list) -> list:
+    return (
+        [("V", m, j) for m in _KERNEL_MOMENTA for j in (-1, 0, 2)]
+        + [(label, m, True) for label in labels for m in _KERNEL_MOMENTA]
+        + [(("L", mu), m, include_T) for mu in (1, 2) for m in L_momenta for include_T in (True, False)]
+    )
 
 
-def test_kernel_columns_are_the_projected_columns():
-    # a column is its kernel re-keyed at w + m, with L's zero-mode term
-    # w_mu V_{m,0} added between its momentum and current parts; the amplitudes
-    # and the order of the keys are those of projecting the exact application
-    space = VertexSpace(SU2, DEFAULT)
+# The su(2) amplitudes are multiples of 1/12; at su(3) 128 of the 1,344
+# columns carry multiples of sqrt(3), so a change in the order of a float
+# sum could show there.  Each input pins the SHA-256 of every column's sorted
+# items, which fixes the amplitudes whatever the key order; the su(2) input
+# also pins the order of the keys, which VertexSpace.apply shares with the
+# kernels.
+_KERNEL_INPUTS = {
+    "su2": (
+        SU2,
+        _MEMO_LABELS[:4],
+        _KERNEL_MOMENTA + [(0, 0)],
+        0,
+        "4dbcfa5394c59ac978e7e518586d09d0bf264abce6b81f8ab3f82fd230dbd367",
+        "0628be08636bd0720840ecabd6f04c961a8a31f63a25a51d8cbcba735c90fe11",
+    ),
+    "su3": (
+        build_su(3),
+        [("J", 4), ("J", 8), ("G", 8, 1), ("H", 8, 1, 2), ("S1", 2)],
+        _KERNEL_MOMENTA,
+        128,
+        None,
+        "34d6c9150d720e357e64499bae2778a6e156064e2ae47a57718316cc8d6b8951",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+def test_kernel_columns_are_the_projected_columns(name):
+    # a column is its kernel re-keyed at w + m, with L_mu's zero-mode term
+    # w_mu V_{m,0} added last from V_{m,0}'s kernel; the amplitudes and the
+    # order of the keys are those of projecting the exact application
+    sc, labels, L_momenta, irrational_columns, ordered_digest, sorted_digest = _KERNEL_INPUTS[name]
+    space = VertexSpace(sc, DEFAULT)
     counts = {"empty": 0, "edge": 0, "w_mu": 0}
-    digest = hashlib.sha256()
+    ordered, order_free = hashlib.sha256(), hashlib.sha256()
     served = set()  # (operator, oscillator key) pairs with a column whose w + m is in the window
-    for op_key in _KERNEL_OPS:
+    columns = irrational = 0
+    for op_key in _kernel_ops(labels, L_momenta):
         op = OperatorMatrix(space, op_key)
+        head, m, _ = op_key
         for qp_key, cur_key in _KERNEL_OSC:
             for w in _KERNEL_W:
                 key = (qp_key, w, cur_key)
                 col = op.column(key)
                 want = space.project(space.apply(op_key, {key: 1.0}))
                 assert list(col.items()) == list(want.items()), (op_key, key)
-                digest.update(repr(list(col.items())).encode())
-                if space.in_window([a + b for a, b in zip(w, op_key[1])]):
+                ordered.update(repr(list(col.items())).encode())
+                order_free.update(repr(sorted(col.items())).encode())
+                columns += 1
+                at_w_mu = head[0] == "L" and w[head[1] - 1] != 0
+                if space.in_window([a + b for a, b in zip(w, m)]):
                     served.add((op_key, qp_key, cur_key))
+                    if at_w_mu:
+                        served.add((("V", m, 0), qp_key, cur_key))
                 if not col:
                     counts["empty"] += 1
                     continue
                 counts["edge"] += DEFAULT.P in map(abs, next(iter(col))[1])
-                counts["w_mu"] += op_key[0][0] == "L" and w[op_key[0][1] - 1] != 0
+                counts["w_mu"] += at_w_mu
+                irrational += any(abs(12 * amp - round(12 * amp)) > 1e-9 for amp in col.values())
     assert min(counts.values()) > 0, counts
-    assert digest.hexdigest() == _KERNEL_DIGEST
-    # one kernel per operator and oscillator key it serves, whatever the lattice point
-    assert sum(len(kernels) for kernels in space._kernels.values()) == len(served)
+    assert (columns, irrational) == (1344, irrational_columns)
+    if ordered_digest is not None:
+        assert ordered.hexdigest() == ordered_digest
+    assert order_free.hexdigest() == sorted_digest
+    # one kernel per operator and oscillator key it serves, whatever the
+    # lattice point, and V_{m,0}'s for L_mu's columns at w_mu != 0
+    assert len(space._kernels) == len(served)
 
 
 def test_vertex_level_equals_wick_level():
@@ -605,6 +643,18 @@ def test_numeric_sweeps_reject_inputs_that_check_nothing():
             stage_deviations(name, space, [element], charges)
     with pytest.raises(ValueError, match="empty"):
         stage_deviations("CLASSICAL_MF", space, [], charges)
+
+
+def test_stage_deviations_checks_every_momentum_before_any_column():
+    # m and n lie in the window, m + n = (3, 0) does not; the element after
+    # the valid one is refused before the valid one builds a column
+    space = VertexSpace(SU2, DEFAULT)
+    inside = (("J", 1), (1, 0), ("J", 2), (0, 1), (p_slot_key(1), (0, 0), ()))
+    outside = (("J", 1), (2, 0), ("J", 2), (1, 0), (p_slot_key(1), (0, 0), ()))
+    message = re.escape(f"element {outside} needs m, n and m + n within P=2")
+    with pytest.raises(ValueError, match=message):
+        stage_deviations("CLASSICAL_MF", space, [inside, outside], dict(_charges()))
+    assert not space._columns and not space._kernels
 
 
 def test_numeric_entry_points_share_the_deviation_kernel():
