@@ -389,6 +389,10 @@ class AlgebraTable:
     ``chain_mode`` is FORMAL (S3 kept as a formal chain symbol) or
     CONCRETE_3D (S3 realized as the alternating symbol times delta(arg),
     N = 3 only).
+
+    The table memoises its elementary brackets in ``_memo``, keyed by the
+    generator pair in canonical order only (see :func:`bracket`); every
+    zero entry is the one shared empty expression.
     """
 
     def __init__(self, name: str, sc: StructureConstants, N: int = 3, chain_mode: str = "FORMAL"):
@@ -410,6 +414,8 @@ class AlgebraTable:
         self.N = N
         self.chain_mode = chain_mode
         self.species = TABLE_SPECIES[name]
+        # what bracket's species check reads: the table's species and delta
+        self._allowed = frozenset(self.species) | {"1"}
         # sparse views of f and d for the adjoint sums; integral values as int
         self._f_rows: dict = {}
         self._d_rows: dict = {}
@@ -417,6 +423,7 @@ class AlgebraTable:
             self._f_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
         for (a, b, c), v in sc.d.items():
             self._d_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
+        # elementary brackets, keyed (t1, t2) in canonical order only
         self._memo: dict = {}
 
     def __repr__(self):
@@ -455,13 +462,13 @@ class _Out:
         return Expression(self.terms)
 
 
-def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Expression:
-    """Bracket of two unit generators, t1 before t2 in canonical species order."""
-    memo_key = (t1, t2)
-    cached = table._memo.get(memo_key)
-    if cached is not None:
-        return cached
+# the value of every zero elementary bracket; never mutated
+_ZERO = Expression()
 
+
+def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Expression:
+    """Bracket of two unit generators, t1 before t2 in canonical species
+    order, computed and stored in the table's memo."""
     s1, s2 = t1.species, t2.species
     m, n = t1.arg, t2.arg
     tot = m + n
@@ -508,7 +515,9 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
     # every other ordered pair (chains against non-L, H against G/H, ...) is zero
 
     expr = out.expression()
-    table._memo[memo_key] = expr
+    if expr.is_zero:
+        expr = _ZERO
+    table._memo[t1, t2] = expr
     return expr
 
 
@@ -518,24 +527,34 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
     Both arguments are checked against the table's species before any term
     is bracketed, so an undefined species is rejected on either side even
     when the other side is zero.
+
+    Each generator pair is looked up in the memo as (t1, t2), then as
+    (t2, t1) with sign -1; only when both miss are the sort keys compared
+    and the elementary bracket computed, in canonical order.  The memo
+    holds canonical keys only, so a hit in either order is the one entry.
     """
+    allowed = table._allowed
     for term in itertools.chain(X.terms, Y.terms):
-        if term.species != "1" and term.species not in table.species:
+        if term.species not in allowed:
             raise TableMismatchError(f"species {term.species} is not defined by table {table.name}")
+    memo = table._memo
     out = Expression()
     terms = out.terms
     for t1, c1 in X.terms.items():
         if t1.species == "1":
             continue  # deltas are central
-        key1 = t1.sort_key()
         for t2, c2 in Y.terms.items():
             if t2.species == "1":
                 continue
-            if key1 <= t2.sort_key():
-                base, sign = _elementary(table, t1, t2), 1
-            else:
-                base, sign = _elementary(table, t2, t1), -1
-            if base.is_zero:
+            base, sign = memo.get((t1, t2)), 1
+            if base is None:
+                base, sign = memo.get((t2, t1)), -1
+                if base is None:
+                    if t1.sort_key() <= t2.sort_key():
+                        base, sign = _elementary(table, t1, t2), 1
+                    else:
+                        base = _elementary(table, t2, t1)
+            if not base.terms:
                 continue
             coeff = c1 * c2 if sign == 1 else -(c1 * c2)
             for key, poly in base.terms.items():

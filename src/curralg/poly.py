@@ -11,8 +11,14 @@ Integral coefficients stay ``int`` (variables and powers start from ``1``),
 so a table whose structure constants are integers does no ``Fraction``
 arithmetic; an ``int`` and the equal ``Fraction`` compare and hash alike, so
 the coefficient type never shows in equality, hashing or rendering.  A
-product with a constant polynomial scales term by term, and a monomial
-product merges the two sorted tuples in one scan.
+constant or zero polynomial also hashes like its scalar, which it equals.
+
+A product with a scalar or a constant polynomial scales term by term; the
+symbolic sweeps mostly scale by the ``int`` 1 or -1, so a factor 1 returns
+the operand itself (a ``Poly`` is immutable) and a factor -1 negates term by
+term.  A monomial product merges the two sorted tuples in one scan.  The
+binary operators test ``type(other) is Poly`` before the coefficient types,
+because ``isinstance`` against ``Fraction`` goes through its ABC.
 """
 
 from __future__ import annotations
@@ -85,10 +91,10 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not Poly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
             terms[mono] = terms.get(mono, 0) + coef
@@ -100,31 +106,25 @@ class Poly:
         return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not Poly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        # the exact scalars have no zero divisors, so scaling by a nonzero
-        # constant leaves no zero coefficient to prune
-        if isinstance(other, _COEFF_TYPES):
-            if other == 0:
-                return Poly()
-            return Poly._of({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
+            return _scaled(self, other)
         a, b = self.terms, other.terms
         if len(b) == 1 and _ONE in b:
-            c2 = b[_ONE]
-            return Poly._of({m: c1 * c2 for m, c1 in a.items()})
+            return _scaled(self, b[_ONE])
         if len(a) == 1 and _ONE in a:
-            c1 = a[_ONE]
-            return Poly._of({m: c1 * c2 for m, c2 in b.items()})
+            return _scaled(other, a[_ONE])
         terms: dict[Monomial, Scalar] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -149,14 +149,20 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not Poly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant or zero polynomial equals its scalar, so hashes like it
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and _ONE in terms:
+            return hash(terms[_ONE])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return not self.is_zero
@@ -222,6 +228,24 @@ class Poly:
             piece = Poly({tuple(sorted(exps.items())): coef * _inv(lead)})
             quot = quot + piece
             rem = rem - piece * lin
+
+
+def _scaled(p: Poly, c: Scalar) -> Poly:
+    """``p`` times the scalar ``c``, term by term.
+
+    The exact scalars have no zero divisors, so a nonzero factor leaves no
+    zero coefficient to prune.  The ``int`` factors 1 and -1 give ``p``
+    itself and its negation; either equals the general product, coefficient
+    types included.
+    """
+    if type(c) is int:
+        if c == 1:
+            return p
+        if c == -1:
+            return Poly._of({m: -x for m, x in p.terms.items()})
+    if c == 0:
+        return Poly()
+    return Poly._of({m: x * c for m, x in p.terms.items()})
 
 
 def _inv(s: Scalar) -> Scalar:

@@ -9,7 +9,9 @@ exact equality; nothing in this module ever rounds.
 
 Arithmetic that lands on a purely rational value is demoted back to
 ``Fraction``, so a ``SurdSum`` instance always carries at least one
-irrational term.
+irrational term.  A product with an ``int`` or ``Fraction`` (most products
+in the symbolic sweeps) scales each coefficient and needs no radicand
+arithmetic; a zero factor gives ``Fraction(0)``.
 """
 
 from __future__ import annotations
@@ -111,6 +113,14 @@ class SurdSum:
         return (-self) + Fraction(other)
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            # a rational factor scales each coefficient; a nonzero one
+            # cannot cancel an irrational term, so nothing is demoted
+            if not other:
+                return Fraction(0)
+            out = SurdSum.__new__(SurdSum)
+            out._terms = {r: c * other for r, c in self._terms.items()}
+            return out
         if not isinstance(other, (int, Fraction, SurdSum)):
             return NotImplemented
         terms: dict[int, Fraction] = {}

@@ -117,8 +117,9 @@ def test_verify_tables_subset_at_dim_2(capsys):
     [
         ("su2", 3, "4e621afa80a483badca1f9f65a42c216bdd706bf44d8e626e312e131b7ddf26b"),
         ("su3", 2, "6e805c207ab8aee5a221f89368158ec699972a1e27f0e332874d73aff7b12773"),
+        ("su3", 3, "b8176f95063cb5774c2d733ac665ef6711c30369cdc211cfa568ca54daee84dc"),
     ],
-    ids=["su2-dim3", "su3-dim2"],
+    ids=["su2-dim3", "su3-dim2", "su3-dim3"],
 )
 def test_verify_tables_report_bytes_are_pinned(capsys, algebra, dim, digest):
     code, out, _ = run(capsys, "verify-tables", "--algebra", algebra, "--dim", str(dim), "--no-timestamp")

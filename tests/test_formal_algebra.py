@@ -38,7 +38,7 @@ from curralg.formal_algebra import (
     reduce_closedness,
     verify_embedding,
 )
-from curralg.formal_algebra import _FAILURES_LISTED, _triples
+from curralg.formal_algebra import _ADJOINT_SPECIES, _FAILURES_LISTED, _SPACETIME_ARITY, _ZERO, _generator, _triples
 from curralg.poly import Poly
 from curralg.scalars import SurdSum
 
@@ -157,14 +157,49 @@ def test_bracket_J_J_charge_term():
     assert mixed.render() == "1*J^3(m+n)"
 
 
+def _foreign(table, arg):
+    """One generator of every species the table does not define."""
+    out = []
+    for sp in _SPACETIME_ARITY:
+        if sp not in table.species:
+            adjoint = 1 if sp in _ADJOINT_SPECIES else 0
+            term = GeneratorTerm(sp, adjoint, tuple(range(1, _SPACETIME_ARITY[sp] + 1)), arg)
+            out.append(Expression({term: Poly.const(1)}))
+    return out
+
+
 def test_bracket_antisymmetry_sweep():
-    m, n = _sym("m", 2), _sym("n", 2)
-    for name in ("MF", "EMB1", "CLASSICAL_MF", "EMB2", "DIFF_EXT"):
-        table = make_table(name, SU2, 2)
-        gens = all_generators(table, m)
-        gens_n = all_generators(table, n)
-        for (_, x), (_, y) in itertools.product(gens, gens_n):
-            assert (bracket(table, x, y) + bracket(table, y, x)).is_zero
+    # the table digests cover i <= j only; here every ordered pair, on a
+    # table warmed in one order and on one warmed in the other
+    for su in (SU2, SU3):
+        m, n = _sym("m", 2), _sym("n", 2)
+        for name in TABLE_NAMES:
+            results = []
+            for reverse in (False, True):
+                table = make_table(name, su, 2)
+                xs, ys = all_generators(table, m), all_generators(table, n)
+                got = {}
+                for (lx, x), (ly, y) in itertools.product(xs, ys):
+                    if reverse:
+                        yx, xy = bracket(table, y, x), bracket(table, x, y)
+                    else:
+                        xy, yx = bracket(table, x, y), bracket(table, y, x)
+                    assert (xy + yx).is_zero
+                    got[lx, ly] = xy
+                results.append(got)
+                # one canonical entry per unordered generator pair, zeros shared
+                assert all(t1.sort_key() <= t2.sort_key() for t1, t2 in table._memo)
+                pairs = {frozenset((_generator(x), _generator(y))) for (_, x), (_, y) in itertools.product(xs, ys)}
+                assert len(table._memo) == len(pairs)
+                assert all(v is _ZERO for v in table._memo.values() if v.is_zero)
+                # the species check still runs on a warmed memo
+                for bad in _foreign(table, m):
+                    with pytest.raises(TableMismatchError):
+                        bracket(table, bad, ys[0][1])
+                    with pytest.raises(TableMismatchError):
+                        bracket(table, xs[0][1], bad)
+            assert results[0] == results[1]
+    assert _ZERO.is_zero
 
 
 def test_diagonal_bracket_vanishes_mod_closedness():

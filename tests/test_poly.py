@@ -2,8 +2,10 @@
 
 The example tests pin known values; the ``hypothesis`` properties check the
 ring axioms, the spliced monomial product against the dict-and-sort rule it
-replaces, division by a linear polynomial, and that an ``int`` coefficient
-behaves exactly like the equal ``Fraction``.
+replaces, division by a linear polynomial, that an ``int`` coefficient
+behaves exactly like the equal ``Fraction``, and that a product by a unit or
+a rational equals the product taken term by term, coefficient types
+included.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curralg.poly import Poly, _mono_mul, format_poly
-from curralg.scalars import sqrt_scalar
+from curralg.scalars import SurdSum, as_int_if_integral, sqrt_scalar
 
 
 def _v(name):
@@ -180,3 +182,50 @@ def test_integral_coefficients_stay_int():
     assert all(type(c) is int for c in (Poly.const(-2) * p).terms.values())
     half = p * Fraction(1, 2)
     assert all(type(c) is Fraction for c in half.terms.values())
+
+
+def test_constant_and_zero_polys_hash_like_their_scalar():
+    for c in (3, -1, Fraction(1, 2), sqrt_scalar(2) + 1):
+        p = Poly.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert len({p, c}) == 1
+    assert Poly() == 0 and hash(Poly()) == hash(0)
+    assert len({Poly(), 0, Fraction(0)}) == 1
+    # an integral Fraction constant equals the int, so hashes alike too
+    assert hash(Poly.const(Fraction(4, 2))) == hash(2)
+
+
+# -- the unit and rational factors -----------------------------------------------
+
+# polynomials as the sweeps hold them: integral coefficients as int
+normal_polys = st.dictionaries(monomials, scalars.map(as_int_if_integral), max_size=4).map(Poly)
+UNITS = (1, -1, Poly.const(1), Poly.const(-1))
+factors = st.one_of(st.sampled_from(UNITS), rationals.filter(bool).map(as_int_if_integral))
+
+
+def _typed(p):
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_polys, factors)
+def test_unit_and_rational_factors_scale_term_by_term(p, factor):
+    c = factor.terms[()] if isinstance(factor, Poly) else factor
+    want = [(m, x * c, type(x * c)) for m, x in p.terms.items()]
+    for got in (p * factor, factor * p):
+        assert _typed(got) == want
+        assert all(not isinstance(x, SurdSum) or x != 0 for x in got.terms.values())
+    if any(factor is u for u in UNITS):
+        assert all(type(x) is not Fraction or x.denominator != 1 for x in (p * factor).terms.values())
+    if factor is UNITS[0] or factor is UNITS[2]:
+        # a Poly is immutable, so a product by 1 is its other factor itself
+        assert p * factor is p
+    if factor is UNITS[0]:
+        assert factor * p is p
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal_polys)
+def test_zero_factor_gives_the_zero_poly(p):
+    for zero in (0, Fraction(0), Poly()):
+        assert (p * zero).is_zero and (zero * p).is_zero

@@ -142,3 +142,42 @@ def test_invert_is_the_multiplicative_inverse(x):
 @given(scalars)
 def test_format_then_parse_is_the_identity(x):
     assert parse_scalar(format_scalar(x)) == x
+
+
+# -- the rational-factor product -------------------------------------------------
+
+_factors = st.one_of(st.integers(-4, 4), _rationals)
+
+
+def _holds_irrational_term(x):
+    return any(r > 1 and c != 0 for r, c in x._terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars, _factors)
+def test_a_surd_sum_result_always_holds_an_irrational_term(x, y, q):
+    for value in (x + y, x - y, x * y, x * q, q * x, -x):
+        if isinstance(value, SurdSum):
+            assert _holds_irrational_term(value)
+        else:
+            assert type(value) in (int, Fraction)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, _factors)
+def test_rational_factor_scales_each_coefficient(x, q):
+    assume(isinstance(x, SurdSum) and q != 0)
+    # the general radicand product against q as a sum with one rational term
+    want = {r: c * Fraction(q) for r, c in x._terms.items()}
+    for got in (x * q, q * x):
+        assert isinstance(got, SurdSum)
+        assert got._terms == want
+        assert list(got._terms) == list(want)
+        assert all(type(c) is Fraction for c in got._terms.values())
+
+
+def test_surd_sum_times_zero_is_the_rational_zero():
+    x = Fraction(1, 2) + sqrt_scalar(3)
+    for zero in (0, Fraction(0)):
+        for got in (x * zero, zero * x):
+            assert got == 0 and type(got) is Fraction
