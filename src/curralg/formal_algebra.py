@@ -248,6 +248,11 @@ class Expression:
     gives a three-chain.  Held in normal form: zero coefficients pruned,
     antisymmetric index blocks normalized at construction.  Equality is
     structural equality of normal forms.
+
+    Immutable by contract: :func:`bracket`, :func:`jacobiator`,
+    :func:`reduce_closedness` and :func:`redefine` may return the shared
+    zero ``_ZERO``, a memo entry or their own argument, so no caller may
+    mutate a result's terms.
     """
 
     __slots__ = ("terms",)
@@ -258,6 +263,16 @@ class Expression:
             for key, poly in terms.items():
                 if not poly.is_zero:
                     self.terms[key] = poly
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Expression":
+        """Wrap a dict already free of zero coefficients, without a copy;
+        an empty dict gives the shared ``_ZERO``."""
+        if not terms:
+            return _ZERO
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -459,11 +474,25 @@ class _Out:
         self.terms[term] = coeff if acc is None else acc + coeff
 
     def expression(self) -> Expression:
-        return Expression(self.terms)
+        return Expression._of({k: p for k, p in self.terms.items() if not p.is_zero})
 
 
-# the value of every zero elementary bracket; never mutated
+# the one shared zero, which Expression._of gives for every empty result: so
+# every zero elementary bracket, and every zero that bracket, jacobiator,
+# reduce_closedness or redefine returns, is this object; never mutated
 _ZERO = Expression()
+
+
+def _add_into(terms: dict, items) -> None:
+    """Add (key, poly) pairs into ``terms``, keeping it free of zeros."""
+    for key, poly in items:
+        acc = terms.get(key)
+        if acc is not None:
+            poly = acc + poly
+        if poly.is_zero:
+            terms.pop(key, None)
+        else:
+            terms[key] = poly
 
 
 def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Expression:
@@ -514,10 +543,7 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
                     out.add(s2, t2.adjoint, sidx[:i] + (sig,) + sidx[i + 1:], tot, m.component(sig))
     # every other ordered pair (chains against non-L, H against G/H, ...) is zero
 
-    expr = out.expression()
-    if expr.is_zero:
-        expr = _ZERO
-    table._memo[t1, t2] = expr
+    expr = table._memo[t1, t2] = out.expression()
     return expr
 
 
@@ -526,7 +552,7 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
 
     Both arguments are checked against the table's species before any term
     is bracketed, so an undefined species is rejected on either side even
-    when the other side is zero.
+    when the other side is zero.  A zero result is the shared ``_ZERO``.
 
     Each generator pair is looked up in the memo as (t1, t2), then as
     (t2, t1) with sign -1; only when both miss are the sort keys compared
@@ -537,9 +563,10 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
     for term in itertools.chain(X.terms, Y.terms):
         if term.species not in allowed:
             raise TableMismatchError(f"species {term.species} is not defined by table {table.name}")
+    if not X.terms or not Y.terms:
+        return _ZERO
     memo = table._memo
-    out = Expression()
-    terms = out.terms
+    terms: dict = {}
     for t1, c1 in X.terms.items():
         if t1.species == "1":
             continue  # deltas are central
@@ -566,7 +593,7 @@ def bracket(table: AlgebraTable, X: Expression, Y: Expression) -> Expression:
                     terms.pop(key, None)
                 else:
                     terms[key] = val
-    return out
+    return Expression._of(terms)
 
 
 # -- closedness reduction ------------------------------------------------------
@@ -621,6 +648,7 @@ def reduce_closedness(X: Expression) -> Expression:
     N = 3 the single three-chain component is reduced modulo the ideal of
     the argument components; at N >= 4 a whole three-chain group is deleted
     when it lies in the relation submodule (wedge test), else left intact.
+    An expression with no chain term to reduce is returned as it is.
     """
     out: dict = {}
     s1_groups: dict = {}
@@ -632,6 +660,8 @@ def reduce_closedness(X: Expression) -> Expression:
             s3_groups.setdefault(term.arg, {})[term.sidx] = poly
         else:
             out[term] = poly
+    if not s1_groups and not s3_groups:
+        return X
 
     for arg, comps in s1_groups.items():
         for mu, poly in _pivot_division(comps, arg, arg.N).items():
@@ -650,26 +680,29 @@ def reduce_closedness(X: Expression) -> Expression:
         for tri, poly in reduced.items():
             out[GeneratorTerm("S3", 0, tri, arg)] = poly
 
-    return Expression(out)
+    return Expression._of(out)
 
 
 def jacobiator(table: AlgebraTable, X: Expression, Y: Expression, Z: Expression) -> Expression:
     """[X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]], reduced modulo closedness."""
-    acc = bracket(table, X, bracket(table, Y, Z))
-    acc = acc + bracket(table, Y, bracket(table, Z, X))
-    acc = acc + bracket(table, Z, bracket(table, X, Y))
-    return reduce_closedness(acc)
+    terms: dict = {}
+    _add_into(terms, bracket(table, X, bracket(table, Y, Z)).terms.items())
+    _add_into(terms, bracket(table, Y, bracket(table, Z, X)).terms.items())
+    _add_into(terms, bracket(table, Z, bracket(table, X, Y)).terms.items())
+    return reduce_closedness(Expression._of(terms))
 
 
 def redefine(X: Expression) -> Expression:
     """The current redefinition J^a(m) -> J^a(m) + m_mu G^{a mu}(m)."""
-    out = Expression()
+    pairs = []
     for term, poly in X.terms.items():
-        out = out + Expression({term: poly})
+        pairs.append((term, poly))
         if term.species == "J":
             for mu in range(1, term.arg.N + 1):
-                out = out + _single("G", term.adjoint, (mu,), term.arg, poly * term.arg.component(mu))
-    return out
+                pairs += _single("G", term.adjoint, (mu,), term.arg, poly * term.arg.component(mu)).terms.items()
+    terms: dict = {}
+    _add_into(terms, pairs)
+    return Expression._of(terms)
 
 
 # -- generator sweeps ----------------------------------------------------------
@@ -791,7 +824,7 @@ def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
             nonzero_support = nonzero_support or (concrete and not jac.is_zero)
         else:
             other += 1
-            want = Expression()
+            want = _ZERO
         if jac != want and len(mismatches) < _FAILURES_LISTED:
             if is_jgg:
                 detail = "got:\n" + jac.render() + "\nwant:\n" + want.render()

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -222,13 +223,22 @@ def test_species_not_in_table_rejected():
 
 
 def test_species_check_covers_both_arguments():
-    # a zero expression on either side still has its partner's species checked
+    # a zero expression on either side still has its partner's species
+    # checked: a fresh empty one, the shared zero, and an inner bracket that
+    # vanished, in both argument orders
     t = make_table("CLASSICAL_MF", build_su(2), N=3)
-    g = G(1, 1, _sym("m"))
-    with pytest.raises(TableMismatchError, match="species G"):
-        bracket(t, g, Expression())
-    with pytest.raises(TableMismatchError, match="species G"):
-        bracket(t, Expression(), g)
+    m, n = _sym("m"), _sym("n")
+    g = G(1, 1, m)
+    vanished = bracket(t, H(1, 1, 2, m), H(2, 1, 3, n))
+    assert vanished is _ZERO
+    for empty in (Expression(), _ZERO, vanished):
+        with pytest.raises(TableMismatchError, match="species G"):
+            bracket(t, g, empty)
+        with pytest.raises(TableMismatchError, match="species G"):
+            bracket(t, empty, g)
+    # with both sides defined, an empty side gives the shared zero
+    assert bracket(t, J(1, m), Expression()) is _ZERO
+    assert bracket(t, Expression(), J(1, m)) is _ZERO
 
 
 def test_plain_current_algebra_limit():
@@ -423,6 +433,53 @@ def test_jacobiator_total_antisymmetry():
     cycled = jacobiator(emb1, G(1, 1, n), G(1, 2, r), J(8, m))
     assert swapped == -base
     assert cycled == base
+
+
+def _is_jgg(x, y, z):
+    return (_generator(x).species, _generator(y).species, _generator(z).species) == ("J", "G", "G")
+
+
+def test_jacobiator_is_the_reduced_sum_of_its_brackets():
+    # the one-dict sum equals reduce_closedness of the three outer brackets
+    # added with Expression.__add__; the cases hold sums that survive
+    # reduction, sums removed by closedness and brackets that cancel
+    t0 = time.perf_counter()
+    cases = [
+        (make_table("DIFF_EXT", SU2, 2), lambda x, y, z: True),
+        (make_table("EMB1", SU2, 3), _is_jgg),
+        (make_table("EMB1", SU3, 3), _is_jgg),
+    ]
+    checked = surviving = closed = cancelling = 0
+    for table, keep in cases:
+        for (_, x), (_, y), (_, z) in _triples(table):
+            if not keep(x, y, z):
+                continue
+            outer = [
+                bracket(table, x, bracket(table, y, z)),
+                bracket(table, y, bracket(table, z, x)),
+                bracket(table, z, bracket(table, x, y)),
+            ]
+            raw = outer[0] + outer[1] + outer[2]
+            want = reduce_closedness(raw)
+            assert jacobiator(table, x, y, z) == want
+            checked += 1
+            surviving += not want.is_zero
+            closed += not raw.is_zero and want.is_zero
+            cancelling += raw.is_zero and any(not b.is_zero for b in outer)
+    assert checked == 816 + 135 + 2400
+    assert surviving and closed and cancelling
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"check took {elapsed:.1f}s"
+
+
+def test_sweeps_leave_the_shared_zero_empty():
+    t0 = time.perf_counter()
+    assert jacobi_sweep(make_table("DIFF_EXT", SU2, 2)).passed
+    assert emb1_obstruction(make_table("EMB1", SU3, 3)).passed
+    assert verify_embedding(make_table("MF", SU3, 3), make_table("EMB1", SU3, 3)).passed
+    assert _ZERO.terms == {}
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"sweeps took {elapsed:.1f}s"
 
 
 # -- concrete three-chain -----------------------------------------------------
