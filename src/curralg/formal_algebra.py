@@ -405,7 +405,8 @@ class AlgebraTable:
     CONCRETE_3D (S3 realized as the alternating symbol times delta(arg),
     N = 3 only).
 
-    The table memoises its elementary brackets in ``_memo``, keyed by the
+    The adjoint sums read the rows ``sc.f_rows`` and ``sc.d_rows``.  The
+    table memoises its elementary brackets in ``_memo``, keyed by the
     generator pair in canonical order only (see :func:`bracket`); every
     zero entry is the one shared empty expression.
     """
@@ -431,13 +432,6 @@ class AlgebraTable:
         self.species = TABLE_SPECIES[name]
         # what bracket's species check reads: the table's species and delta
         self._allowed = frozenset(self.species) | {"1"}
-        # sparse views of f and d for the adjoint sums; integral values as int
-        self._f_rows: dict = {}
-        self._d_rows: dict = {}
-        for (a, b, c), v in sc.f.items():
-            self._f_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
-        for (a, b, c), v in sc.d.items():
-            self._d_rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
         # elementary brackets, keyed (t1, t2) in canonical order only
         self._memo: dict = {}
 
@@ -507,10 +501,10 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
         # the adjoint action [J^a, X^b] = f^{abc} X^c, then the extension
         # terms that the table's species allow
         a, b = t1.adjoint, t2.adjoint
-        for c, v in table._f_rows.get((a, b), ()):
+        for c, v in table.sc.f_rows.get((a, b), ()):
             out.add(s2, c, t2.sidx, tot, v)
         if s2 == "J" and "G" not in table.species:
-            for c, v in table._d_rows.get((a, b), ()):
+            for c, v in table.sc.d_rows.get((a, b), ()):
                 for mu in range(1, table.N + 1):
                     for nu in range(1, table.N + 1):
                         if mu != nu:
@@ -523,7 +517,7 @@ def _elementary(table: AlgebraTable, t1: GeneratorTerm, t2: GeneratorTerm) -> Ex
             for rho in range(1, table.N + 1):
                 out.add("S3", 0, (mu, nu, rho), tot, m.component(rho))
     elif s1 == "G" and s2 == "G":
-        for c, v in table._d_rows.get((t1.adjoint, t2.adjoint), ()):
+        for c, v in table.sc.d_rows.get((t1.adjoint, t2.adjoint), ()):
             out.add("H", c, t1.sidx + t2.sidx, tot, v)
     elif s1 == "L" and s2 == "L":
         mu, nu = t1.sidx[0], t2.sidx[0]

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import Scalar, format_scalar, parse_scalar, sqrt_scalar
+from .scalars import Scalar, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
 
 __all__ = [
     "StructureConstants",
@@ -128,12 +128,17 @@ class StructureConstants:
     """Exact f and d tensors over a basis with unit metric.
 
     ``f`` and ``d`` map 1-based index triples to nonzero exact scalars;
-    absent triples are zero.
+    absent triples are zero.  ``f_rows`` and ``d_rows``, the one sparse view
+    that every layer reads, map ``(a, b)`` to ``[(c, value), ...]`` over the
+    nonzero entries in entry order, integral values as ``int``.  All four
+    are built here and read-only: nothing mutates them after construction.
     """
 
     dim: int
     f: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
     d: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
+    f_rows: dict = field(init=False, repr=False, compare=False)
+    d_rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -145,6 +150,8 @@ class StructureConstants:
         # filtered copies: the caller's dicts are left as they were passed
         self.f = {key: val for key, val in self.f.items() if val != 0}
         self.d = {key: val for key, val in self.d.items() if val != 0}
+        self.f_rows = _rows(self.f)
+        self.d_rows = _rows(self.d)
 
     # -- element access ---------------------------------------------------
 
@@ -245,33 +252,27 @@ def build_su(n: int) -> StructureConstants:
     return StructureConstants(dim=dim, f=f, d=d)
 
 
-def _dense(tensor: dict, n: int):
-    out = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
+def _rows(tensor: dict) -> dict:
+    """(a, b) -> [(c, value), ...] in entry order, integral values as int."""
+    rows: dict = {}
     for (a, b, c), v in tensor.items():
-        out[a - 1][b - 1][c - 1] = v
-    return out
+        rows.setdefault((a, b), []).append((c, as_int_if_integral(v)))
+    return rows
 
 
-def _rows(dense, n):
-    """rows[a][b] = list of (c, value) over the nonzero third index."""
-    return [
-        [[(c, dense[a][b][c]) for c in range(n) if dense[a][b][c] != 0] for b in range(n)]
-        for a in range(n)
-    ]
-
-
-def _check_permuted(name, dense, n, perm, sign) -> IdentityCheck:
-    """dense at the index triple permuted by ``perm`` == sign * dense, for
+def _check_permuted(name, tensor, n, perm, sign) -> IdentityCheck:
+    """tensor at the index triple permuted by ``perm`` == sign * tensor, for
     every triple in lexicographic order."""
-    for idx in itertools.product(range(n), repeat=3):
-        i, j, k = (idx[p] for p in perm)
-        resid = dense[i][j][k] - sign * dense[idx[0]][idx[1]][idx[2]]
+    get = tensor.get
+    p, q, r = perm
+    for idx in itertools.product(range(1, n + 1), repeat=3):
+        resid = get((idx[p], idx[q], idx[r]), 0) - sign * get(idx, 0)
         if resid != 0:
-            return IdentityCheck(name, False, tuple(x + 1 for x in idx), resid)
+            return IdentityCheck(name, False, idx, resid)
     return IdentityCheck(name, True)
 
 
-def _check_quartic(name, first, second_dense, n, middle_sign) -> IdentityCheck:
+def _check_quartic(name, first_rows, second, n, middle_sign) -> IdentityCheck:
     """sum_x first[a][e][x] second[b][c][x] +- first[a][c][x] second[b][e][x]
     + first[a][b][x] second[c][e][x] == 0 for every (a, b, c, e).
 
@@ -279,19 +280,20 @@ def _check_quartic(name, first, second_dense, n, middle_sign) -> IdentityCheck:
     when it is symmetric (invariance of d under the adjoint action); both
     follow from ad-invariance of the respective tensor.
     """
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    acc: Scalar = _ZERO
-                    for x, v in first[a][e]:
-                        acc = acc + v * second_dense[b][c][x]
-                    for x, v in first[a][c]:
-                        acc = acc + middle_sign * v * second_dense[b][e][x]
-                    for x, v in first[a][b]:
-                        acc = acc + v * second_dense[c][e][x]
-                    if acc != 0:
-                        return IdentityCheck(name, False, (a + 1, b + 1, c + 1, e + 1), acc)
+    get = second.get
+    span = range(1, n + 1)
+    for a in span:
+        rows = [()] + [first_rows.get((a, x), ()) for x in span]
+        for b, c, e in itertools.product(span, repeat=3):
+            acc: Scalar = 0
+            for x, v in rows[e]:
+                acc = acc + v * get((b, c, x), 0)
+            for x, v in rows[c]:
+                acc = acc + middle_sign * v * get((b, e, x), 0)
+            for x, v in rows[b]:
+                acc = acc + v * get((c, e, x), 0)
+            if acc != 0:
+                return IdentityCheck(name, False, (a, b, c, e), acc)
     return IdentityCheck(name, True)
 
 
@@ -305,15 +307,12 @@ def verify_identities(sc: StructureConstants) -> IdentityReport:
     first violating index tuple in lexicographic order.
     """
     n = sc.dim
-    fd = _dense(sc.f, n)
-    dd = _dense(sc.d, n)
-    f_rows = _rows(fd, n)
     checks = (
-        _check_permuted("f-first-pair-antisymmetry", fd, n, (1, 0, 2), -1),
-        _check_permuted("f-cyclic", fd, n, (1, 2, 0), +1),
-        _check_permuted("d-first-pair-symmetry", dd, n, (1, 0, 2), +1),
-        _check_permuted("d-cyclic", dd, n, (1, 2, 0), +1),
-        _check_quartic("jacobi-ff", f_rows, fd, n, -1),
-        _check_quartic("jacobi-fd", f_rows, dd, n, +1),
+        _check_permuted("f-first-pair-antisymmetry", sc.f, n, (1, 0, 2), -1),
+        _check_permuted("f-cyclic", sc.f, n, (1, 2, 0), +1),
+        _check_permuted("d-first-pair-symmetry", sc.d, n, (1, 0, 2), +1),
+        _check_permuted("d-cyclic", sc.d, n, (1, 2, 0), +1),
+        _check_quartic("jacobi-ff", sc.f_rows, sc.f, n, -1),
+        _check_quartic("jacobi-fd", sc.f_rows, sc.d, n, +1),
     )
     return IdentityReport(checks)

@@ -146,18 +146,23 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
     Keys: ("J", a), ("G", a, mu), ("H", a, mu, nu) with mu < nu, and
     ("T", mu, nu) for every mu, nu.  J sums each conjugate flavor pair once;
     G carries the d-symbol mixing term; T is the delta-trace over all three
-    species plus the psi and zeta index-mixing parts.
+    species plus the psi and zeta index-mixing parts.  J, G and H read the
+    rows ``sc.f_rows[a, b]`` and ``sc.d_rows[a, b]`` for b = 1..dim.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     dim = sc.dim
     fams: dict = {}
 
+    def entries(rows, a):
+        """(b, c, value) over the nonzero entries with first index a."""
+        for b in range(1, dim + 1):
+            for c, v in rows.get((a, b), ()):
+                yield b, c, v
+
     for a in range(1, dim + 1):
         body: CurrentBody = {}
-        for (x, b, c), v in sc.f.items():
-            if x != a:
-                continue
+        for b, c, v in entries(sc.f_rows, a):
             _badd(body, (("phi", c), ("phi", b)), v)
             for mu in range(1, N + 1):
                 _badd(body, (("psi", c, mu), ("psi", b, mu)), v)
@@ -169,13 +174,9 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
     for a in range(1, dim + 1):
         for mu in range(1, N + 1):
             body = {}
-            for (x, b, c), v in sc.f.items():
-                if x != a:
-                    continue
+            for b, c, v in entries(sc.f_rows, a):
                 _badd(body, (("psi", c, mu), ("phi", b)), v)
-            for (x, b, c), v in sc.d.items():
-                if x != a:
-                    continue
+            for b, c, v in entries(sc.d_rows, a):
                 for nu in range(1, N + 1):
                     zf = _zeta_flavor(c, mu, nu)
                     if zf is None:
@@ -188,9 +189,7 @@ def build_currents(sc: StructureConstants, N: int) -> dict:
         for mu in range(1, N + 1):
             for nu in range(mu + 1, N + 1):
                 body = {}
-                for (x, b, c), v in sc.f.items():
-                    if x != a:
-                        continue
+                for b, c, v in entries(sc.f_rows, a):
                     _badd(body, (("zeta", c, mu, nu), ("phi", b)), v)
                 fams[("H", a, mu, nu)] = body
 
@@ -239,15 +238,15 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
     if s1 == "J" and s2 in ("J", "G", "H"):
         # the adjoint action [J^a, X^b] = f^{abc} X^c
         a, b = lab1[1], lab2[1]
-        terms = [((s2, c) + lab2[2:], sc.f_at(a, b, c)) for c in range(1, sc.dim + 1)]
+        terms = [((s2, c) + lab2[2:], v) for c, v in sc.f_rows.get((a, b), ())]
         if lab1 == lab2:
             slope = _slope(fams[lab1], fams[lab1])
     elif (s1, s2) == ("G", "G"):
         (a, mu), (b, nu) = lab1[1:], lab2[1:]
-        for c in range(1, sc.dim + 1):
+        for c, v in sc.d_rows.get((a, b), ()):
             zf = _zeta_flavor(c, mu, nu)
             if zf is not None:
-                terms.append((("H",) + zf[0][1:], sc.d_at(a, b, c) * zf[1]))
+                terms.append((("H",) + zf[0][1:], v * zf[1]))
     elif (s1, s2) == ("G", "T"):
         (a, sig), (mu, nu) = lab1[1:], lab2[1:]
         if sig == nu:
@@ -270,9 +269,7 @@ def expected_bracket(fams: dict, sc: StructureConstants, N: int, lab1: tuple, la
     # every other species pair (G-H, H-H, J-T) vanishes
 
     out: CurrentBody = {}
-    for label, coeff in terms:
-        if coeff == 0:
-            continue
+    for label, coeff in terms:  # every coefficient is nonzero
         body_combine(out, fams[label], coeff)
     return out, slope
 

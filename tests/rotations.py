@@ -3,7 +3,8 @@
 A Givens rotation by ``(c, s)`` with ``c*c + s*s == 1`` and rational ``c``
 and ``s`` (a Pythagorean triple over its hypotenuse) is an exact rational
 orthogonal matrix, so the rotated structure constants stay in the exact
-scalar ring.  Both tensors transform in every index:
+scalar ring.  A reflection ``e_i -> -e_i`` is the improper case.  Both
+tensors transform in every index:
 ``f'^{abc} = R_{aa'} R_{bb'} R_{cc'} f^{a'b'c'}``, likewise ``d``.
 """
 
@@ -44,6 +45,15 @@ def givens_rotated(sc: StructureConstants, rotations) -> StructureConstants:
             f = _rotate_axis(f, axis, i, j, c, s)
             d = _rotate_axis(d, axis, i, j, c, s)
     return StructureConstants(dim=sc.dim, f=f, d=d)
+
+
+def reflected(sc: StructureConstants, i: int) -> StructureConstants:
+    """``sc`` in the basis with ``e_i -> -e_i``: an entry changes sign once
+    for each of its indices that equals ``i``."""
+    def flip(tensor):
+        return {key: v * (-1) ** key.count(i) for key, v in tensor.items()}
+
+    return StructureConstants(dim=sc.dim, f=flip(sc.f), d=flip(sc.d))
 
 
 # su(3) rotated out of the Gell-Mann basis: the plane (1, 4) by (3/5, 4/5),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curralg.lie_core import StructureConstants, build_su, verify_identities
-from curralg.scalars import sqrt_scalar
+from curralg.scalars import SurdSum, sqrt_scalar
 
 
 # -- independent oracle ---------------------------------------------------
@@ -181,3 +181,34 @@ def test_zero_entries_leave_the_callers_dict_alone():
     assert f == {(1, 2, 3): Fraction(1), (1, 1, 1): Fraction(0)}
     assert sc.f == {(1, 2, 3): Fraction(1)}
 
+
+
+def test_rows_are_the_sparse_view_of_the_entries():
+    root = sqrt_scalar(Fraction(3))
+    # entry order deliberately not sorted, with rows (1, 2) and (2, 1) interleaved
+    f = {
+        (1, 2, 3): Fraction(2, 2),
+        (2, 1, 3): Fraction(1, 2),
+        (1, 2, 1): root,
+        (1, 3, 2): Fraction(0),
+        (3, 1, 2): Fraction(-3),
+    }
+    d = {(2, 2, 2): Fraction(0), (1, 1, 3): 5}
+    f_in, d_in = dict(f), dict(d)
+    sc = StructureConstants(dim=3, f=f, d=d)
+    # the caller's dicts keep their zero entries and their Fraction values
+    assert (f, d) == (f_in, d_in) and type(f[1, 2, 3]) is Fraction
+    assert sc.f_rows == {(1, 2): [(3, 1), (1, root)], (2, 1): [(3, Fraction(1, 2))], (3, 1): [(2, -3)]}
+    assert sc.d_rows == {(1, 1): [(3, 5)]}
+    # integral values are int; Fraction and SurdSum values keep their type
+    assert [type(v) for row in sc.f_rows.values() for _, v in row] == [int, SurdSum, Fraction, int]
+    assert type(sc.d_rows[1, 1][0][1]) is int
+    # every nonzero entry appears exactly once, under its (a, b), in entry order
+    for tensor, rows in ((sc.f, sc.f_rows), (sc.d, sc.d_rows)):
+        flat = [(a, b, c) for (a, b), row in rows.items() for c, _ in row]
+        assert sorted(flat) == sorted(tensor)
+        for (a, b), row in rows.items():
+            assert [c for c, _ in row] == [k[2] for k in tensor if k[:2] == (a, b)]
+            assert all(v == tensor[a, b, c] for c, v in row)
+    # a zero entry has no row
+    assert (1, 3) not in sc.f_rows and (2, 2) not in sc.d_rows
