@@ -91,8 +91,6 @@ __all__ = [
     "NUMERIC_TABLES",
     "stage_deviations",
     "BracketDeviation",
-    "measure_cubic_coefficient",
-    "CubicFit",
 ]
 
 _TRAJ = "traj"
@@ -734,9 +732,10 @@ def check_table_numeric(
     BracketDeviation per generator pair holding the worst deviation found.
     ``charges`` gives the charges k, c1, c2 (see :func:`default_charges`).
     Only the tables whose species are all realized here are accepted (the
-    three-chain tables are not); a negative window or an empty probe list
-    would check nothing and is rejected.  A closed form holds generators at
-    m + n, so the window must satisfy 2 * window <= P.
+    three-chain tables are not); a negative window, an empty probe list or a
+    probe outside the cutoffs would check nothing and is rejected before any
+    column is built.  A closed form holds generators at m + n, so the window
+    must satisfy 2 * window <= P.
     """
     if window < 0:
         raise ValueError(f"window must not be negative, got {window}")
@@ -748,6 +747,8 @@ def check_table_numeric(
     vecs = list(itertools.product(range(-window, window + 1), repeat=space.spec.N))
     if probes is None:
         probes = default_probe_keys(space)
+    for probe in probes:
+        _check_probe(space, probe)
     labels = fa.generator_labels(table.species, table.sc.dim, table.N)
     rows = []
     for i, lab1 in enumerate(labels):
@@ -761,6 +762,12 @@ def check_table_numeric(
                             worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
             rows.append(worst)
     return rows
+
+
+def _check_probe(space: VertexSpace, probe: tuple) -> None:
+    """Refuse a probe that is no basis key inside the cutoffs: every column on it is empty."""
+    if len(probe[1]) != space.spec.N or not space.project({probe: 1.0}):
+        raise ValueError(f"probe {probe} lies outside the truncated space")
 
 
 def _column_distance(a: dict, b: dict) -> float:
@@ -798,91 +805,28 @@ def stage_deviations(
     """Deviation of fixed tested elements (bracket, momenta, probe) in one space.
 
     Accepts the same tables as :func:`check_table_numeric`; an empty element
-    list would check nothing and is rejected.  A closed form holds generators
-    at m + n, so m, n and m + n must each lie in the lattice window; every
-    element is checked before any column is built.
+    list would check nothing and is rejected.  Each element's labels must be
+    generators of the table, and its probe must lie inside the cutoffs.  A
+    closed form holds generators at m + n, so m, n and m + n must each lie in
+    the lattice window.  Every element is checked before any column is built.
     """
     if not elements:
         raise ValueError("element list is empty")
+    table, gens = _numeric_context(table_name, space)
+    labels = frozenset(fa.generator_labels(table.species, table.sc.dim, table.N))
     for element in elements:
-        _, mv, _, nv, _ = element
+        lab1, mv, lab2, nv, probe = element
+        for label in (lab1, lab2):
+            if label not in labels:
+                raise ValueError(f"label {label} is not a generator of {table_name}")
+        if len(mv) != space.spec.N or len(nv) != space.spec.N:
+            raise ValueError(f"element {element} has a lattice vector of the wrong dimension")
         if not all(space.in_window(v) for v in (mv, nv, tuple(map(add, mv, nv)))):
             raise ValueError(f"element {element} needs m, n and m + n within P={space.spec.P}")
-    table, gens = _numeric_context(table_name, space)
+        _check_probe(space, probe)
     out = []
     for lab1, mv, lab2, nv, probe in elements:
         dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)
         out.append(BracketDeviation(lab1, lab2, mv, nv, dev, probe))
     return out
 
-
-@dataclass(frozen=True)
-class CubicFit:
-    """Witt-sector extension candidates measured at N = 1.
-
-    The one-chain vanishes identically at N = 1 (its closedness relation
-    pins it to zero), so any surviving extension of the realized L family
-    would have to live on the vertex zero modes.  ``values`` maps (m, n)
-    to the fitted coefficient of the (V_{m+n})_0 column on probes far
-    enough from every cutoff boundary; alpha and beta solve
-    coefficient = alpha*(m-n)*(m+n)^2 + beta*(m-n), the two density-valued
-    cocycle shapes of this degree.  Measured outcome: the family closes
-    exactly, every coefficient is zero and alpha = beta = 0.
-    """
-
-    alpha: float
-    beta: float
-    residual: float
-    values: tuple
-
-
-def _degeneration_probes(space: VertexSpace, m: int, n: int) -> list:
-    """Probes on which the (m, n) bracket provably clears every cutoff.
-
-    Both commutator paths must keep the lattice label inside the window
-    (the label passes through w+m or w+n before landing on w+m+n), else
-    one path is clipped and the deviation measures the truncation, not
-    the algebra.  Levels are preserved by every generator and the current
-    sector is probed from its vacuum, so the lattice window is the only
-    constraint.
-    """
-    P = space.spec.P
-    shifts = (0, m, n, m + n)
-    probes = []
-    for w in range(-P, P + 1):
-        if any(abs(w + s) > P for s in shifts):
-            continue
-        lat = (w,)
-        probes.append((VACUUM_QP, lat, ()))
-        probes.append((p_slot_key(1), lat, ()))
-        probes.append((q_slot_key(1), lat, ()))
-    return probes
-
-
-def measure_cubic_coefficient(space: VertexSpace, include_T: bool = False) -> CubicFit:
-    if space.spec.N != 1:
-        raise ValueError("the degeneration measurement runs at N = 1")
-    if space.spec.P < 3:
-        raise ValueError("the (m, n) grid reaches |m+n| = 3; needs P >= 3")
-    gens = RealizedGenerators(space, include_T=include_T)
-    pairs = [(2, -1), (2, 1), (1, -2), (1, 2), (-2, 1), (1, -1), (2, -2)]
-    values = []
-    for m, n in pairs:
-        r = (m + n,)
-        what = f"extension coefficient at ({m},{n})"
-        coeff, resid = _fit(
-            gens, (("L", 1), (m,)), (("L", 1), (n,)), [(("L", 1), r, -(n - m))],
-            build_vertex(r, 0, space).column, _degeneration_probes(space, m, n), what,
-        )
-        if resid > _FIT_TOL:
-            raise FitError(f"extension at ({m},{n}) is not proportional to the vertex zero mode: residual {resid}")
-        values.append(((m, n), coeff))
-
-    # solve gamma(m,n) = alpha*(m-n)*(m+n)^2 + beta*(m-n) from the grid
-    rows = [((m - n) * (m + n) ** 2, (m - n), g) for (m, n), g in values]
-    (a1, b1, g1), (a2, b2, g2) = rows[0], rows[1]
-    det = a1 * b2 - a2 * b1  # -24 on this grid
-    alpha = (g1 * b2 - g2 * b1) / det + 0.0  # +0.0 folds -0.0
-    beta = (a1 * g2 - a2 * g1) / det + 0.0
-    residual = max(abs(a * alpha + b * beta - g) for a, b, g in rows)
-    return CubicFit(alpha=alpha, beta=beta, residual=residual, values=tuple(values))

@@ -13,7 +13,9 @@ import pytest
 
 from curralg.formal_algebra import generator_labels, make_table
 from curralg.lie_core import build_su
+from curralg.fock_oracle import state_add
 from curralg.wick_currents import measure_level, measure_k1_k2
+from curralg import vertex_fock
 from curralg.vertex_fock import (
     NUMERIC_TABLES,
     VACUUM_QP,
@@ -29,7 +31,6 @@ from curralg.vertex_fock import (
     default_charges,
     default_probe_keys,
     measure_c1_c2,
-    measure_cubic_coefficient,
     measure_vertex_level,
     p_slot_key,
     q_slot_key,
@@ -657,6 +658,38 @@ def test_stage_deviations_checks_every_momentum_before_any_column():
     assert not space._columns and not space._kernels
 
 
+def test_numeric_sweeps_reject_probes_and_labels_that_check_nothing():
+    # every column on a probe outside the cutoffs is empty, so both sides of
+    # every bracket agree on it; a label outside the table's species has no
+    # closed form.  Each is refused, by name, before any column is built.
+    charges = dict(_charges())
+    outside = [
+        (VACUUM_QP, (9, 9), ()),  # outside the lattice window
+        ((((("traj", 1), False, -2), 3),), (0, 0), ()),  # level 6 > L
+        (VACUUM_QP, (0, 0), ((PHI1[0], 5),)),  # five quanta > current_cap
+        (VACUUM_QP, (0,), ()),  # lattice label of the wrong dimension
+    ]
+    for probe in outside:
+        space = VertexSpace(SU2, DEFAULT)
+        with pytest.raises(ValueError, match=re.escape(f"probe {probe}")):
+            check_table_numeric("EMB2", space, charges, probes=[probe])
+        element = (("J", 1), (1, 0), ("J", 2), (0, 1), probe)
+        with pytest.raises(ValueError, match=re.escape(f"probe {probe}")):
+            stage_deviations("EMB2", space, [element], charges)
+        assert not space._columns and not space._kernels
+    space = VertexSpace(SU2, DEFAULT)
+    inside = (p_slot_key(1), (0, 0), ())
+    valid = (("J", 1), (1, 0), ("J", 2), (0, 1), inside)
+    for element in [(("L", 1), (1, 0), ("J", 2), (0, 1), inside), (("J", 2), (1, 0), ("L", 1), (0, 1), inside)]:
+        with pytest.raises(ValueError, match=re.escape("label ('L', 1) is not a generator of EMB2")):
+            stage_deviations("EMB2", space, [valid, element], charges)
+    # a momentum of the wrong dimension, after a valid element
+    element = (("J", 1), (1,), ("J", 2), (0, 1), inside)
+    with pytest.raises(ValueError, match=re.escape(f"element {element} has a lattice vector of the wrong dimension")):
+        stage_deviations("EMB2", space, [valid, element], charges)
+    assert not space._columns and not space._kernels
+
+
 def test_numeric_entry_points_share_the_deviation_kernel():
     """stage_deviations reproduces every nonzero row of the sweep exactly,
     the worst one included."""
@@ -717,20 +750,59 @@ def test_boundary_probe_keys_sit_on_the_boundary():
 # -- N = 1 degeneration --------------------------------------------------------
 
 
+# At N = 1 the one-chain vanishes identically, so the realized family must
+# close into plain Witt with no extension; the window reaches |m + n| = 4.
+N1 = TruncationSpec(N=1, L=4, P=4, M=2, current_cap=6)
+
+
 @pytest.mark.parametrize("include_T", [False, True])
 def test_n1_family_closes_exactly(include_T):
-    space = VertexSpace(SU2, TruncationSpec(N=1, L=4, P=3, M=2, current_cap=6))
-    fit = measure_cubic_coefficient(space, include_T=include_T)
-    assert fit.alpha == 0.0
-    assert fit.beta == 0.0
-    assert fit.residual == 0.0
-    assert all(coeff == 0.0 for _, coeff in fit.values)
+    """[L_1(m), L_1(n)] = (n - m) L_1(m + n) column for column, with the
+    current part of L and without it (the trajectory part alone)."""
+    space = VertexSpace(SU2, N1)
+    gens = RealizedGenerators(space, include_T=include_T)
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            for probe in default_probe_keys(space):
+                col = gens.operator(("L", 1), (m,)).commutator_column(gens.operator(("L", 1), (n,)), probe)
+                state_add(col, gens.operator(("L", 1), (m + n,)).column(probe), -(n - m))
+                assert col == {}, (m, n, probe)
 
 
-def test_n1_measurement_rejects_other_dimensions():
-    with pytest.raises(ValueError):
-        measure_cubic_coefficient(_space())
-    with pytest.raises(ValueError):
-        measure_cubic_coefficient(
-            VertexSpace(SU2, TruncationSpec(N=1, L=4, P=2, M=2, current_cap=6))
-        )
+def test_n1_diff_ext_sweep_is_exact(monkeypatch):
+    """The DIFF_EXT sweep at N = 1 is exact on every bracket, and sees a
+    planted Witt extension on the one bracket it is planted in.
+
+    c1 and c2 multiply S1, which vanishes at N = 1, so they are set to 0.
+    The plants are the two density-valued cocycle shapes of this degree,
+    eps (m - n)(m + n)^2 V_{m+n,0} and eps (m - n) V_{m+n,0}, added to the
+    closed form of [L_1(m), L_1(n)].  V_{r,0} on the probe p_{1,-1}|0> has
+    the term -r^2 q^1_{-1}|r>, its largest amplitude on the default probes,
+    so by hand the planted row's worst deviation is eps times
+    max |shape| (m + n)^2 over the window: 81 eps and 9 eps, both reached
+    first at m = -2, n = -1 (m + n = -3).
+    """
+    t0 = time.time()
+    space = VertexSpace(SU2, N1)
+    charges = {"k": float(measure_level(SU2, 1)), "c1": 0.0, "c2": 0.0}
+    rows = check_table_numeric("DIFF_EXT", space, charges, window=2)
+    assert len(rows) == 36
+    assert all(row.deviation == 0.0 for row in rows)
+
+    eps = 1e-3
+    L1 = ("L", 1)
+    for shape, worst in ((lambda m, n: (m - n) * (m + n) ** 2, 81 * eps), (lambda m, n: m - n, 9 * eps)):
+
+        def planted(gens, table, charges, label1, m, label2, n, probe, shape=shape):
+            out = _expected_column(gens, table, charges, label1, m, label2, n, probe)
+            if label1 == label2 == L1:
+                state_add(out, build_vertex((m[0] + n[0],), 0, gens.space).column(probe), eps * shape(m[0], n[0]))
+            return out
+
+        monkeypatch.setattr(vertex_fock, "_expected_column", planted)
+        rows = check_table_numeric("DIFF_EXT", space, charges, window=2)
+        flipped = [row for row in rows if row.deviation != 0.0]
+        assert [(row.label1, row.label2) for row in flipped] == [(L1, L1)]
+        assert flipped[0].deviation == pytest.approx(worst, rel=1e-12)
+        assert (flipped[0].m, flipped[0].n) == ((-2,), (-1,))
+    assert time.time() - t0 < 30.0
