@@ -203,30 +203,25 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
             rows.append(("jgg_triples", ob.jgg_checked))
             rows.append(("other_triples", ob.other_checked))
             rows.append(("obstruction_pattern", "d^{abc} m_rho S3^{mu,nu,rho}(m+n+r)"))
+            table_ok = not ob.mismatches
             if ob.mismatches:
-                ok = False
                 rows.append(("mismatch", ob.mismatches[0]))
             if cfg.dim == 3:
                 concrete = fa.emb1_obstruction(fa.make_table("EMB1", sc, 3, chain_mode="CONCRETE_3D"))
                 expected = not sc.d_is_zero
-                rows.append(
-                    (
-                        "obstruction_on_support",
-                        "nonzero" if concrete.nonzero_on_support else "identically zero",
-                    )
-                )
+                support = "nonzero" if concrete.nonzero_on_support else "identically zero"
+                rows.append(("obstruction_on_support", support))
                 if concrete.mismatches or concrete.nonzero_on_support != expected:
-                    ok = False
+                    table_ok = False
                     rows.append(("obstruction_check", "FAIL: support does not track the d tensor"))
-            rows.append(("status", "PASS" if not ob.mismatches else "FAIL"))
         else:
             jrep = fa.jacobi_sweep(fa.make_table(table_name, sc, cfg.dim))
             rows.append(("triples", jrep.triples_checked))
+            table_ok = not jrep.failures
             if jrep.failures:
-                ok = False
-                first = jrep.failures[0]
-                rows.append(("first_failure", first))
-            rows.append(("status", "PASS" if not jrep.failures else "FAIL"))
+                rows.append(("first_failure", jrep.failures[0]))
+        ok = ok and table_ok
+        rows.append(("status", "PASS" if table_ok else "FAIL"))
         report.add(f"table {table_name}", rows)
 
     emb_rows = []

@@ -42,6 +42,9 @@ projected columns, which are exactly the columns of the truncated matrix.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations_with_replacement
+
 __all__ = [
     "vacuum",
     "key_level",
@@ -240,7 +243,9 @@ def apply_body(state: State, body: dict, m: int, cutoffs=None) -> State:
 def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:
     """All basis keys within the cutoffs, vacuum first, in sorted order.
 
-    A negative bound admits no key, not even the vacuum.
+    The keys are the multisets of at most ``npart_max`` creator slots whose
+    level is at most ``level_max``.  A negative bound admits no key, not
+    even the vacuum.
     """
     if level_max < 0 or npart_max < 0:
         return []
@@ -252,28 +257,13 @@ def enumerate_keys(flavors, level_max: int, npart_max: int) -> list:
             slots.append((fl, True, -lev))
     slots.sort()
 
-    keys: list = []
-
-    def grow(start: int, level: int, npart: int, picked):
-        keys.append(tuple(picked))
-        if npart == npart_max:
-            return
-        for i in range(start, len(slots)):
-            slot = slots[i]
-            lev = -slot[2]
-            if level + lev > level_max:
-                continue
-            if picked and picked[-1][0] == slot:
-                picked[-1] = (slot, picked[-1][1] + 1)
-                grow(i, level + lev, npart + 1, picked)
-                picked[-1] = (slot, picked[-1][1] - 1)
-            else:
-                picked.append((slot, 1))
-                grow(i, level + lev, npart + 1, picked)
-                picked.pop()
-
-    grow(0, 0, 0, [])
-    return sorted(set(keys), key=lambda k: (key_npart(k), key_level(k), k))
+    keys = [
+        tuple(Counter(picked).items())
+        for n in range(npart_max + 1)
+        for picked in combinations_with_replacement(slots, n)
+        if sum(-slot[2] for slot in picked) <= level_max
+    ]
+    return sorted(keys, key=lambda k: (key_npart(k), key_level(k), k))
 
 
 class FockOracle:

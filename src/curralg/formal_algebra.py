@@ -215,14 +215,8 @@ def _sort_with_sign(indices: tuple) -> tuple[int, Optional[tuple]]:
     """Permutation sign and sorted tuple; repeated indices give sign 0."""
     if len(set(indices)) != len(indices):
         return 0, None
-    sign = 1
-    idx = list(indices)
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    return sign, tuple(idx)
+    inversions = sum(x > y for x, y in itertools.combinations(indices, 2))
+    return (-1) ** inversions, tuple(sorted(indices))
 
 
 _ANTISYM_ARITY = {"H": 2, "S3": 3}

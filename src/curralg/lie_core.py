@@ -6,10 +6,11 @@ tensor ``f`` and the totally symmetric tensor ``d`` of a basis with metric
 so every identity check below is an exact-zero test, not a tolerance test.
 
 ``build_su(n)`` constructs both tensors from hermitian generators ``T^a``
-normalised by ``tr(T^a T^b) = delta^{ab}/2``, using
+normalised by ``tr(T^a T^b) = delta^{ab}/2`` as the imaginary and real parts
+of one trace ``t = tr(T^a T^b T^c)``, whose conjugate is ``tr(T^b T^a T^c)``:
 
-    f^{abc} = -2i tr([T^a, T^b] T^c)
-    d^{abc} =  2  tr({T^a, T^b} T^c)
+    f^{abc} = -2i tr([T^a, T^b] T^c) = 4 Im t
+    d^{abc} =  2  tr({T^a, T^b} T^c) = 4 Re t
 """
 
 from __future__ import annotations
@@ -235,16 +236,11 @@ def build_su(n: int) -> StructureConstants:
     for a in range(dim):
         for b in range(dim):
             for c in range(dim):
-                t_ab = _mat_trace_prod(prods[a][b], gens[c])
-                t_ba = _mat_trace_prod(prods[b][a], gens[c])
-                # tr([T^a,T^b]T^c) is purely imaginary, tr({T^a,T^b}T^c) purely
-                # real for hermitian generators; anything else is a build bug
-                comm = (t_ab[0] - t_ba[0], t_ab[1] - t_ba[1])
-                anti = (t_ab[0] + t_ba[0], t_ab[1] + t_ba[1])
-                if comm[0] != 0 or anti[1] != 0:
-                    raise AssertionError(f"non-hermitian trace at ({a + 1},{b + 1},{c + 1})")
-                fval = 2 * comm[1]
-                dval = 2 * anti[0]
+                # tr(T^b T^a T^c) is the conjugate of t for hermitian generators; a
+                # basis that is not hermitian breaks the symmetries verify_identities checks
+                t = _mat_trace_prod(prods[a][b], gens[c])
+                fval = 4 * t[1]
+                dval = 4 * t[0]
                 if fval != 0:
                     f[(a + 1, b + 1, c + 1)] = fval
                 if dval != 0:

@@ -6,13 +6,15 @@ suite.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
-from curralg import cli
+from curralg import cli, lie_core
 from curralg import vertex_fock as vf
 from curralg.cli import RunConfig, UsageError, load_config_file, main, parse_su
 
@@ -45,6 +47,40 @@ def test_verify_lie_broken_file_names_the_violation(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-lie", "--algebra-file", str(bad), "--no-timestamp")
     assert code == 1
     assert "FAIL at (1, 1, 2)" in out
+    assert "status = FAIL" in out
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _combine(x, a, y, b):
+    """x a + y b for matrices of (re, im) pairs and complex pairs x, y."""
+    return [
+        [tuple(p + q for p, q in zip(_cmul(x, u), _cmul(y, v))) for u, v in zip(row_a, row_b)]
+        for row_a, row_b in zip(a, b)
+    ]
+
+
+def test_verify_lie_reports_a_non_hermitian_basis(capsys, monkeypatch):
+    # a complex rotation of T^1 and T^8 (cosh 5/4, sinh 3/4) keeps
+    # 2 tr(T^a T^b) = delta^{ab}, so the metric check passes, but the two
+    # generators stop being hermitian and f and d lose their symmetries
+    real = lie_core.su_generators
+    cosh, i_sinh = (Fraction(5, 4), Fraction(0)), (Fraction(0), Fraction(3, 4))
+    minus_i_sinh = (Fraction(0), Fraction(-3, 4))
+
+    def rotated(n):
+        gens = real(n)
+        t1, t8 = gens[0], gens[7]
+        gens[0] = _combine(cosh, t1, i_sinh, t8)
+        gens[7] = _combine(minus_i_sinh, t1, cosh, t8)
+        return gens
+
+    monkeypatch.setattr(lie_core, "su_generators", rotated)
+    code, out, _ = run(capsys, "verify-lie", "--algebra", "su3", "--no-timestamp")
+    assert code == 1
+    assert "f-first-pair-antisymmetry = FAIL at (1, 1, 1), residual 21/8*sqrt(3)" in out
     assert "status = FAIL" in out
 
 
@@ -97,6 +133,29 @@ def test_verify_tables_su2_obstruction_vanishes(capsys):
     )
     assert code == 0
     assert "obstruction_on_support = identically zero" in out
+
+
+def test_emb1_status_follows_the_support_check(capsys, monkeypatch):
+    # the CONCRETE_3D support check fails on its own: the section's status
+    # must read FAIL with it, not only the report's
+    real = cli.fa.emb1_obstruction
+
+    def flipped(table):
+        rep = real(table)
+        if table.chain_mode == "CONCRETE_3D":
+            rep = dataclasses.replace(rep, nonzero_on_support=not rep.nonzero_on_support)
+        return rep
+
+    monkeypatch.setattr(cli.fa, "emb1_obstruction", flipped)
+    code, out, _ = run(
+        capsys, "verify-tables", "--algebra", "su2", "--dim", "3",
+        "--tables", "EMB1", "--no-timestamp",
+    )
+    assert code == 1
+    section = out.split("[table EMB1]\n", 1)[1].split("\n\n", 1)[0]
+    assert section.endswith(
+        "obstruction_check = FAIL: support does not track the d tensor\nstatus = FAIL"
+    ), section
 
 
 def test_verify_tables_subset_at_dim_2(capsys):

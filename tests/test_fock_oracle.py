@@ -130,6 +130,19 @@ def test_memoised_column_is_the_projected_uncut_column(algebra, data, m, level_m
             assert level <= level_max and npart <= npart_max
 
 
+# -- the basis at many flavors -----------------------------------------------------
+
+
+@pytest.mark.parametrize("npart_max, count", [(1, 109), (2, 3_091), (3, 41_767)])
+def test_basis_counts_and_order_at_twelve_flavors(npart_max, count):
+    # twelve flavors, 108 slots; the counts were recorded with a depth-first
+    # builder, independently of the multiset enumeration
+    keys = enumerate_keys(flavors_for(3, 2), 4, npart_max)
+    assert len(keys) == count
+    ranks = [(key_npart(k), key_level(k), k) for k in keys]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))  # sorted, no duplicate
+
+
 # -- negative cutoffs --------------------------------------------------------------
 
 

@@ -39,7 +39,15 @@ from curralg.formal_algebra import (
     reduce_closedness,
     verify_embedding,
 )
-from curralg.formal_algebra import _ADJOINT_SPECIES, _FAILURES_LISTED, _SPACETIME_ARITY, _ZERO, _generator, _triples
+from curralg.formal_algebra import (
+    _ADJOINT_SPECIES,
+    _FAILURES_LISTED,
+    _SPACETIME_ARITY,
+    _ZERO,
+    _generator,
+    _sort_with_sign,
+    _triples,
+)
 from curralg.poly import Poly
 from curralg.scalars import SurdSum
 
@@ -70,6 +78,30 @@ def test_antisymmetric_index_normalization():
     assert S3(3, 1, 2, m) == S3(1, 2, 3, m)
     assert S3(2, 1, 3, m) == -S3(1, 2, 3, m)
     assert S3(1, 1, 2, m).is_zero
+
+
+def _cycle_sign(indices: tuple) -> int:
+    """(-1)^(len - cycles) of the permutation that sorts distinct indices."""
+    ranks = [sorted(indices).index(x) for x in indices]
+    seen: set = set()
+    cycles = 0
+    for start in range(len(ranks)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = ranks[i]
+    return (-1) ** (len(ranks) - cycles)
+
+
+def test_index_sign_is_the_cycle_parity():
+    for length in range(5):
+        for indices in itertools.product(range(1, 5), repeat=length):
+            if len(set(indices)) < length:
+                assert _sort_with_sign(indices) == (0, None)
+            else:
+                assert _sort_with_sign(indices) == (_cycle_sign(indices), tuple(sorted(indices)))
 
 
 def test_expression_equality_is_order_independent():

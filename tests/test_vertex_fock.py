@@ -703,6 +703,42 @@ def test_numeric_entry_points_share_the_deviation_kernel():
     assert again == nonzero
 
 
+# [J^2((-1,-1)), J^8((-1,1))] at su(3), N = 2: the formal CLASSICAL_MF bracket
+# has a d-channel term, EMB2's has none, and both sweeps read the raw J of EMB2
+SU3_SPEC = TruncationSpec(N=2, L=4, P=2, M=2, current_cap=3)
+D_CHANNEL_PAIR = (("J", 2), (-1, -1), ("J", 8), (-1, 1))
+
+
+def _su3_d_channel_deviations(table_name: str, probes=None) -> list:
+    su3 = build_su(3)
+    space = VertexSpace(su3, SU3_SPEC)
+    charges = {"k": float(measure_level(su3, 2)), "c1": 0.0, "c2": 0.0}
+    probes = default_probe_keys(space) if probes is None else probes
+    return stage_deviations(table_name, space, [D_CHANNEL_PAIR + (probe,) for probe in probes], charges)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: CLASSICAL_MF reads EMB2's raw J, which lacks the d-channel; "
+    "the realization through the redefinition J -> J + m_mu G^mu fixes it",
+)
+def test_classical_mf_d_channel_is_realized_at_su3():
+    t0 = time.perf_counter()
+    rows = _su3_d_channel_deviations("CLASSICAL_MF")
+    elapsed = time.perf_counter() - t0
+    if elapsed > 20.0:
+        # pytest.fail, not assert: a slow run must not pass as the expected failure
+        pytest.fail(f"took {elapsed:.1f}s, bound 20s")
+    # until item 1 is done the worst row reads 8/sqrt(3) = 4.6188 on (p_{1,-1}, (0, 0), phi1)
+    assert max(r.deviation for r in rows) <= 1e-9, [(r.probe, r.deviation) for r in rows if r.deviation > 1e-9]
+
+
+def test_emb2_has_no_d_channel_at_su3():
+    [row] = _su3_d_channel_deviations("EMB2", probes=[(p_slot_key(1), (0, 0), (PHI1,))])
+    assert row.deviation == 0.0
+
+
 # -- convergence across truncation stages -------------------------------------
 
 
