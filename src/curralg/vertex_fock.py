@@ -190,10 +190,12 @@ class VertexSpace:
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
         self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
-        # Column kernels: (op_key, qp_key, cur_key) -> kernel (see kernel), and the
-        # projected columns: operator key -> {basis key: column}; see OperatorMatrix.
+        # Column kernels: (op_key, qp_key, cur_key) -> kernel (see kernel), the
+        # projected columns: operator key -> {basis key: column}, and the one
+        # stored copy of every lattice point and basis key in them; see OperatorMatrix.
         self._kernels: dict = {}
         self._columns: dict = {}
+        self._keys: dict = {}
 
     # -- truncation --------------------------------------------------------
 
@@ -402,6 +404,21 @@ class VertexSpace:
             hit = self._kernels[op_key, qp_key, cur_key] = tuple((qp2, cur2, amp) for (qp2, _, cur2), amp in column)
         return hit
 
+    def _placed(self, kernel: tuple, w: tuple) -> dict:
+        """A kernel's terms put at the lattice point w; w and each key are the space's one stored copy."""
+        intern = self._keys.setdefault
+        w = intern(w, w)
+        out = {}
+        for qp2, cur2, amp in kernel:
+            key = (qp2, w, cur2)
+            out[intern(key, key)] = amp
+        return out
+
+
+# Every empty column in every store is this one dict, so no caller may
+# mutate a column.
+_EMPTY_COLUMN: dict = {}
+
 
 class OperatorMatrix:
     """A truncated operator held as lazily computed sparse columns.
@@ -416,6 +433,12 @@ class OperatorMatrix:
     or (label, m, include_T) for a label in ``space.labels``, with m in the
     lattice window.  Its kernels and columns live in the space: every handle
     with the same key on one space fills the same stores.
+
+    Columns are read-only, since the store shares their parts.  Each column
+    is built in a fresh dict whose keys, and the lattice point w + m in
+    them, are the space's one stored copy of each.  L's zero-mode term is
+    added to that dict, and only a column still empty after it is swapped
+    for the one empty dict that every empty column in every store shares.
     """
 
     def __init__(self, space: VertexSpace, op_key: tuple):
@@ -435,15 +458,14 @@ class OperatorMatrix:
         if hit is None:
             qp_key, w, cur_key = key
             head, m, _ = self.op_key
+            space = self.space
             w2 = tuple(map(add, w, m))
             hit = {}
-            if self.space.in_window(w2):
-                kernel = self.space.kernel
-                hit = {(qp2, w2, cur2): amp for qp2, cur2, amp in kernel(self.op_key, qp_key, cur_key)}
+            if space.in_window(w2):
+                hit = space._placed(space.kernel(self.op_key, qp_key, cur_key), w2)
                 if head[0] == "L" and w[head[1] - 1]:
-                    zero = {(qp2, w2, cur2): amp for qp2, cur2, amp in kernel(("V", m, 0), qp_key, cur_key)}
-                    state_add(hit, zero, w[head[1] - 1])
-            self._columns[key] = hit
+                    state_add(hit, space._placed(space.kernel(("V", m, 0), qp_key, cur_key), w2), w[head[1] - 1])
+            hit = self._columns[key] = hit or _EMPTY_COLUMN
         return hit
 
     def apply(self, state: dict) -> dict:
@@ -602,7 +624,7 @@ def measure_vertex_level(space: VertexSpace) -> float:
     coeff, resid = _fit(gens, (("J", 1), m), (("J", 1), n), [], ref, [probe], "vertex level k")
     if resid > _FIT_TOL:
         raise FitError(f"level fit residual {resid} too large")
-    return -coeff
+    return -coeff + 0.0  # +0.0 folds the -0.0 of a zero level
 
 
 def measure_c1_c2(space: VertexSpace, include_T: bool = True) -> ChargeFit:

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import time
 from dataclasses import fields
 from fractions import Fraction
 
@@ -292,6 +293,19 @@ def test_measure_su2_defaults(capsys):
     assert "c2_equals_k2 = PASS" in out
     assert "k_same_in_both_sectors = PASS" in out
     assert "sweep_CLASSICAL_MF" in out
+
+
+def test_measure_abelian_level_reads_plain_zero(capsys, tmp_path):
+    # u(1) has k = 0; the level read off the realized bracket is the negated
+    # fit, which must not print as -0.0
+    t0 = time.perf_counter()
+    path = tmp_path / "u1.txt"
+    path.write_text("dim 1\n")
+    code, out, _ = run(capsys, "measure", "--algebra-file", str(path), "--dim", "2", "--no-timestamp")
+    assert code == 0
+    assert "\nk = 0\n" in out
+    assert "\nk_from_one_chain = 0.0\n" in out
+    assert time.perf_counter() - t0 < 30.0
 
 
 def test_measure_tolerance_below_certification_floor_fails(capsys):

@@ -390,6 +390,31 @@ def test_column_store_keeps_include_T_apart():
         assert cols == [fresh.column(key) for key in _MEMO_STATES]
 
 
+def test_column_store_shares_keys_and_the_empty_column():
+    space = VertexSpace(SU2, DEFAULT)
+    charges = dict(_charges())
+    measure_c1_c2(space)
+    for name in NUMERIC_TABLES:
+        check_table_numeric(name, space, probes=_STORE_PROBES, charges=charges)
+    # L's zero-mode term w_mu V_{m,0} is added before an empty column is
+    # shared: on the shifted vacuum, L_1(0) has an empty kernel and only that term
+    shifted_vacuum = space.vacuum_key((1, 0))
+    assert RealizedGenerators(space).operator(("L", 1), (0, 0)).column(shifted_vacuum) == {shifted_vacuum: 1.0}
+    stored = [(op_key, key, col) for op_key, columns in space._columns.items() for key, col in columns.items()]
+    basis_keys = [key2 for _, _, col in stored for key2 in col]
+    assert len({id(key2) for key2 in basis_keys}) == len(set(basis_keys)) < len(basis_keys)
+    empty = [col for _, _, col in stored if not col]
+    assert empty and all(col is vertex_fock._EMPTY_COLUMN for col in empty)
+    assert vertex_fock._EMPTY_COLUMN == {}
+    fresh = VertexSpace(SU2, DEFAULT)
+    shifted = [
+        (op_key, key, col) for op_key, key, col in stored if op_key[0][0] == "L" and key[1][op_key[0][1] - 1]
+    ]
+    assert any(col for _, _, col in shifted)
+    for op_key, key, col in shifted:
+        assert col == OperatorMatrix(fresh, op_key).column(key), (op_key, key)
+
+
 # Oscillator keys, each met at several lattice points: the centre, the
 # window's edges and corners, and points with both w_mu nonzero.  Each
 # operator builds one kernel per oscillator key and serves every lattice
