@@ -41,7 +41,7 @@ def main():
     print()
 
     rep = jacobi_sweep(diff_ext)
-    print(f"DIFF_EXT jacobi sweep: {rep.triples_checked} triples, "
+    print(f"DIFF_EXT jacobi sweep: {rep.checked} triples, "
           f"{len(rep.failures)} failures")
     print()
 
@@ -64,8 +64,8 @@ def main():
 
     for src, dst in (("CLASSICAL_MF", "EMB2"), ("MF", "EMB1")):
         erep = verify_embedding(make_table(src, su3, N), make_table(dst, su3, N))
-        print(f"embedding {src} -> {dst}: {erep.pairs_checked} species pairs, "
-              f"{len(erep.mismatches)} mismatches")
+        print(f"embedding {src} -> {dst}: {erep.checked} species pairs, "
+              f"{len(erep.failures)} failures")
 
 
 if __name__ == "__main__":

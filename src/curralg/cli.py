@@ -59,6 +59,9 @@ class RunConfig:
         bad = [t for t in self.tables if t not in fa.TABLE_NAMES]
         if bad:
             raise UsageError(f"unknown tables {bad}; known: {', '.join(fa.TABLE_NAMES)}")
+        repeated = sorted({t for t in self.tables if self.tables.count(t) > 1})
+        if repeated:
+            raise UsageError(f"tables named more than once: {', '.join(repeated)}")
         if self.level < 1:
             raise UsageError("level must be at least 1")
         if self.momentum_window < 1 or self.mode_window < 1:
@@ -70,10 +73,11 @@ class RunConfig:
 
 
 def parse_su(name: str) -> int:
-    m = re.fullmatch(r"su\(?([0-9]+)\)?", name.strip().lower())
+    # suN or su(N): the closing parenthesis only after an opening one
+    m = re.fullmatch(r"su(\()?([0-9]+)(?(1)\))", name.strip().lower())
     if not m:
-        raise UsageError(f"algebra selector {name!r} is not of the form suN")
-    n = int(m.group(1))
+        raise UsageError(f"algebra selector {name!r} is not of the form suN or su(N)")
+    n = int(m.group(2))
     if n < 2:
         raise UsageError(f"{name}: the su(n) family needs n >= 2 (su({n}) has no adjoint basis)")
     return n
@@ -196,30 +200,28 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
     ok = True
 
     for table_name in cfg.tables:
-        rows = []
+        table = fa.make_table(table_name, sc, cfg.dim)
         if table_name == "EMB1":
-            table = fa.make_table("EMB1", sc, cfg.dim)
-            ob = fa.emb1_obstruction(table)
-            rows.append(("jgg_triples", ob.jgg_checked))
-            rows.append(("other_triples", ob.other_checked))
+            jrep = fa.emb1_obstruction(table)
+            rows = [("jgg_triples", jrep.jgg_checked), ("other_triples", jrep.other_checked)]
             rows.append(("obstruction_pattern", "d^{abc} m_rho S3^{mu,nu,rho}(m+n+r)"))
-            table_ok = not ob.mismatches
-            if ob.mismatches:
-                rows.append(("mismatch", ob.mismatches[0]))
-            if cfg.dim == 3:
-                concrete = fa.emb1_obstruction(fa.make_table("EMB1", sc, 3, chain_mode="CONCRETE_3D"))
-                expected = not sc.d_is_zero
-                support = "nonzero" if concrete.nonzero_on_support else "identically zero"
-                rows.append(("obstruction_on_support", support))
-                if concrete.mismatches or concrete.nonzero_on_support != expected:
-                    table_ok = False
-                    rows.append(("obstruction_check", "FAIL: support does not track the d tensor"))
+            failure_row = "mismatch"
         else:
-            jrep = fa.jacobi_sweep(fa.make_table(table_name, sc, cfg.dim))
+            jrep = fa.jacobi_sweep(table)
+            rows = []
             rows.append(("triples", jrep.triples_checked))
-            table_ok = not jrep.failures
-            if jrep.failures:
-                rows.append(("first_failure", jrep.failures[0]))
+            failure_row = "first_failure"
+        table_ok = jrep.passed
+        if jrep.failures:
+            rows.append((failure_row, jrep.failures[0]))
+        if table_name == "EMB1" and cfg.dim == 3:
+            concrete = fa.emb1_obstruction(fa.make_table("EMB1", sc, 3, chain_mode="CONCRETE_3D"))
+            support = "nonzero" if concrete.nonzero_on_support else "identically zero"
+            rows.append(("obstruction_on_support", support))
+            # the obstruction survives on the support exactly when d is nonzero
+            if not concrete.passed or concrete.nonzero_on_support == sc.d_is_zero:
+                table_ok = False
+                rows.append(("obstruction_check", "FAIL: support does not track the d tensor"))
         ok = ok and table_ok
         rows.append(("status", "PASS" if table_ok else "FAIL"))
         report.add(f"table {table_name}", rows)
@@ -228,13 +230,10 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
     for src_name, dst_name in fa.EMBEDDINGS:
         if dst_name not in cfg.tables and src_name not in cfg.tables:
             continue
-        erep = fa.verify_embedding(
-            fa.make_table(src_name, sc, cfg.dim), fa.make_table(dst_name, sc, cfg.dim)
-        )
-        status = "PASS" if not erep.mismatches else f"FAIL: {erep.mismatches[0]}"
-        if erep.mismatches:
-            ok = False
-        emb_rows.append((f"{src_name} -> {dst_name}", f"{status} ({erep.pairs_checked} pairs)"))
+        erep = fa.verify_embedding(fa.make_table(src_name, sc, cfg.dim), fa.make_table(dst_name, sc, cfg.dim))
+        status = "PASS" if erep.passed else f"FAIL: {erep.failures[0]}"
+        ok = ok and erep.passed
+        emb_rows.append((f"{src_name} -> {dst_name}", f"{status} ({erep.checked} pairs)"))
     if emb_rows:
         report.add("embeddings", emb_rows)
 

@@ -54,9 +54,7 @@ __all__ = [
     "all_generators",
     "jacobi_sweep",
     "emb1_obstruction",
-    "EmbeddingReport",
-    "JacobiReport",
-    "ObstructionReport",
+    "SymbolicReport",
 ]
 
 _SPECIES_ORDER = {"L": 0, "J": 1, "G": 2, "H": 3, "S1": 4, "S3": 5, "1": 9}
@@ -705,27 +703,37 @@ def all_generators(table: AlgebraTable, sym: Momentum) -> list[tuple[str, Expres
 
 
 @dataclass
-class JacobiReport:
-    triples_checked: int
-    failures: list  # list[(label, rendered expression)]
+class SymbolicReport:
+    """How many items a symbolic sweep checked, and its first failures as
+    (label, detail) pairs in sweep order.  An EMB1 obstruction sweep also
+    counts its (J, G, G) triples and, in CONCRETE_3D mode, records whether
+    any of their Jacobiators survives on the delta support."""
+
+    checked: int
+    failures: list
+    jgg_checked: int = 0
+    nonzero_on_support: bool = False
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
+    @property
+    def other_checked(self) -> int:
+        return self.checked - self.jgg_checked
+
+    @property
+    def triples_checked(self) -> int:
+        # verify-tables' "triples" row reads this name: perfbench's tamper test edits that line
+        return self.checked
+
 
 def _triples(table: AlgebraTable):
-    """Unordered generator triples (with repetition) at symbols m, n, r.
-
-    Yields three (label, expression) pairs, at m, n and r in that order,
-    following the order of ``all_generators``.
-    """
+    """Unordered generator triples (with repetition) at symbols m, n and r,
+    as (label, expression) pairs in the order of ``all_generators``."""
     gens = [all_generators(table, Momentum.symbol(s, table.N)) for s in ("m", "n", "r")]
-    n_gen = len(gens[0])
-    for i in range(n_gen):
-        for jdx in range(i, n_gen):
-            for kdx in range(jdx, n_gen):
-                yield gens[0][i], gens[1][jdx], gens[2][kdx]
+    for i, j, k in itertools.combinations_with_replacement(range(len(gens[0])), 3):
+        yield gens[0][i], gens[1][j], gens[2][k]
 
 
 def _generator(expr: Expression) -> GeneratorTerm:
@@ -737,7 +745,40 @@ def _generator(expr: Expression) -> GeneratorTerm:
 _FAILURES_LISTED = 20
 
 
-def jacobi_sweep(table: AlgebraTable) -> JacobiReport:
+def _sweep(table: AlgebraTable, obstruction: bool) -> SymbolicReport:
+    """Compare every unordered triple's reduced Jacobiator with its expected value.
+
+    The expected value is zero, except that with ``obstruction`` each
+    (J, G, G) triple must equal :func:`emb1_expected_obstruction`.  In
+    CONCRETE_3D mode both sides are evaluated on the delta support first.
+    """
+    concrete = table.chain_mode == "CONCRETE_3D"
+    count = jgg = 0
+    failures: list = []
+    on_support = False
+    for (lab_x, x), (lab_y, y), (lab_z, z) in _triples(table):
+        jac = jacobiator(table, x, y, z)
+        if concrete:
+            jac = jac.discharged()
+        count += 1
+        want = _ZERO
+        is_jgg = obstruction and (_generator(x).species, _generator(y).species, _generator(z).species) == ("J", "G", "G")
+        if is_jgg:
+            jgg += 1
+            want = emb1_expected_obstruction(table, x, y, z)
+            if concrete:
+                want = want.discharged()
+                on_support = on_support or not jac.is_zero
+        if jac.terms != want.terms and len(failures) < _FAILURES_LISTED:
+            if is_jgg:
+                detail = "got:\n" + jac.render() + "\nwant:\n" + want.render()
+            else:
+                detail = ("expected zero, got:\n" if obstruction else "") + jac.render()
+            failures.append((f"({lab_x}, {lab_y}, {lab_z})", detail))
+    return SymbolicReport(count, failures, jgg, on_support)
+
+
+def jacobi_sweep(table: AlgebraTable) -> SymbolicReport:
     """Exhaustive Jacobiator check over unordered generator triples.
 
     The bracket is antisymmetric by construction, so the Jacobiator is
@@ -745,17 +786,7 @@ def jacobi_sweep(table: AlgebraTable) -> JacobiReport:
     orderings.  In CONCRETE_3D mode delta-supported coefficients are
     evaluated on support before the zero test.
     """
-    count = 0
-    failures: list = []
-    for (lab_x, x), (lab_y, y), (lab_z, z) in _triples(table):
-        jac = jacobiator(table, x, y, z)
-        if table.chain_mode == "CONCRETE_3D":
-            jac = jac.discharged()
-        count += 1
-        if not jac.is_zero:
-            if len(failures) < _FAILURES_LISTED:
-                failures.append((f"({lab_x}, {lab_y}, {lab_z})", jac.render()))
-    return JacobiReport(count, failures)
+    return _sweep(table, obstruction=False)
 
 
 def emb1_expected_obstruction(table: AlgebraTable, x: Expression, y: Expression, z: Expression) -> Expression:
@@ -771,75 +802,28 @@ def emb1_expected_obstruction(table: AlgebraTable, x: Expression, y: Expression,
     return out.expression()
 
 
-@dataclass
-class ObstructionReport:
-    jgg_checked: int
-    other_checked: int
-    mismatches: list
-    nonzero_on_support: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def emb1_obstruction(table: AlgebraTable) -> ObstructionReport:
+def emb1_obstruction(table: AlgebraTable) -> SymbolicReport:
     """Check that EMB1's Jacobiator is exactly the (J, G, G) obstruction.
 
     Every triple other than (J, G, G)-type must have zero Jacobiator; each
     (J^a(m), G^{b mu}(n), G^{c nu}(r)) triple must equal
-    d^{abc} m_rho S3^{mu nu rho}(m+n+r) exactly.  In CONCRETE_3D mode both
-    sides are compared after on-support evaluation and the report records
-    whether any obstruction survives on the support (it does iff d != 0).
-    Mismatches are listed in sweep order.
+    d^{abc} m_rho S3^{mu nu rho}(m+n+r) exactly.  In CONCRETE_3D mode the
+    report records whether any obstruction survives on the support (it
+    does iff d != 0).
     """
     if table.name != "EMB1":
         raise ValueError("obstruction sweep is defined for the EMB1 table")
-    concrete = table.chain_mode == "CONCRETE_3D"
-    jgg = other = 0
-    mismatches: list = []
-    nonzero_support = False
-    for (lab_x, x), (lab_y, y), (lab_z, z) in _triples(table):
-        jac = jacobiator(table, x, y, z)
-        if concrete:
-            jac = jac.discharged()
-        is_jgg = (_generator(x).species, _generator(y).species, _generator(z).species) == ("J", "G", "G")
-        if is_jgg:
-            jgg += 1
-            want = emb1_expected_obstruction(table, x, y, z)
-            if concrete:
-                want = want.discharged()
-            nonzero_support = nonzero_support or (concrete and not jac.is_zero)
-        else:
-            other += 1
-            want = _ZERO
-        if jac != want and len(mismatches) < _FAILURES_LISTED:
-            if is_jgg:
-                detail = "got:\n" + jac.render() + "\nwant:\n" + want.render()
-            else:
-                detail = "expected zero, got:\n" + jac.render()
-            mismatches.append((f"({lab_x}, {lab_y}, {lab_z})", detail))
-    return ObstructionReport(jgg, other, mismatches, nonzero_support)
+    return _sweep(table, obstruction=True)
 
 
 # -- embedding checks ----------------------------------------------------------
-
-
-@dataclass
-class EmbeddingReport:
-    pairs_checked: int
-    mismatches: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
 
 
 # the (source, target) table pairs the redefinition embeds one into the other
 EMBEDDINGS = (("CLASSICAL_MF", "EMB2"), ("MF", "EMB1"))
 
 
-def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingReport:
+def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> SymbolicReport:
     """Exact check that the redefinition intertwines source and target brackets.
 
     For every pair of source generators X, Y the expressions
@@ -858,14 +842,13 @@ def verify_embedding(source: AlgebraTable, target: AlgebraTable) -> EmbeddingRep
     xs = all_generators(source, Momentum.symbol("m", source.N))
     ys = all_generators(source, Momentum.symbol("n", source.N))
     checked = 0
-    mismatches: list = []
+    failures: list = []
     for i, (lab_x, x) in enumerate(xs):
         rx = redefine(x)
         for lab_y, y in ys[i:]:
             lhs = bracket(target, rx, redefine(y))
             rhs = redefine(bracket(source, x, y))
             checked += 1
-            if lhs != rhs and len(mismatches) < _FAILURES_LISTED:
-                diff = lhs - rhs
-                mismatches.append((f"[{lab_x}, {lab_y}]", "difference:\n" + diff.render()))
-    return EmbeddingReport(checked, mismatches)
+            if lhs != rhs and len(failures) < _FAILURES_LISTED:
+                failures.append((f"[{lab_x}, {lab_y}]", "difference:\n" + (lhs - rhs).render()))
+    return SymbolicReport(checked, failures)

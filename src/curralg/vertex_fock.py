@@ -61,7 +61,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
@@ -154,28 +154,23 @@ def total_level(key: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _creator_multisets(N: int, M: int, level: int) -> tuple:
-    """All q-creator multisets {(mu, k): r} with sum k*r == level, k <= M."""
-    kinds = [(mu, k) for mu in range(1, N + 1) for k in range(1, M + 1)]
+    """All q-creator multisets {(mu, k): r} with sum k*r == level, k <= M.
 
-    out = []
-
-    def grow(i: int, left: int, picked):
-        if left == 0:
-            out.append(tuple(picked))
-            return
-        if i == len(kinds):
-            return
-        mu, k = kinds[i]
-        grow(i + 1, left, picked)
-        r = 1
-        while k * r <= left:
-            picked.append(((mu, k), r))
-            grow(i + 1, left - k * r, picked)
-            picked.pop()
-            r += 1
-
-    grow(0, level, [])
-    return tuple(out)
+    In the order of their count vectors over the kinds (mu, k), the first
+    kind most significant.
+    """
+    ks = range(1, M + 1)
+    # one direction's count vectors over k, with their levels, kept within ``level``
+    one = []
+    for rs in itertools.product(*(range(level // k + 1) for k in ks)):
+        lv = sum(k * r for k, r in zip(ks, rs))
+        if lv <= level:
+            one.append((rs, lv))
+    return tuple(
+        tuple(((mu, k), r) for mu, (rs, _) in enumerate(picks, 1) for k, r in zip(ks, rs) if r)
+        for picks in itertools.product(one, repeat=N)
+        if sum(lv for _, lv in picks) == level
+    )
 
 
 class VertexSpace:
@@ -265,38 +260,33 @@ class VertexSpace:
         fixed order.
         """
         N, M = self.spec.N, self.spec.M
-        pslots = [(slot, cnt) for slot, cnt in qp_key if slot[1]]
+        # per p slot, each annihilator count r <= cnt with m_mu^r / r! and the
+        # falling product -cnt * -(cnt - 1) * ... (q_k on a p slot: -count per quantum)
+        choices = []
+        for slot, cnt in qp_key:
+            if slot[1]:
+                mu, falls = slot[0][1], itertools.accumulate(range(-cnt, 0), mul, initial=1.0)
+                choices.append([(slot, r, m[mu - 1] ** r / math.factorial(r), f) for r, f in enumerate(falls)])
         terms: list = []
-
-        # enumerate annihilator choices r_i <= cnt_i over p slots
-        def ann(i: int, mode_sum: int, coeff: float, key: tuple):
-            if i == len(pslots):
-                level = mode_sum - j
-                if level < 0:
-                    return
-                for lam in _creator_multisets(N, M, level):
-                    c2, key2 = coeff, key
-                    for (mu, k), r in lam:
-                        c2 *= m[mu - 1] ** r / math.factorial(r)
-                        if c2 == 0:
-                            break
-                        key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
-                    else:
-                        terms.append((key2, c2))
-                return
-            slot, cnt = pslots[i]
-            (_, mu), _, mode = slot
-            k = -mode
-            ann(i + 1, mode_sum, coeff, key)
-            c, fall = coeff, 1.0
-            for r in range(1, cnt + 1):
-                fall *= -(cnt - r + 1)  # q_k on a p slot: -count per quantum
-                c = coeff * (m[mu - 1] ** r / math.factorial(r)) * fall
-                if c == 0:
-                    break
-                ann(i + 1, mode_sum + k * r, c, _key_with(key, slot, -r))
-
-        ann(0, 0, 1.0, qp_key)
+        # annihilator count vectors, the first p slot most significant
+        for picks in itertools.product(*choices):
+            coeff, key, level = 1.0, qp_key, -j
+            for slot, r, power, fall in picks:
+                if r:
+                    coeff = coeff * power * fall
+                    key = _key_with(key, slot, -r)
+                    level -= slot[2] * r
+            if coeff == 0 or level < 0:
+                continue
+            for lam in _creator_multisets(N, M, level):
+                c2, key2 = coeff, key
+                for (mu, k), r in lam:
+                    c2 *= m[mu - 1] ** r / math.factorial(r)
+                    if c2 == 0:
+                        break
+                    key2 = _key_with(key2, ((_TRAJ, mu), False, -k), r)
+                else:
+                    terms.append((key2, c2))
         return terms
 
     # -- current sector -----------------------------------------------------

@@ -64,7 +64,7 @@ def test_criterion_2_jacobi_tables():
         for N in (2, 3):
             for name in ("MF", "CLASSICAL_MF", "EMB2", "DIFF_EXT"):
                 report = jacobi_sweep(make_table(name, sc, N))
-                ok = ok and not report.failures and report.triples_checked > 0
+                ok = ok and not report.failures and report.checked > 0
     _criterion(2, "jacobiator normal forms", ok, time.perf_counter() - t0, bound=60.0)
 
 
@@ -73,10 +73,10 @@ def test_criterion_3_obstruction():
     ok = True
     for sc in (SU2, SU3):
         formal = emb1_obstruction(make_table("EMB1", sc, 3))
-        ok = ok and not formal.mismatches and formal.jgg_checked > 0
+        ok = ok and not formal.failures and formal.jgg_checked > 0
     su3_concrete = emb1_obstruction(make_table("EMB1", SU3, 3, chain_mode="CONCRETE_3D"))
     su2_concrete = emb1_obstruction(make_table("EMB1", SU2, 3, chain_mode="CONCRETE_3D"))
-    ok = ok and not su3_concrete.mismatches and not su2_concrete.mismatches
+    ok = ok and not su3_concrete.failures and not su2_concrete.failures
     ok = ok and su3_concrete.nonzero_on_support and not su2_concrete.nonzero_on_support
     _criterion(3, "obstruction reproduction", ok, time.perf_counter() - t0)
 
@@ -88,7 +88,7 @@ def test_criterion_4_embeddings():
         for N in (2, 3):
             for src, dst in (("CLASSICAL_MF", "EMB2"), ("MF", "EMB1")):
                 report = verify_embedding(make_table(src, sc, N), make_table(dst, sc, N))
-                ok = ok and not report.mismatches and report.pairs_checked > 0
+                ok = ok and not report.failures and report.checked > 0
     _criterion(4, "embedding suite", ok, time.perf_counter() - t0)
 
 

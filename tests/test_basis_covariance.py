@@ -44,10 +44,10 @@ def _table_results(sc, N):
             out[name] = (ob.jgg_checked, ob.other_checked, ob.passed)
         else:
             rep = fa.jacobi_sweep(table)
-            out[name] = (rep.triples_checked, rep.passed)
+            out[name] = (rep.checked, rep.passed)
     for src, dst in fa.EMBEDDINGS:
         rep = fa.verify_embedding(fa.make_table(src, sc, N), fa.make_table(dst, sc, N))
-        out[src, dst] = (rep.pairs_checked, rep.passed)
+        out[src, dst] = (rep.checked, rep.passed)
     return out
 
 

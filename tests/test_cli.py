@@ -111,6 +111,10 @@ def test_parse_su_accepts_parenthesised_form():
         parse_su("so3")
     with pytest.raises(UsageError):
         parse_su("su0")
+    # a parenthesis must close exactly what it opens
+    for selector in ("su(3", "su3)"):
+        with pytest.raises(UsageError, match="not of the form"):
+            parse_su(selector)
 
 
 # -- verify-tables -------------------------------------------------------------
@@ -224,6 +228,18 @@ def test_unknown_table_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify-tables", "--tables", "MF,BOGUS")
     assert code == 2
     assert "BOGUS" in err
+
+
+def test_repeated_table_is_a_usage_error(capsys, tmp_path):
+    # a repeated name would run its sweep twice, and JSON would merge the two sections
+    code, out, err = run(capsys, "verify-tables", "--algebra", "su2", "--dim", "2", "--tables", "MF,mf", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "tables named more than once: MF" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tables = EMB2, emb2\n")
+    code, out, err = run(capsys, "measure", "--config", str(cfg), "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "tables named more than once: EMB2" in err
 
 
 def test_empty_table_list_is_a_usage_error(capsys):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curralg import formal_algebra as fa
 from curralg.lie_core import build_su
 from curralg.formal_algebra import (
     AlgebraTable,
@@ -397,7 +398,7 @@ def test_embeddings_match(pair, sc, N):
     src, tgt = pair
     rep = verify_embedding(make_table(src, sc, N), make_table(tgt, sc, N))
     assert rep.passed, rep
-    assert rep.pairs_checked > 0
+    assert rep.checked > 0
 
 
 def test_embedding_rejects_unsupported_pair():
@@ -418,7 +419,7 @@ def test_embedding_rejects_unsupported_pair():
 def test_jacobiator_vanishes(name, sc, N):
     rep = jacobi_sweep(make_table(name, sc, N))
     assert rep.passed, rep
-    assert rep.triples_checked > 0
+    assert rep.checked > 0
 
 
 def test_emb1_is_not_a_lie_algebra():
@@ -502,6 +503,34 @@ def test_jacobiator_is_the_reduced_sum_of_its_brackets():
     assert surviving and closed and cancelling
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"check took {elapsed:.1f}s"
+
+
+def test_obstruction_sweep_reports_a_planted_wrong_expectation(monkeypatch):
+    # with the expected obstruction planted as zero, su(3)'s d-channel
+    # triples fail in the got:/want: format; su(2) has d = 0 and still passes
+    monkeypatch.setattr(fa, "emb1_expected_obstruction", lambda table, x, y, z: _ZERO)
+    rep = emb1_obstruction(make_table("EMB1", SU3, 3))
+    assert (rep.jgg_checked, len(rep.failures)) == (2400, 20)
+    assert rep.failures[0] == (
+        "(J^1(m), G^1{1}(n), G^8{2}(r))",
+        "got:\n1/3*sqrt(3)*m_3*S3{1,2,3}(m+n+r)\nwant:\n0",
+    )
+    assert emb1_obstruction(make_table("EMB1", SU2, 3)).passed
+
+
+def test_embedding_check_reports_a_planted_missing_redefinition(monkeypatch):
+    # without the redefinition, EMB2's [J, J] lacks the d-channel H term of
+    # CLASSICAL_MF's, which only the G parts of the redefined currents give;
+    # su(2) has d = 0 and still passes
+    monkeypatch.setattr(fa, "redefine", lambda X: X)
+    rep = verify_embedding(make_table("CLASSICAL_MF", SU3, 2), make_table("EMB2", SU3, 2))
+    assert not rep.passed
+    assert rep.failures[0] == (
+        "[J^1(m), J^1(n)]",
+        "difference:\n(-1/3*sqrt(3)*m_1*n_2 + 1/3*sqrt(3)*m_2*n_1)*H^8{1,2}(m+n)",
+    )
+    rep = verify_embedding(make_table("CLASSICAL_MF", SU2, 2), make_table("EMB2", SU2, 2))
+    assert rep.passed and rep.checked == 36
 
 
 def test_sweeps_leave_the_shared_zero_empty():
