@@ -44,7 +44,13 @@ oscillator key or basis key.  The operator key is the only
 description of an operator, and :meth:`VertexSpace.apply` maps it to the
 operator.  A column depends on the operator and the space alone, so every
 generator set on one space, and every table sweep and charge fit run on it,
-computes each kernel and each column once.
+computes each kernel and each column once.  Both are stored flat, as
+immutable tuples: a kernel as (qp_key, cur_key, amp, ...), a column as
+(basis_key, amp, ...), the empty one as ``()``.  Most columns hold one or
+two terms, so a dict per column would cost more than its terms.  Every sum
+over stored columns runs through one accumulator that repeats
+:func:`curralg.fock_oracle.state_add`'s operations, so it is bit for bit
+the sum over column dicts.
 
 Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
 n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
@@ -382,32 +388,63 @@ class VertexSpace:
     def kernel(self, op_key: tuple, qp_key: tuple, cur_key: tuple) -> tuple:
         """The projected column of ``op_key`` on (qp_key, 0, cur_key), memoised.
 
-        Returned as (qp_key, cur_key, amplitude) triples in column order, the
-        lattice label taken out.  Every term sits at w = m, inside the window,
-        so the projection filters only levels and caps, which no operator's w
-        enters.  At w = 0 L's zero-mode term vanishes.
+        Returned flat, as (qp_key1, cur_key1, amp1, qp_key2, ...) in column
+        order, the lattice label taken out.  Every term sits at w = m, inside
+        the window, so the projection filters only levels and caps, which no
+        operator's w enters.  At w = 0 L's zero-mode term vanishes.
         """
         hit = self._kernels.get((op_key, qp_key, cur_key))
         if hit is None:
             state = {(qp_key, (0,) * self.spec.N, cur_key): 1.0}
             column = self.project(self.apply(op_key, state)).items()
-            hit = self._kernels[op_key, qp_key, cur_key] = tuple((qp2, cur2, amp) for (qp2, _, cur2), amp in column)
+            hit = self._kernels[op_key, qp_key, cur_key] = tuple(
+                x for (qp2, _, cur2), amp in column for x in (qp2, cur2, amp)
+            )
         return hit
 
-    def _placed(self, kernel: tuple, w: tuple) -> dict:
-        """A kernel's terms put at the lattice point w; w and each key are the space's one stored copy."""
+    def _placed(self, kernel: tuple, w: tuple) -> tuple:
+        """A kernel's terms put at the lattice point w, as a flat column; w and
+        each key are the space's one stored copy."""
         intern = self._keys.setdefault
         w = intern(w, w)
-        out = {}
-        for qp2, cur2, amp in kernel:
-            key = (qp2, w, cur2)
-            out[intern(key, key)] = amp
-        return out
+        out = []
+        append = out.append
+        i, n = 0, len(kernel)
+        while i < n:  # an index loop: most kernels hold one or two terms
+            key = (kernel[i], w, kernel[i + 1])
+            append(intern(key, key))
+            append(kernel[i + 2])
+            i += 3
+        return tuple(out)
 
 
-# Every empty column in every store is this one dict, so no caller may
-# mutate a column.
-_EMPTY_COLUMN: dict = {}
+def _add_column(dst: dict, col: tuple, factor) -> None:
+    """dst += factor * col for a flat column (key1, amp1, key2, amp2, ...).
+
+    The operations of :func:`curralg.fock_oracle.state_add`, in its order,
+    so every sum comes out bit for bit as from the column's dict.
+    """
+    if factor == 0:
+        return
+    get = dst.get
+    i, n = 0, len(col)
+    while i < n:  # an index loop: most columns hold one or two terms
+        key = col[i]
+        amp = col[i + 1] * factor
+        i += 2
+        cur = get(key)
+        if cur is not None:
+            amp = cur + amp
+        if amp == 0:
+            dst.pop(key, None)
+        else:
+            dst[key] = amp
+
+
+def _column_state(col: tuple) -> dict:
+    """A flat column as a state {key: amp}, in column order."""
+    it = iter(col)
+    return dict(zip(it, it))
 
 
 class OperatorMatrix:
@@ -424,11 +461,14 @@ class OperatorMatrix:
     lattice window.  Its kernels and columns live in the space: every handle
     with the same key on one space fills the same stores.
 
-    Columns are read-only, since the store shares their parts.  Each column
-    is built in a fresh dict whose keys, and the lattice point w + m in
-    them, are the space's one stored copy of each.  L's zero-mode term is
-    added to that dict, and only a column still empty after it is swapped
-    for the one empty dict that every empty column in every store shares.
+    A column is a flat tuple (key1, amp1, key2, amp2, ...) in the order of
+    the exact application, and the empty column is ``()``.  The keys, and
+    the lattice point w + m in them, are the space's one stored copy of
+    each.  L's zero-mode term is merged into the kernel's terms as
+    :func:`curralg.fock_oracle.state_add` would, before the column is
+    flattened.  :meth:`apply` takes a flat column and returns a state dict,
+    and every sum over columns runs through one accumulator, so each float
+    is the one a column dict would give.
     """
 
     def __init__(self, space: VertexSpace, op_key: tuple):
@@ -443,25 +483,30 @@ class OperatorMatrix:
         self.op_key = op_key
         self._columns = space._columns.setdefault(op_key, {})
 
-    def column(self, key: tuple) -> dict:
+    def column(self, key: tuple) -> tuple:
         hit = self._columns.get(key)
         if hit is None:
             qp_key, w, cur_key = key
             head, m, _ = self.op_key
+            if len(w) != len(m):
+                raise ValueError(f"basis key {key} has a lattice label of the wrong dimension")
             space = self.space
             w2 = tuple(map(add, w, m))
-            hit = {}
+            hit = ()
             if space.in_window(w2):
                 hit = space._placed(space.kernel(self.op_key, qp_key, cur_key), w2)
                 if head[0] == "L" and w[head[1] - 1]:
-                    state_add(hit, space._placed(space.kernel(("V", m, 0), qp_key, cur_key), w2), w[head[1] - 1])
-            hit = self._columns[key] = hit or _EMPTY_COLUMN
+                    merged = _column_state(hit)
+                    _add_column(merged, space._placed(space.kernel(("V", m, 0), qp_key, cur_key), w2), w[head[1] - 1])
+                    hit = tuple(itertools.chain.from_iterable(merged.items()))
+            self._columns[key] = hit
         return hit
 
-    def apply(self, state: dict) -> dict:
+    def apply(self, col: tuple) -> dict:
+        """This matrix times a flat column, as a state."""
         out: dict = {}
-        for key, amp in state.items():
-            state_add(out, self.column(key), amp)
+        for i in range(0, len(col), 2):
+            _add_column(out, self.column(col[i]), col[i + 1])
         return out
 
     def commutator_column(self, other: "OperatorMatrix", key: tuple) -> dict:
@@ -549,7 +594,7 @@ def _fit(
     x: tuple,
     y: tuple,
     bilinear: list,
-    reference: Callable[[tuple], dict],
+    reference: Callable[[tuple], tuple],
     probes: list,
     what: str,
 ) -> tuple:
@@ -558,8 +603,8 @@ def _fit(
     ``x`` and ``y`` are (label, momentum) pairs of realized generators;
     ``bilinear`` lists (label, momentum, coeff) columns added to the
     commutator in that order, a term with a zero coeff dropped before its
-    handle is made; ``reference(probe)`` is the column the sum should be a
-    multiple of.  A probe where both columns vanish is skipped, and an empty
+    handle is made; ``reference(probe)`` is the flat column the sum should
+    be a multiple of.  A probe where both columns vanish is skipped, and an empty
     reference under a nonzero column fits c = 0 with the column's norm as its
     residual.  The probes must agree on c within _FIT_TOL.  Returns
     (c, worst residual); the caller judges the residual.
@@ -571,8 +616,8 @@ def _fit(
     for probe in probes:
         col = op_x.commutator_column(op_y, probe)
         for op, a in terms:
-            state_add(col, op.column(probe), a)
-        ref = reference(probe)
+            _add_column(col, op.column(probe), a)
+        ref = _column_state(reference(probe))
         if not col and not ref:
             continue
         c, resid = _column_ratio(col, ref) if ref else (0.0, _column_distance(col, {}))
@@ -697,7 +742,7 @@ def _expected_column(
         coeff = float(poly.evaluate(assignment))
         if coeff == 0:
             continue
-        state_add(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)
+        _add_column(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)
     return out
 
 
@@ -783,8 +828,17 @@ def _check_probe(space: VertexSpace, probe: tuple) -> None:
 
 
 def _column_distance(a: dict, b: dict) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+    """max |a - b| over the keys of either state: a's keys, then b's keys missing from a."""
+    worst = 0.0
+    get = b.get
+    for key, amp in a.items():
+        dev = abs(amp - get(key, 0.0))
+        if dev > worst:
+            worst = dev
+    for key, amp in b.items():
+        if key not in a and abs(amp) > worst:
+            worst = abs(amp)
+    return worst
 
 
 def boundary_probe_keys(space: VertexSpace) -> list:

@@ -63,6 +63,12 @@ def _charges(spec: TruncationSpec = DEFAULT) -> tuple:
     return tuple(sorted(ch.items()))
 
 
+def _as_dict(col: tuple) -> dict:
+    """A flat column (key1, amp1, key2, amp2, ...) as {key: amp}, in column order."""
+    it = iter(col)
+    return dict(zip(it, it))
+
+
 def _merge(dst: dict, src: dict, factor=1) -> dict:
     for key, amp in src.items():
         new = dst.get(key, 0) + amp * factor
@@ -106,9 +112,9 @@ def test_vertex_at_zero_momentum():
     zero = (0, 0)
     ident = build_vertex(zero, 0, space)
     probe = (p_slot_key(1), (1, 0), (PHI1,))
-    assert ident.column(probe) == {probe: 1}
+    assert _as_dict(ident.column(probe)) == {probe: 1}
     for mode in (-2, -1, 1, 2):
-        assert build_vertex(zero, mode, space).column(probe) == {}
+        assert _as_dict(build_vertex(zero, mode, space).column(probe)) == {}
 
 
 def test_vertex_zero_mode_shifts_vacuum():
@@ -117,7 +123,7 @@ def test_vertex_zero_mode_shifts_vacuum():
     op = build_vertex(m, 0, space)
     vac = space.vacuum_key()
     shifted = space.vacuum_key(m)
-    col = op.column(vac)
+    col = _as_dict(op.column(vac))
     assert col[shifted] == 1
     assert all(key[1] == m for key in col)
 
@@ -128,14 +134,14 @@ def test_vertex_creator_mode_on_vacuum():
     space = _space()
     m = (1, -1)
     vac = space.vacuum_key()
-    col = build_vertex(m, -1, space).column(vac)
+    col = _as_dict(build_vertex(m, -1, space).column(vac))
     want = {
         (q_slot_key(1), m, ()): m[0],
         (q_slot_key(2), m, ()): m[1],
     }
     assert _dist(col, want) == 0
-    assert build_vertex(m, 1, space).column(vac) == {}
-    assert build_vertex(m, 2, space).column(vac) == {}
+    assert _as_dict(build_vertex(m, 1, space).column(vac)) == {}
+    assert _as_dict(build_vertex(m, 2, space).column(vac)) == {}
 
 
 def test_vertex_mode_beyond_level_39():
@@ -169,8 +175,8 @@ def test_vertex_elements_stable_under_level_growth():
         op_s = build_vertex(m, mode, small)
         op_b = build_vertex(m, mode, big)
         for probe in probes:
-            col_s = {k: v for k, v in op_s.column(probe).items() if total_level(k) <= 1}
-            col_b = {k: v for k, v in op_b.column(probe).items() if total_level(k) <= 1}
+            col_s = {k: v for k, v in _as_dict(op_s.column(probe)).items() if total_level(k) <= 1}
+            col_b = {k: v for k, v in _as_dict(op_b.column(probe)).items() if total_level(k) <= 1}
             assert _dist(col_s, col_b) < 1e-10
 
 
@@ -185,7 +191,7 @@ def test_all_generators_preserve_total_level():
         for m in momenta:
             op = gens.operator(label, m)
             for probe in probes:
-                for key in op.column(probe):
+                for key in _as_dict(op.column(probe)):
                     assert total_level(key) == total_level(probe), (label, m, probe)
 
 
@@ -195,7 +201,7 @@ def test_realized_currents_annihilate_vacuum():
     for label in generator_labels(("J", "G", "H"), SU2.dim, DEFAULT.N):
         for m in ((0, 0), (1, 0), (0, 1), (1, -1)):
             for w in ((0, 0), (1, 0)):
-                assert gens.operator(label, m).column(space.vacuum_key(w)) == {}
+                assert _as_dict(gens.operator(label, m).column(space.vacuum_key(w))) == {}
 
 
 def test_one_chain_closedness_matrix_identity():
@@ -206,12 +212,12 @@ def test_one_chain_closedness_matrix_identity():
             acc: dict = {}
             for rho in (1, 2):
                 if m[rho - 1]:
-                    _merge(acc, gens.operator(("S1", rho), m).column(probe), m[rho - 1])
+                    _merge(acc, _as_dict(gens.operator(("S1", rho), m).column(probe)), m[rho - 1])
             assert _dist(acc, {}) == 0
     for rho in (1, 2):
         op = gens.operator(("S1", rho), (0, 0))
         for probe in default_probe_keys(_space()):
-            assert op.column(probe) == {}
+            assert _as_dict(op.column(probe)) == {}
 
 
 def test_current_bracket_f_channel():
@@ -225,7 +231,7 @@ def test_current_bracket_f_channel():
     for c in (1, 2, 3):
         coeff = float(SU2.f_at(1, 2, c))
         if coeff:
-            _merge(want, gens.operator(("J", c), r).column(probe), coeff)
+            _merge(want, _as_dict(gens.operator(("J", c), r).column(probe)), coeff)
     assert _dist(got, want) < 1e-12
 
 
@@ -245,13 +251,13 @@ def test_l_s1_bracket_matches_module_action():
                 )
                 want: dict = {}
                 if n[mu - 1]:
-                    _merge(want, gens.operator(("S1", nu), r).column(probe), n[mu - 1])
+                    _merge(want, _as_dict(gens.operator(("S1", nu), r).column(probe)), n[mu - 1])
                 if mu == nu:
                     for rho in (1, 2):
                         if m[rho - 1]:
                             _merge(
                                 want,
-                                gens.operator(("S1", rho), r).column(probe),
+                                _as_dict(gens.operator(("S1", rho), r).column(probe)),
                                 m[rho - 1],
                             )
                 assert _dist(got, want) < 1e-12, (mu, nu, probe)
@@ -321,7 +327,10 @@ _MEMO_STATES = [
 def _memo_columns(space: VertexSpace) -> list:
     gens = RealizedGenerators(space)
     return [
-        gens.operator(label, m).column(key) for label in _MEMO_LABELS for m in _MEMO_MOMENTA for key in _MEMO_STATES
+        _as_dict(gens.operator(label, m).column(key))
+        for label in _MEMO_LABELS
+        for m in _MEMO_MOMENTA
+        for key in _MEMO_STATES
     ]
 
 
@@ -335,7 +344,7 @@ def test_term_memos_give_the_columns_of_a_fresh_space():
         for m in _MEMO_MOMENTA:
             for key in _MEMO_STATES:
                 gens = RealizedGenerators(VertexSpace(SU2, DEFAULT))
-                fresh.append(gens.operator(label, m).column(key))
+                fresh.append(_as_dict(gens.operator(label, m).column(key)))
     assert again == fresh
     assert any(again)
 
@@ -381,13 +390,13 @@ def test_column_store_keeps_include_T_apart():
     m = (1, 1)
     with_T = RealizedGenerators(space, include_T=True).operator(("L", 1), m)
     without_T = RealizedGenerators(space, include_T=False).operator(("L", 1), m)
-    cols_T = [with_T.column(key) for key in _MEMO_STATES]
-    cols_no_T = [without_T.column(key) for key in _MEMO_STATES]
+    cols_T = [_as_dict(with_T.column(key)) for key in _MEMO_STATES]
+    cols_no_T = [_as_dict(without_T.column(key)) for key in _MEMO_STATES]
     assert cols_T != cols_no_T
     assert {key for key in space._columns if key[0] == ("L", 1)} == {(("L", 1), m, True), (("L", 1), m, False)}
     for include_T, cols in ((True, cols_T), (False, cols_no_T)):
         fresh = RealizedGenerators(VertexSpace(SU2, DEFAULT), include_T=include_T).operator(("L", 1), m)
-        assert cols == [fresh.column(key) for key in _MEMO_STATES]
+        assert cols == [_as_dict(fresh.column(key)) for key in _MEMO_STATES]
 
 
 def test_column_store_shares_keys_and_the_empty_column():
@@ -396,16 +405,22 @@ def test_column_store_shares_keys_and_the_empty_column():
     measure_c1_c2(space)
     for name in NUMERIC_TABLES:
         check_table_numeric(name, space, probes=_STORE_PROBES, charges=charges)
-    # L's zero-mode term w_mu V_{m,0} is added before an empty column is
-    # shared: on the shifted vacuum, L_1(0) has an empty kernel and only that term
+    # L's zero-mode term w_mu V_{m,0} is merged before the column is
+    # flattened: on the shifted vacuum, L_1(0) has an empty kernel and only that term
     shifted_vacuum = space.vacuum_key((1, 0))
-    assert RealizedGenerators(space).operator(("L", 1), (0, 0)).column(shifted_vacuum) == {shifted_vacuum: 1.0}
+    assert RealizedGenerators(space).operator(("L", 1), (0, 0)).column(shifted_vacuum) == (shifted_vacuum, 1.0)
     stored = [(op_key, key, col) for op_key, columns in space._columns.items() for key, col in columns.items()]
-    basis_keys = [key2 for _, _, col in stored for key2 in col]
+    # every column and kernel is a flat tuple: (key, amp, ...) and (qp_key, cur_key, amp, ...)
+    assert all(type(col) is tuple and len(col) % 2 == 0 for _, _, col in stored)
+    assert all(type(kernel) is tuple and len(kernel) % 3 == 0 for kernel in space._kernels.values())
+    assert {type(amp) for _, _, col in stored for amp in col[1::2]} == {float}
+    assert {type(amp) for kernel in space._kernels.values() for amp in kernel[2::3]} == {float}
+    # every key is the space's stored copy, one object per distinct key
+    basis_keys = [key2 for _, _, col in stored for key2 in col[::2]]
+    assert all(space._keys[key2] is key2 for key2 in basis_keys)
     assert len({id(key2) for key2 in basis_keys}) == len(set(basis_keys)) < len(basis_keys)
     empty = [col for _, _, col in stored if not col]
-    assert empty and all(col is vertex_fock._EMPTY_COLUMN for col in empty)
-    assert vertex_fock._EMPTY_COLUMN == {}
+    assert empty and all(col == () for col in empty)
     fresh = VertexSpace(SU2, DEFAULT)
     shifted = [
         (op_key, key, col) for op_key, key, col in stored if op_key[0][0] == "L" and key[1][op_key[0][1] - 1]
@@ -413,6 +428,22 @@ def test_column_store_shares_keys_and_the_empty_column():
     assert any(col for _, _, col in shifted)
     for op_key, key, col in shifted:
         assert col == OperatorMatrix(fresh, op_key).column(key), (op_key, key)
+
+
+def test_column_refuses_a_lattice_label_of_the_wrong_dimension():
+    # the lattice label must have N components: a shorter or longer one is
+    # refused by name, and nothing is stored for it
+    space = VertexSpace(SU2, DEFAULT)
+    gens = RealizedGenerators(space)
+    for op, key in (
+        (build_vertex((1, 0), 0, space), (VACUUM_QP, (0,), ())),
+        (build_vertex((1, 0), 0, space), (VACUUM_QP, (0, 0, 7), ())),
+        (gens.operator(("L", 2), (1, 0)), (VACUUM_QP, (1,), ())),
+        (gens.operator(("J", 1), (0, 1)), (p_slot_key(1), (1, 0, 0), (PHI1,))),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"basis key {key} has a lattice label of the wrong dimension")):
+            op.column(key)
+    assert not any(space._columns.values()) and not space._kernels and not space._keys
 
 
 # Oscillator keys, each met at several lattice points: the centre, the
@@ -481,7 +512,7 @@ def test_kernel_columns_are_the_projected_columns(name):
         for qp_key, cur_key in _KERNEL_OSC:
             for w in _KERNEL_W:
                 key = (qp_key, w, cur_key)
-                col = op.column(key)
+                col = _as_dict(op.column(key))
                 want = space.project(space.apply(op_key, {key: 1.0}))
                 assert list(col.items()) == list(want.items()), (op_key, key)
                 ordered.update(repr(list(col.items())).encode())
@@ -556,7 +587,7 @@ def test_rephased_sector_holds_only_real_amplitudes():
     space = _space()
     measure_c1_c2(space)
     check_table_numeric("DIFF_EXT", space, window=1, charges=dict(_charges()))
-    amps = [amp for columns in space._columns.values() for col in columns.values() for amp in col.values()]
+    amps = [amp for columns in space._columns.values() for col in columns.values() for amp in _as_dict(col).values()]
     assert amps
     assert {type(amp) for amp in amps} == {float}
     c2 = measure_c1_c2(space, include_T=False).c2
@@ -589,7 +620,7 @@ def test_fit_kernel_refuses_probes_that_disagree():
     scale = dict(zip(_FIT_PROBES, (1.0, 2.0)))
 
     def reference(probe):
-        return {key: amp * scale[probe] for key, amp in _s1_column(probe).items()}
+        return tuple(x for key, amp in _as_dict(_s1_column(probe)).items() for x in (key, amp * scale[probe]))
 
     with pytest.raises(FitError, match="varies across probes"):
         _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
@@ -598,7 +629,7 @@ def test_fit_kernel_refuses_probes_that_disagree():
 def test_fit_kernel_refuses_when_no_probe_is_usable():
     # [X, X] vanishes and so does the reference: every probe is skipped
     with pytest.raises(FitError, match="no usable probe"):
-        _fit(_gens(), _J_E1, _J_E1, [], lambda probe: {}, _FIT_PROBES, "k")
+        _fit(_gens(), _J_E1, _J_E1, [], lambda probe: (), _FIT_PROBES, "k")
 
 
 def test_fit_kernel_reads_an_empty_reference_as_zero():
@@ -606,7 +637,7 @@ def test_fit_kernel_reads_an_empty_reference_as_zero():
     op_x, op_y = gens.operator(*_J_E1), gens.operator(*_J_E2)
     norm = max(max(abs(a) for a in op_x.commutator_column(op_y, probe).values()) for probe in _FIT_PROBES)
     assert norm > 0
-    assert _fit(gens, _J_E1, _J_E2, [], lambda probe: {}, _FIT_PROBES, "k") == (0.0, norm)
+    assert _fit(gens, _J_E1, _J_E2, [], lambda probe: (), _FIT_PROBES, "k") == (0.0, norm)
 
 
 def test_default_charges_contents():
@@ -826,7 +857,7 @@ def test_n1_family_closes_exactly(include_T):
         for n in range(-2, 3):
             for probe in default_probe_keys(space):
                 col = gens.operator(("L", 1), (m,)).commutator_column(gens.operator(("L", 1), (n,)), probe)
-                state_add(col, gens.operator(("L", 1), (m + n,)).column(probe), -(n - m))
+                state_add(col, _as_dict(gens.operator(("L", 1), (m + n,)).column(probe)), -(n - m))
                 assert col == {}, (m, n, probe)
 
 
@@ -857,7 +888,8 @@ def test_n1_diff_ext_sweep_is_exact(monkeypatch):
         def planted(gens, table, charges, label1, m, label2, n, probe, shape=shape):
             out = _expected_column(gens, table, charges, label1, m, label2, n, probe)
             if label1 == label2 == L1:
-                state_add(out, build_vertex((m[0] + n[0],), 0, gens.space).column(probe), eps * shape(m[0], n[0]))
+                plant = _as_dict(build_vertex((m[0] + n[0],), 0, gens.space).column(probe))
+                state_add(out, plant, eps * shape(m[0], n[0]))
             return out
 
         monkeypatch.setattr(vertex_fock, "_expected_column", planted)
