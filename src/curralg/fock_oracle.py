@@ -38,6 +38,11 @@ cutoffs, :func:`apply_body` gives a key whose level - m exceeds the level
 cutoff an empty column and skips the pure-creator window when two more
 particles would exceed the cap.  :class:`FockOracle` memoises these
 projected columns, which are exactly the columns of the truncated matrix.
+It stores each one flat, as an immutable tuple ``(key1, amp1, key2, amp2,
+...)`` over interned keys, and sums stored columns with
+:func:`_add_column`, which repeats :func:`state_add`'s operations in its
+order.  :mod:`curralg.vertex_fock` stores its columns the same way and
+sums them with the same function.
 """
 
 from __future__ import annotations
@@ -118,6 +123,29 @@ def state_add(dst: State, src: State, factor=1) -> None:
     get = dst.get
     for key, amp in src.items():
         amp = amp * factor
+        cur = get(key)
+        if cur is not None:
+            amp = cur + amp
+        if amp == 0:
+            dst.pop(key, None)
+        else:
+            dst[key] = amp
+
+
+def _add_column(dst: State, col: tuple, factor) -> None:
+    """dst += factor * col for a flat column (key1, amp1, key2, amp2, ...).
+
+    The operations of :func:`state_add`, in its order, so every sum comes
+    out bit for bit as from the column's dict.
+    """
+    if factor == 0:
+        return
+    get = dst.get
+    i, n = 0, len(col)
+    while i < n:  # an index loop: most columns hold one or two terms
+        key = col[i]
+        amp = col[i + 1] * factor
+        i += 2
         cur = get(key)
         if cur is not None:
             amp = cur + amp
@@ -279,8 +307,13 @@ class FockOracle:
     merges columns.  The basis is built from ``flavors``, every flavor that
     appears in a body.
 
-    The memo holds one dict per label, so a sweep that is done with a label
-    frees its columns at no cost with :meth:`forget`.
+    Columns are stored flat, as immutable tuples ``(key1, amp1, key2, amp2,
+    ...)``, the empty one as ``()``; most hold a few terms, so a dict per
+    column would cost more than its terms.  Every key, in a column or as a
+    memo key, is the oracle's one stored copy from its ``_keys`` intern.
+    The memo nests label -> mode -> {key: column}, so a sweep that is done
+    with a label frees its columns at no cost with :meth:`forget`, which
+    leaves the intern alone.
     """
 
     def __init__(self, bodies: dict, level_max: int, npart_max: int):
@@ -288,31 +321,45 @@ class FockOracle:
         self.level_max = level_max
         self.npart_max = npart_max
         self.flavors = {fl for body in bodies.values() for pair in body for fl in pair}
-        self._memo: dict = {}  # label -> {(mode, key): column}
+        self._memo: dict = {}  # label -> mode -> {key: flat column}
+        self._keys: dict = {}  # basis key -> its one stored copy
         self._safe: dict = {}  # room -> safe keys
 
-    def apply_exact(self, label, mode: int, key: BasisKey) -> State:
+    def apply_exact(self, label, mode: int, key: BasisKey) -> tuple:
         """Exact column of the truncated matrix of ``label`` at ``mode``, memoised.
 
-        The returned dict is the memo entry itself; callers must not mutate it.
+        The column is the flat tuple ``(key1, amp1, ...)`` of the projected
+        :func:`apply_body` of ``{key: 1}``, in its insertion order, with the
+        same exact amplitudes and interned keys.  An unknown label raises
+        ``ValueError`` and leaves the memo as it was.
         """
-        memo = self._memo.get(label)
+        by_mode = self._memo.get(label)
+        if by_mode is None:
+            if label not in self.bodies:
+                raise ValueError(f"unknown current label {label!r}")
+            by_mode = self._memo[label] = {}
+        memo = by_mode.get(mode)
         if memo is None:
-            memo = self._memo[label] = {}
-        hit = memo.get((mode, key))
+            memo = by_mode[mode] = {}
+        hit = memo.get(key)
         if hit is None:
-            cutoffs = (self.level_max, self.npart_max)
-            hit = memo[(mode, key)] = apply_body({key: 1}, self.bodies[label], mode, cutoffs)
+            state = apply_body({key: 1}, self.bodies[label], mode, (self.level_max, self.npart_max))
+            intern = self._keys.setdefault
+            flat = []
+            for new_key, amp in state.items():
+                flat += (intern(new_key, new_key), amp)
+            hit = memo[intern(key, key)] = tuple(flat)
         return hit
 
     def forget(self, label) -> None:
         """Drop the memoised columns of ``label``; a later application recomputes them."""
         self._memo.pop(label, None)
 
-    def apply_truncated(self, label, mode: int, state: State) -> State:
+    def apply_truncated(self, label, mode: int, col: tuple) -> State:
+        """The truncated matrix of ``label`` at ``mode`` applied to a flat column."""
         out: State = {}
-        for key, amp in state.items():
-            state_add(out, self.apply_exact(label, mode, key), amp)
+        for i in range(0, len(col), 2):
+            _add_column(out, self.apply_exact(label, mode, col[i]), col[i + 1])
         return out
 
     def commutator_column(self, lab1, m: int, lab2, n: int, key: BasisKey) -> State:

@@ -48,9 +48,10 @@ computes each kernel and each column once.  Both are stored flat, as
 immutable tuples: a kernel as (qp_key, cur_key, amp, ...), a column as
 (basis_key, amp, ...), the empty one as ``()``.  Most columns hold one or
 two terms, so a dict per column would cost more than its terms.  Every sum
-over stored columns runs through one accumulator that repeats
-:func:`curralg.fock_oracle.state_add`'s operations, so it is bit for bit
-the sum over column dicts.
+over stored columns runs through one accumulator,
+:func:`curralg.fock_oracle._add_column`, which the oracle's memo shares
+and which repeats :func:`curralg.fock_oracle.state_add`'s operations, so
+it is bit for bit the sum over column dicts.
 
 Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
 n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
@@ -71,7 +72,7 @@ from operator import add, mul
 from typing import Callable, Optional
 
 from . import formal_algebra as fa
-from .fock_oracle import _add_at, _key_with, _osc_key, apply_body, key_level, key_level_npart, state_add
+from .fock_oracle import _add_at, _add_column, _key_with, _osc_key, apply_body, key_level, key_level_npart, state_add
 from .lie_core import StructureConstants
 from .wick_currents import CurrentBody, build_currents, measure_level
 
@@ -416,29 +417,6 @@ class VertexSpace:
             append(kernel[i + 2])
             i += 3
         return tuple(out)
-
-
-def _add_column(dst: dict, col: tuple, factor) -> None:
-    """dst += factor * col for a flat column (key1, amp1, key2, amp2, ...).
-
-    The operations of :func:`curralg.fock_oracle.state_add`, in its order,
-    so every sum comes out bit for bit as from the column's dict.
-    """
-    if factor == 0:
-        return
-    get = dst.get
-    i, n = 0, len(col)
-    while i < n:  # an index loop: most columns hold one or two terms
-        key = col[i]
-        amp = col[i + 1] * factor
-        i += 2
-        cur = get(key)
-        if cur is not None:
-            amp = cur + amp
-        if amp == 0:
-            dst.pop(key, None)
-        else:
-            dst[key] = amp
 
 
 def _column_state(col: tuple) -> dict:

@@ -10,11 +10,13 @@ keeps its ``Fraction`` and surd values.
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curralg.cli import oracle_sweep
 from curralg.fock_oracle import (
     FockOracle,
     _key_with,
@@ -100,6 +102,13 @@ def test_one_pass_projection_matches_the_two_pass_filter(nfl, level_max, npart_m
 
 # -- projected columns ------------------------------------------------------------
 
+
+def _as_state(col):
+    """A flat column (key1, amp1, ...) as a state dict, in column order."""
+    it = iter(col)
+    return dict(zip(it, it))
+
+
 FAMILIES = {"su2": build_currents(build_su(2), 2), "su3": build_currents(build_su(3), 2)}
 
 
@@ -121,11 +130,11 @@ def test_memoised_column_is_the_projected_uncut_column(algebra, data, m, level_m
     pairs = data.draw(st.lists(st.sampled_from(sorted(body)), min_size=1, max_size=2), label="pairs")
     key = data.draw(_keys_over(sorted({fl for pair in pairs for fl in pair})), label="key")
     oracle = FockOracle(fams, level_max, npart_max)
-    got = oracle.apply_exact(label, m, key)
+    got = _as_state(oracle.apply_exact(label, m, key))
     assert got == state_project(apply_body({key: 1}, body, m), level_max, npart_max)
     # every key of a memoised column lies inside the cutoffs, also for keys outside them
-    for column in oracle._memo[label].values():
-        for new_key in column:
+    for column in oracle._memo[label][m].values():
+        for new_key in _as_state(column):
             level, npart = key_level_npart(new_key)
             assert level <= level_max and npart <= npart_max
 
@@ -202,9 +211,58 @@ def test_forgetting_a_label_keeps_the_other_columns():
     col = oracle.commutator_column(j1, 1, j2, -1, key)
     dropped = oracle.apply_exact(j1, 1, key)
     kept = oracle.apply_exact(j2, -1, key)
+    assert dropped and kept  # nonempty: the empty column () is one shared object
     oracle.forget(j1)
     assert oracle.apply_exact(j2, -1, key) is kept  # still memoised
     again = oracle.apply_exact(j1, 1, key)
-    assert again is not dropped and again == dropped  # recomputed, equal
+    assert again is not dropped and _as_state(again) == _as_state(dropped)  # recomputed, equal
     assert oracle.commutator_column(j1, 1, j2, -1, key) == col
     oracle.forget(("J", 3))  # a label never applied: nothing to drop
+
+
+def test_unknown_label_raises_and_leaves_the_memo_empty():
+    oracle = FockOracle(build_currents(build_su(2), 2), 4, 3)
+    with pytest.raises(ValueError, match="nope"):
+        oracle.apply_exact(("nope",), 1, ())
+    assert oracle._memo == {}
+
+
+def test_oracle_memo_stores_flat_columns_with_shared_keys():
+    fams = build_currents(build_su(2), 1)
+    made = []
+
+    def keeping_oracle(*args):  # the sweep's oracle, kept with every label's columns
+        oracle = FockOracle(*args)
+        oracle.forget = lambda label: None
+        made.append(oracle)
+        return oracle
+
+    with patch("curralg.cli.FockOracle", keeping_oracle):
+        report = oracle_sweep(fams, 2, 3, [(m, n) for m in (-1, 0, 1) for n in (-1, 0, 1)])
+    (oracle,) = made
+    assert report.columns and not report.mismatches
+    assert set(oracle._memo) == set(fams)
+    intern = oracle._keys
+    empty = 0
+    for by_mode in oracle._memo.values():
+        for memo in by_mode.values():
+            for key, column in memo.items():
+                assert intern[key] is key
+                assert type(column) is tuple and len(column) % 2 == 0
+                if not column:
+                    assert column == ()
+                    empty += 1
+                for i in range(0, len(column), 2):
+                    assert intern[column[i]] is column[i]  # one stored copy per distinct key
+                    assert type(column[i + 1]) is int
+    assert empty  # the sweep stores empty columns too
+    labels = sorted(oracle._memo)
+    before = {label: {mode: dict(memo) for mode, memo in oracle._memo[label].items()} for label in labels}
+    FockOracle.forget(oracle, labels[0])
+    assert labels[0] not in oracle._memo  # every mode of the label is gone
+    for label in labels[1:]:
+        after = oracle._memo[label]
+        assert after.keys() == before[label].keys()
+        for mode, memo in after.items():
+            assert memo.keys() == before[label][mode].keys()
+            assert all(memo[key] is col for key, col in before[label][mode].items())
