@@ -53,6 +53,12 @@ over stored columns runs through one accumulator,
 and which repeats :func:`curralg.fock_oracle.state_add`'s operations, so
 it is bit for bit the sum over column dicts.
 
+A numeric table sweep makes the symbolic generators once per generator
+pair, the closed form's maps once per momentum pair, and the operator
+handles once per both.  Per probe it runs only the commutator column, the
+formal bracket, its terms' columns and their distance; the bracket depends
+on the pair alone, but its call count is pinned until ROADMAP item 2.
+
 Phase convention: the basis is rephased by i^(n_q - n_p), with n_q and
 n_p the state's trajectory q and p quanta.  This diagonal similarity leaves
 every commutator and fitted charge as it is, and takes the factors i of
@@ -472,7 +478,8 @@ class OperatorMatrix:
             w2 = tuple(map(add, w, m))
             hit = ()
             if space.in_window(w2):
-                hit = space._placed(space.kernel(self.op_key, qp_key, cur_key), w2)
+                kernel = space.kernel(self.op_key, qp_key, cur_key)
+                hit = space._placed(kernel, w2) if kernel else ()
                 if head[0] == "L" and w[head[1] - 1]:
                     merged = _column_state(hit)
                     _add_column(merged, space._placed(space.kernel(("V", m, 0), qp_key, cur_key), w2), w[head[1] - 1])
@@ -678,49 +685,45 @@ class BracketDeviation:
     probe: tuple = ()
 
 
-@lru_cache(maxsize=None)
-def _symbolic_generator(label: tuple, symbol: str, N: int) -> fa.Expression:
-    """The formal generator ``label`` at the momentum symbol ``symbol``.
+class _BracketAt:
+    """The probe-free part of [label1(m), label2(n)]: symbolic generators,
+    operator handles, and the closed form's maps (see :func:`_closed_form_maps`)."""
 
-    Shared by every caller, so nobody may mutate the result;
-    :func:`formal_algebra.bracket` only reads its arguments.
+    __slots__ = ("x", "y", "op_x", "op_y", "vectors", "assignment")
+
+    def __init__(self, x, y, op_x: OperatorMatrix, op_y: OperatorMatrix, vectors: dict, assignment: dict):
+        self.x, self.y, self.op_x, self.op_y, self.vectors, self.assignment = x, y, op_x, op_y, vectors, assignment
+
+
+def _closed_form_maps(charges: dict, m: tuple, n: tuple) -> tuple:
+    """(vectors, assignment) at the numeric m, n: the symbols m, n as vectors,
+    and the charges plus the components m_1..m_N, n_1..n_N as values."""
+    names = [f"{symbol}_{mu}" for symbol in "mn" for mu in range(1, len(m) + 1)]
+    return {"m": m, "n": n}, {**charges, **dict(zip(names, m + n))}
+
+
+def _bracket_at(gens: RealizedGenerators, charges: dict, label1: tuple, m: tuple, label2: tuple, n: tuple):
+    """The probe-free part of [label1(m), label2(n)], every piece made for this one bracket."""
+    x = fa.generator(label1, fa.Momentum.symbol("m", len(m)))
+    y = fa.generator(label2, fa.Momentum.symbol("n", len(n)))
+    return _BracketAt(x, y, gens.operator(label1, m), gens.operator(label2, n), *_closed_form_maps(charges, m, n))
+
+
+def _expected_column(gens: RealizedGenerators, table, at: _BracketAt, probe: tuple) -> dict:
+    """Realize the closed form of one formal bracket as a numeric column on one probe.
+
+    Per probe it makes one :func:`formal_algebra.bracket` call (pinned until
+    ROADMAP item 2) and one column read per nonzero term; the rest comes
+    hoisted in ``at``.  The column is a sum of projected generator columns,
+    so it already lies inside the cutoffs.  The numeric tables are FORMAL,
+    so no term is a delta, which only CONCRETE_3D produces.
     """
-    return fa.generator(label, fa.Momentum.symbol(symbol, N))
-
-
-@lru_cache(maxsize=None)
-def _momentum_variables(N: int) -> tuple:
-    """The component variables m_1..m_N, n_1..n_N of the momentum symbols m and n."""
-    return tuple(f"{symbol}_{mu}" for symbol in "mn" for mu in range(1, N + 1))
-
-
-def _expected_column(
-    gens: RealizedGenerators,
-    table,
-    charges: dict,
-    label1: tuple,
-    m: tuple,
-    label2: tuple,
-    n: tuple,
-    probe: tuple,
-) -> dict:
-    """Realize the closed form of one formal bracket as a numeric column.
-
-    The column is a sum of projected generator columns, so it already lies
-    inside the cutoffs.  The numeric tables are FORMAL, so no term is a
-    delta, which only CONCRETE_3D produces.
-    """
-    N = gens.space.spec.N
-    expr = fa.bracket(table, _symbolic_generator(label1, "m", N), _symbolic_generator(label2, "n", N))
-    vectors = {"m": m, "n": n}
-    assignment = dict(charges)
-    assignment.update(zip(_momentum_variables(N), m + n))
     out: dict = {}
-    for term, poly in expr.terms.items():
-        coeff = float(poly.evaluate(assignment))
+    for term, poly in fa.bracket(table, at.x, at.y).terms.items():
+        coeff = float(poly.evaluate(at.assignment))
         if coeff == 0:
             continue
-        _add_column(out, gens.operator(term.label, term.arg.at(vectors)).column(probe), coeff)
+        _add_column(out, gens.operator(term.label, term.arg.at(at.vectors)).column(probe), coeff)
     return out
 
 
@@ -737,20 +740,26 @@ def default_charges(space: VertexSpace) -> dict:
 NUMERIC_TABLES = tuple(name for name, species in fa.TABLE_SPECIES.items() if "S3" not in species)
 
 
-def _numeric_context(table_name: str, space: VertexSpace) -> tuple:
-    """(table, generators) for a numeric sweep of one table."""
+# the charge each species' closed forms read: k in the S1 terms, c1 and c2 in L's Witt cocycle
+_SPECIES_CHARGES = (("S1", "k"), ("L", "c1"), ("L", "c2"))
+
+
+def _numeric_context(table_name: str, space: VertexSpace, charges: dict) -> tuple:
+    """(table, generators) for a numeric sweep of one table, once it has every charge it reads."""
     if table_name not in NUMERIC_TABLES:
         raise ValueError(f"numeric sweep supports {NUMERIC_TABLES}, not {table_name!r}")
+    missing = [c for s, c in _SPECIES_CHARGES if s in fa.TABLE_SPECIES[table_name] and c not in charges]
+    if missing:
+        raise ValueError(f"{table_name} reads the charges {', '.join(missing)}, which the charges lack")
     return fa.make_table(table_name, space.sc, space.spec.N), RealizedGenerators(space)
 
 
-def _deviation(gens: RealizedGenerators, table, charges: dict, lab1: tuple, m: tuple, lab2: tuple, n: tuple,
-               probe: tuple) -> float:
+def _deviation(gens: RealizedGenerators, table, at: _BracketAt, probe: tuple) -> float:
     """Distance between the realized commutator column and the closed form
-    of the same bracket, on one probe state."""
-    lhs = gens.operator(lab1, m).commutator_column(gens.operator(lab2, n), probe)
-    rhs = _expected_column(gens, table, charges, lab1, m, lab2, n, probe)
-    return _column_distance(lhs, rhs)
+    of the same bracket, on one probe state; only what reads the probe runs
+    here, the rest comes hoisted in ``at``."""
+    lhs = at.op_x.commutator_column(at.op_y, probe)
+    return _column_distance(lhs, _expected_column(gens, table, at, probe))
 
 
 def check_table_numeric(
@@ -765,12 +774,19 @@ def check_table_numeric(
     Sweeps all unordered generator pairs over every momentum pair with
     components in [-window, window], and over the probe states; returns one
     BracketDeviation per generator pair holding the worst deviation found.
-    ``charges`` gives the charges k, c1, c2 (see :func:`default_charges`).
+    ``charges`` gives the charges k, c1, c2 (see :func:`default_charges`);
+    one the table reads (k with S1, c1 and c2 with L) and ``charges`` lacks
+    is rejected by name.
     Only the tables whose species are all realized here are accepted (the
     three-chain tables are not); a negative window, an empty probe list or a
     probe outside the cutoffs would check nothing and is rejected before any
     column is built.  A closed form holds generators at m + n, so the window
     must satisfy 2 * window <= P.
+
+    Symbolic generators are made once per generator pair, the closed form's
+    maps once per momentum pair, operator handles once per both; per probe
+    runs :func:`_deviation`.  Loops run m, n, probe, and only a strictly
+    larger deviation replaces the worst row, so the first of equal ones wins.
     """
     if window < 0:
         raise ValueError(f"window must not be negative, got {window}")
@@ -778,23 +794,28 @@ def check_table_numeric(
         raise ValueError(f"window {window} needs P >= {2 * window}, got P={space.spec.P}")
     if probes is not None and not probes:
         raise ValueError("probe list is empty")
-    table, gens = _numeric_context(table_name, space)
-    vecs = list(itertools.product(range(-window, window + 1), repeat=space.spec.N))
+    table, gens = _numeric_context(table_name, space, charges)
+    N = space.spec.N
+    vecs = list(itertools.product(range(-window, window + 1), repeat=N))
     if probes is None:
         probes = default_probe_keys(space)
     for probe in probes:
         _check_probe(space, probe)
+    momenta = [(mv, nv) + _closed_form_maps(charges, mv, nv) for mv in vecs for nv in vecs]
+    m_symbol, n_symbol = fa.Momentum.symbol("m", N), fa.Momentum.symbol("n", N)
     labels = fa.generator_labels(table.species, table.sc.dim, table.N)
     rows = []
     for i, lab1 in enumerate(labels):
+        x = fa.generator(lab1, m_symbol)
         for lab2 in labels[i:]:
+            y = fa.generator(lab2, n_symbol)
             worst = BracketDeviation(lab1, lab2, (), (), 0.0)
-            for mv in vecs:
-                for nv in vecs:
-                    for probe in probes:
-                        dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)
-                        if dev > worst.deviation:
-                            worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
+            for mv, nv, vectors, assignment in momenta:
+                at = _BracketAt(x, y, gens.operator(lab1, mv), gens.operator(lab2, nv), vectors, assignment)
+                for probe in probes:
+                    dev = _deviation(gens, table, at, probe)
+                    if dev > worst.deviation:
+                        worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
             rows.append(worst)
     return rows
 
@@ -848,15 +869,16 @@ def stage_deviations(
 ) -> list:
     """Deviation of fixed tested elements (bracket, momenta, probe) in one space.
 
-    Accepts the same tables as :func:`check_table_numeric`; an empty element
-    list would check nothing and is rejected.  Each element's labels must be
-    generators of the table, and its probe must lie inside the cutoffs.  A
-    closed form holds generators at m + n, so m, n and m + n must each lie in
-    the lattice window.  Every element is checked before any column is built.
+    Accepts the same tables and charges as :func:`check_table_numeric`; an
+    empty element list would check nothing and is rejected.  Each element's
+    labels must be generators of the table, and its probe must lie inside
+    the cutoffs.  A closed form holds generators at m + n, so m, n and m + n
+    must each lie in the lattice window.  Every element is checked before any
+    column is built.
     """
     if not elements:
         raise ValueError("element list is empty")
-    table, gens = _numeric_context(table_name, space)
+    table, gens = _numeric_context(table_name, space, charges)
     labels = frozenset(fa.generator_labels(table.species, table.sc.dim, table.N))
     for element in elements:
         lab1, mv, lab2, nv, probe = element
@@ -870,7 +892,7 @@ def stage_deviations(
         _check_probe(space, probe)
     out = []
     for lab1, mv, lab2, nv, probe in elements:
-        dev = _deviation(gens, table, charges, lab1, mv, lab2, nv, probe)
+        dev = _deviation(gens, table, _bracket_at(gens, charges, lab1, mv, lab2, nv), probe)
         out.append(BracketDeviation(lab1, lab2, mv, nv, dev, probe))
     return out
 

@@ -36,6 +36,7 @@ from curralg.vertex_fock import (
     q_slot_key,
     stage_deviations,
     total_level,
+    _bracket_at,
     _expected_column,
     _fit,
 )
@@ -672,7 +673,7 @@ def test_expected_columns_lie_inside_the_cutoffs(table_name):
             for lab2 in labels[i:]:
                 for m in vecs:
                     for n in vecs:
-                        col = _expected_column(gens, table, charges, lab1, m, lab2, n, probe)
+                        col = _expected_column(gens, table, _bracket_at(gens, charges, lab1, m, lab2, n), probe)
                         assert space.project(col) == col, (lab1, m, lab2, n, probe)
                         checked += bool(col)
     assert checked
@@ -757,6 +758,55 @@ def test_numeric_entry_points_share_the_deviation_kernel():
         "CLASSICAL_MF", space, [(r.label1, r.m, r.label2, r.n, r.probe) for r in nonzero], charges
     )
     assert again == nonzero
+
+
+def test_numeric_sweeps_reject_charges_the_table_reads_and_lacks():
+    """A charge the table's closed forms read (k with S1, c1 and c2 with L)
+    is refused by name before any column is built; one it never reads may
+    be left out."""
+    small = TruncationSpec(N=2, L=2, P=2, M=1, current_cap=3)
+    element = (("J", 1), (1, 0), ("J", 2), (0, 1), (p_slot_key(1), (0, 0), ()))
+    for name, charges, missing in (
+        ("DIFF_EXT", {"k": 8.0}, "c1, c2"),
+        ("DIFF_EXT", {"k": 8.0, "c1": 4.0}, "c2"),
+        ("CLASSICAL_MF", {}, "k"),
+        ("EMB2", {"c1": 4.0, "c2": 27.0}, "k"),
+    ):
+        space = VertexSpace(SU2, small)
+        message = re.escape(f"{name} reads the charges {missing}, which the charges lack")
+        with pytest.raises(ValueError, match=message):
+            check_table_numeric(name, space, charges)
+        with pytest.raises(ValueError, match=message):
+            stage_deviations(name, space, [element], charges)
+        assert not space._columns and not space._kernels
+    space = VertexSpace(SU2, small)
+    rows = check_table_numeric("CLASSICAL_MF", space, {"k": 8.0})
+    assert rows == check_table_numeric("CLASSICAL_MF", space, {"k": 8.0, "c1": 4.0, "c2": 27.0})
+    assert stage_deviations("CLASSICAL_MF", space, [element], {"k": 8.0})
+
+
+def test_sweep_work_counts(monkeypatch):
+    """The CLASSICAL_MF sweep at su(2), N = 2 makes one formal bracket call
+    per generator pair, momentum pair and probe, 36 x 81 x 9, and reads
+    121,095 operator columns: work done once per pair or momentum pair
+    must not add or drop a bracket call or a column read."""
+    space, charges = _space(), dict(_charges())
+    calls = {"bracket": 0, "column": 0}
+    bracket, column = vertex_fock.fa.bracket, OperatorMatrix.column
+
+    def counted_bracket(*args):
+        calls["bracket"] += 1
+        return bracket(*args)
+
+    def counted_column(self, key):
+        calls["column"] += 1
+        return column(self, key)
+
+    monkeypatch.setattr(vertex_fock.fa, "bracket", counted_bracket)
+    monkeypatch.setattr(OperatorMatrix, "column", counted_column)
+    rows = check_table_numeric("CLASSICAL_MF", space, charges)
+    assert len(rows) == 36
+    assert calls == {"bracket": 36 * 81 * 9, "column": 121095}
 
 
 # [J^2((-1,-1)), J^8((-1,1))] at su(3), N = 2: the formal CLASSICAL_MF bracket
@@ -885,8 +935,9 @@ def test_n1_diff_ext_sweep_is_exact(monkeypatch):
     L1 = ("L", 1)
     for shape, worst in ((lambda m, n: (m - n) * (m + n) ** 2, 81 * eps), (lambda m, n: m - n, 9 * eps)):
 
-        def planted(gens, table, charges, label1, m, label2, n, probe, shape=shape):
-            out = _expected_column(gens, table, charges, label1, m, label2, n, probe)
+        def planted(gens, table, at, probe, shape=shape):
+            out = _expected_column(gens, table, at, probe)
+            (label1, m, _), (label2, n, _) = at.op_x.op_key, at.op_y.op_key
             if label1 == label2 == L1:
                 plant = _as_dict(build_vertex((m[0] + n[0],), 0, gens.space).column(probe))
                 state_add(out, plant, eps * shape(m[0], n[0]))
