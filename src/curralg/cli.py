@@ -188,6 +188,12 @@ def _invalid_constants(report: Report, idrep) -> tuple:
 # -- verify-tables -------------------------------------------------------------
 
 
+def _failure_text(failure: tuple) -> str:
+    """A symbolic sweep's (label, detail) failure as one row: ``label: detail``, its lines joined by ``; ``."""
+    label, detail = failure
+    return f"{label}: " + "; ".join(detail.splitlines())
+
+
 def cmd_verify_tables(cfg: RunConfig) -> tuple:
     if cfg.dim < 2:
         raise UsageError("the bracket tables carry antisymmetric index pairs; needs dim >= 2")
@@ -213,7 +219,7 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
             failure_row = "first_failure"
         table_ok = jrep.passed
         if jrep.failures:
-            rows.append((failure_row, jrep.failures[0]))
+            rows.append((failure_row, _failure_text(jrep.failures[0])))
         if table_name == "EMB1" and cfg.dim == 3:
             concrete = fa.emb1_obstruction(fa.make_table("EMB1", sc, 3, chain_mode="CONCRETE_3D"))
             support = "nonzero" if concrete.nonzero_on_support else "identically zero"
@@ -231,7 +237,7 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
         if dst_name not in cfg.tables and src_name not in cfg.tables:
             continue
         erep = fa.verify_embedding(fa.make_table(src_name, sc, cfg.dim), fa.make_table(dst_name, sc, cfg.dim))
-        status = "PASS" if erep.passed else f"FAIL: {erep.failures[0]}"
+        status = "PASS" if erep.passed else f"FAIL: {_failure_text(erep.failures[0])}"
         ok = ok and erep.passed
         emb_rows.append((f"{src_name} -> {dst_name}", f"{status} ({erep.checked} pairs)"))
     if emb_rows:
@@ -302,7 +308,6 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
         ],
     )
     report.add("conventions", sorted(wc.conventions().items()))
-    ok = True
 
     idrep = verify_identities(sc)
     if not idrep.passed:
@@ -311,8 +316,6 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
     W = cfg.mode_window
     mode_pairs = [(m, n) for m in range(-W, W + 1) for n in range(m, W + 1)]
     sweep = oracle_sweep(wc.build_currents(sc, N), cfg.level, _CURRENT_CAP, mode_pairs)
-    if sweep.mismatches:
-        ok = False
     sweep_rows = [
         ("bracket_evaluations", sweep.pairs),
         ("columns_compared", sweep.columns),
@@ -324,8 +327,6 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
 
     km_rows = wc.check_km_table(sc, N)
     km_bad = [r for r in km_rows if not r.ok]
-    if km_bad:
-        ok = False
     table_rows = [("brackets", len(km_rows)), ("failures", len(km_bad))]
     if km_bad:
         table_rows.append(("first_failure", f"{km_bad[0].lab1} {km_bad[0].lab2}: {km_bad[0].detail}"))
@@ -345,10 +346,10 @@ def cmd_verify_fock(cfg: RunConfig) -> tuple:
         except wc.AnomalyPatternError as exc:
             failures.append(str(exc))
     if failures:
-        ok = False
         charge_rows.append(("anomaly_pattern", "FAIL: " + "; ".join(failures)))
     report.add("charges", charge_rows)
 
+    ok = not (sweep.mismatches or km_bad or failures)
     report.add("result", [("status", "PASS" if ok else "FAIL")])
     return report, ok
 

@@ -51,14 +51,12 @@ from collections import Counter
 from itertools import combinations_with_replacement
 
 __all__ = [
-    "vacuum",
     "key_level",
     "key_npart",
     "key_level_npart",
     "state_add",
     "state_project",
     "states_equal",
-    "apply_oscillator",
     "apply_body",
     "enumerate_keys",
     "FockOracle",
@@ -66,10 +64,6 @@ __all__ = [
 
 BasisKey = tuple  # sorted ((slot, count), ...)
 State = dict  # BasisKey -> Scalar
-
-
-def vacuum() -> State:
-    return {(): 1}
 
 
 def key_level(key: BasisKey) -> int:
@@ -187,17 +181,6 @@ def _osc_key(key: BasisKey, flavor, barred: bool, mode: int):
         if slot == target:
             return _key_with(key, target, -1), count if barred else -count
     return None
-
-
-def apply_oscillator(state: State, flavor, barred: bool, mode: int) -> State:
-    out: State = {}
-    for key, amp in state.items():
-        hit = _osc_key(key, flavor, barred, mode)
-        if hit is None:
-            continue
-        new_key, factor = hit
-        _add_at(out, new_key, amp * factor)
-    return out
 
 
 def _candidate_modes(key: BasisKey, A, B, m: int, creators: bool = True):

@@ -283,10 +283,6 @@ class Expression:
     def __sub__(self, other: "Expression") -> "Expression":
         return self + (-other)
 
-    def scaled(self, factor) -> "Expression":
-        """Multiply every coefficient by a Poly or scalar."""
-        return Expression({k: p * factor for k, p in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Expression):
             return NotImplemented
@@ -294,10 +290,6 @@ class Expression:
 
     def __hash__(self):
         return hash(frozenset((k, hash(p)) for k, p in self.terms.items()))
-
-    def substitute(self, mapping: dict[str, Poly]) -> "Expression":
-        """Apply a variable substitution to every coefficient polynomial."""
-        return Expression({k: p.substitute(mapping) for k, p in self.terms.items()})
 
     def discharged(self) -> "Expression":
         """Evaluate delta-supported coefficients on the delta's support.

@@ -85,15 +85,12 @@ from .wick_currents import CurrentBody, build_currents, measure_level
 __all__ = [
     "TruncationSpec",
     "VACUUM_QP",
-    "total_level",
     "BoundaryError",
     "FitError",
     "OperatorMatrix",
     "VertexSpace",
-    "build_vertex",
     "RealizedGenerators",
     "default_probe_keys",
-    "boundary_probe_keys",
     "p_slot_key",
     "q_slot_key",
     "measure_vertex_level",
@@ -161,10 +158,6 @@ class TruncationSpec:
 VACUUM_QP: tuple = ()
 
 
-def total_level(key: tuple) -> int:
-    return key_level(key[0]) + key_level(key[2])
-
-
 @lru_cache(maxsize=None)
 def _creator_multisets(N: int, M: int, level: int) -> tuple:
     """All q-creator multisets {(mu, k): r} with sum k*r == level, k <= M.
@@ -223,12 +216,6 @@ class VertexSpace:
                 continue
             out[key] = amp
         return out
-
-    def vacuum_key(self, w: Optional[tuple] = None) -> tuple:
-        w = tuple(0 for _ in range(self.spec.N)) if w is None else tuple(w)
-        if len(w) != self.spec.N:
-            raise ValueError("lattice point has wrong dimension")
-        return (VACUUM_QP, w, ())
 
     # -- trajectory oscillators ---------------------------------------------
 
@@ -488,21 +475,18 @@ class OperatorMatrix:
         return hit
 
     def apply(self, col: tuple) -> dict:
-        """This matrix times a flat column, as a state."""
+        """This matrix times a flat column, as a state; an empty column adds nothing and is skipped."""
         out: dict = {}
         for i in range(0, len(col), 2):
-            _add_column(out, self.column(col[i]), col[i + 1])
+            hit = self.column(col[i])
+            if hit:
+                _add_column(out, hit, col[i + 1])
         return out
 
     def commutator_column(self, other: "OperatorMatrix", key: tuple) -> dict:
         out = self.apply(other.column(key))
         state_add(out, other.apply(self.column(key)), -1.0)
         return out
-
-
-def build_vertex(m: tuple, n: int, space: VertexSpace) -> OperatorMatrix:
-    """The n-th Fourier mode of the vertex factor for lattice vector m."""
-    return OperatorMatrix(space, ("V", tuple(m), n))
 
 
 class RealizedGenerators:
@@ -723,7 +707,9 @@ def _expected_column(gens: RealizedGenerators, table, at: _BracketAt, probe: tup
         coeff = float(poly.evaluate(at.assignment))
         if coeff == 0:
             continue
-        _add_column(out, gens.operator(term.label, term.arg.at(at.vectors)).column(probe), coeff)
+        col = gens.operator(term.label, term.arg.at(at.vectors)).column(probe)
+        if col:
+            _add_column(out, col, coeff)
     return out
 
 
@@ -838,27 +824,6 @@ def _column_distance(a: dict, b: dict) -> float:
         if key not in a and abs(amp) > worst:
             worst = abs(amp)
     return worst
-
-
-def boundary_probe_keys(space: VertexSpace) -> list:
-    """Probes where the lattice window or the particle cap can clip.
-
-    A commutator on these states loses weight asymmetrically between its two
-    application orders, so the deviation from the closed form is nonzero and
-    must shrink when every cutoff grows by one stage.
-    """
-    sp = space.spec
-    zero = tuple(0 for _ in range(sp.N))
-    edge = (sp.P,) + zero[1:]
-    phi1 = ((("phi", 1), False, 0), 1)
-    phi2 = ((("phi", 2), False, 0), 1)
-    cap_filler = (phi1, (phi2[0], sp.current_cap - 2)) if sp.current_cap > 2 else (phi1,)
-    return [
-        (VACUUM_QP, edge, ()),
-        (p_slot_key(1), edge, ()),
-        (VACUUM_QP, zero, tuple(sorted(cap_filler))),
-        (VACUUM_QP, edge, (phi1,)),
-    ]
 
 
 def stage_deviations(

@@ -44,7 +44,6 @@ __all__ = [
     "mode_commutator",
     "expected_bracket",
     "check_km_table",
-    "jacobi_residual",
     "measure_level",
     "measure_k1_k2",
     "conventions",
@@ -342,22 +341,6 @@ def check_km_table(sc: StructureConstants, N: int) -> list:
     """
     fams = build_currents(sc, N)
     return _check_pairs(fams, sc, N, sorted(fams))
-
-
-def jacobi_residual(X: tuple, Y: tuple, Z: tuple):
-    """Exact jacobiator [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] of ``(body, mode)`` pairs.
-
-    Returns (body, anomaly); inner anomalies are central and drop out of the
-    outer bracket, so only outer anomalies against inner bilinears survive.
-    """
-    body: CurrentBody = {}
-    anomaly: Scalar = Fraction(0)
-    for (A, a), (B, b), (C, c) in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
-        inner, _ = mode_commutator(B, b, C, c)
-        outer, an = mode_commutator(A, a, inner, b + c)
-        body_combine(body, outer)
-        anomaly = anomaly + an
-    return body, anomaly
 
 
 def measure_level(sc: StructureConstants, N: int) -> Scalar:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from curralg import cli, lie_core
+from curralg import cli, formal_algebra, lie_core, wick_currents
 from curralg import vertex_fock as vf
 from curralg.cli import RunConfig, UsageError, load_config_file, main, parse_su
 
@@ -24,6 +24,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _section(out: str, name: str) -> str:
+    """The rows of one report section, without its header."""
+    return out.split(f"[{name}]\n", 1)[1].split("\n\n", 1)[0]
 
 
 # -- verify-lie ----------------------------------------------------------------
@@ -157,10 +162,45 @@ def test_emb1_status_follows_the_support_check(capsys, monkeypatch):
         "--tables", "EMB1", "--no-timestamp",
     )
     assert code == 1
-    section = out.split("[table EMB1]\n", 1)[1].split("\n\n", 1)[0]
+    section = _section(out, "table EMB1")
     assert section.endswith(
         "obstruction_check = FAIL: support does not track the d tensor\nstatus = FAIL"
     ), section
+
+
+def test_verify_tables_failure_row_is_one_line(capsys, monkeypatch):
+    # with closedness not reduced, every (J, J, J) Jacobiator keeps its
+    # one-chain terms; the row reads "label: detail" with the detail's lines
+    # joined by "; ", not the repr of a (label, detail) tuple
+    monkeypatch.setattr(formal_algebra, "reduce_closedness", lambda X: X)
+    code, out, _ = run(
+        capsys, "verify-tables", "--algebra", "su2", "--dim", "2",
+        "--tables", "CLASSICAL_MF", "--no-timestamp",
+    )
+    assert code == 1
+    assert _section(out, "table CLASSICAL_MF") == (
+        "triples = 120\n"
+        "first_failure = (J^1(m), J^2(n), J^3(r)): "
+        "(k*m_1 + k*n_1 + k*r_1)*S1{1}(m+n+r); (k*m_2 + k*n_2 + k*r_2)*S1{2}(m+n+r)\n"
+        "status = FAIL"
+    )
+    assert out.endswith("[result]\nstatus = FAIL\n")
+
+
+def test_verify_tables_embedding_failure_is_one_line(capsys, monkeypatch):
+    # a redefinition that doubles its input breaks the embedding on every
+    # bracket that is not zero, the first being [J^1(m), J^1(n)]
+    real = formal_algebra.redefine
+    monkeypatch.setattr(formal_algebra, "redefine", lambda X: real(X) + real(X))
+    code, out, _ = run(
+        capsys, "verify-tables", "--algebra", "su2", "--dim", "2", "--tables", "EMB2", "--no-timestamp",
+    )
+    assert code == 1
+    assert _section(out, "embeddings") == (
+        "CLASSICAL_MF -> EMB2 = FAIL: [J^1(m), J^1(n)]: difference:; "
+        "-2*k*m_1*S1{1}(m+n); -2*k*m_2*S1{2}(m+n) (36 pairs)"
+    )
+    assert out.endswith("[result]\nstatus = FAIL\n")
 
 
 def test_verify_tables_subset_at_dim_2(capsys):
@@ -292,6 +332,51 @@ def test_verify_fock_rejects_broken_structure_constants(capsys, tmp_path):
     )
     assert code == 1
     assert "structure constants invalid" in out
+
+
+def test_verify_fock_fails_on_a_planted_closed_form(capsys, monkeypatch):
+    # doubling every amplitude the closed-form side applies breaks each
+    # column whose bilinear part is not zero; the oracle side is untouched
+    real = cli.apply_body
+    monkeypatch.setattr(cli, "apply_body", lambda *args: {k: 2 * v for k, v in real(*args).items()})
+    code, out, _ = run(
+        capsys, "verify-fock", "--algebra", "su2", "--dim", "1",
+        "--mode-window", "1", "--level", "2", "--no-timestamp",
+    )
+    assert code == 1
+    assert _section(out, "oracle_sweep") == (
+        "bracket_evaluations = 168\n"
+        "columns_compared = 4200\n"
+        "mismatches = 672\n"
+        "first_mismatch = [('G', 1, 1)@-1, ('J', 2)@-1] on ()"
+    )
+    assert out.endswith("[result]\nstatus = FAIL\n")
+
+
+def test_verify_fock_fails_on_a_planted_table_slope(capsys, monkeypatch):
+    # one more unit of anomaly slope on every (T, T) table entry fails the
+    # km table and the k1/k2 pattern; k comes from the (J, J) family and is
+    # still reported
+    real = wick_currents.expected_bracket
+
+    def planted(fams, sc, N, lab1, lab2):
+        body, slope = real(fams, sc, N, lab1, lab2)
+        return body, slope + 1 if lab1[0] == lab2[0] == "T" else slope
+
+    monkeypatch.setattr(wick_currents, "expected_bracket", planted)
+    code, out, _ = run(
+        capsys, "verify-fock", "--algebra", "su2", "--dim", "2",
+        "--mode-window", "1", "--level", "1", "--no-timestamp",
+    )
+    assert code == 1
+    failure = (
+        "('T', 1, 1) ('T', 1, 1): anomaly at m=1 is not -29*m; "
+        "anomaly at m=2 is not -29*m; anomaly at m=3 is not -29*m"
+    )
+    assert _section(out, "oracle_sweep").endswith("mismatches = 0")
+    assert _section(out, "km_table") == f"brackets = 136\nfailures = 10\nfirst_failure = {failure}"
+    assert _section(out, "charges") == f"k = 8\nanomaly_pattern = FAIL: {failure}"
+    assert out.endswith("[result]\nstatus = FAIL\n")
 
 
 # -- measure -------------------------------------------------------------------

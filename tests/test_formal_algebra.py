@@ -60,12 +60,22 @@ def _sym(name, N=3):
     return Momentum.symbol(name, N)
 
 
+def _scaled(expr: Expression, factor) -> Expression:
+    """``expr`` with every coefficient multiplied by a Poly or scalar."""
+    return Expression({k: p * factor for k, p in expr.terms.items()})
+
+
+def _substituted(expr: Expression, mapping: dict) -> Expression:
+    """``expr`` with a variable substitution applied to every coefficient."""
+    return Expression({k: p.substitute(mapping) for k, p in expr.terms.items()})
+
+
 def _contracted_S1(sym, arg=None):
     """a_rho S1^rho(arg), defaulting to arg = sym."""
     arg = arg if arg is not None else sym
     out = Expression()
     for rho in range(1, arg.N + 1):
-        out = out + S1(rho, arg).scaled(sym.component(rho))
+        out = out + _scaled(S1(rho, arg), sym.component(rho))
     return out
 
 
@@ -281,16 +291,16 @@ def test_plain_current_algebra_limit():
     kill_k = {"k": Poly()}
     for name in ("MF", "EMB1", "CLASSICAL_MF", "EMB2", "DIFF_EXT"):
         table = make_table(name, SU2, 2)
-        out = bracket(table, J(1, m), J(2, n)).substitute(kill_k)
+        out = _substituted(bracket(table, J(1, m), J(2, n)), kill_k)
         assert out == J(3, m + n)
 
 
 def test_witt_limit_of_LL():
     m, n = _sym("m"), _sym("n")
     de = make_table("DIFF_EXT", SU3, 3)
-    out = bracket(de, L(1, m), L(2, n)).substitute({"c1": Poly(), "c2": Poly()})
+    out = _substituted(bracket(de, L(1, m), L(2, n)), {"c1": Poly(), "c2": Poly()})
     tot = m + n
-    want = L(2, tot).scaled(n.component(1)) - L(1, tot).scaled(m.component(2))
+    want = _scaled(L(2, tot), n.component(1)) - _scaled(L(1, tot), m.component(2))
     assert out == want
 
 
@@ -304,7 +314,7 @@ def test_reduce_full_contraction_to_zero():
     tot = m + n
     both = Expression()
     for rho in range(1, 4):
-        both = both + S1(rho, tot).scaled(tot.component(rho))
+        both = both + _scaled(S1(rho, tot), tot.component(rho))
     assert reduce_closedness(both).is_zero
 
 
@@ -313,7 +323,7 @@ def test_reduce_keeps_mismatched_contraction():
     tot = m + n + r
     expr = Expression()
     for rho in range(1, 4):
-        expr = expr + S3(1, 2, rho, tot).scaled(m.component(rho))
+        expr = expr + _scaled(S3(1, 2, rho, tot), m.component(rho))
     reduced = reduce_closedness(expr)
     assert reduced == expr  # argument differs from the contraction vector
 
@@ -324,11 +334,11 @@ def test_reduce_S3_full_contraction():
     m = _sym("m")
     expr = Expression()
     for rho in range(1, 4):
-        expr = expr + S3(1, 2, rho, m).scaled(m.component(rho))
+        expr = expr + _scaled(S3(1, 2, rho, m), m.component(rho))
     assert reduce_closedness(expr).is_zero
     # a coefficient outside the argument ideal survives
     n = _sym("n")
-    kept = S3(1, 2, 3, m).scaled(n.component(1))
+    kept = _scaled(S3(1, 2, 3, m), n.component(1))
     assert reduce_closedness(kept) == kept
 
 
@@ -353,7 +363,7 @@ def test_reduce_wedge_at_N4():
     a = tot
     for mu, nu, rho in itertools.permutations(range(1, 5), 3):
         coeff = a.component(mu) * m.component(nu) * n.component(rho)
-        expr = expr + S3(mu, nu, rho, tot).scaled(coeff)
+        expr = expr + _scaled(S3(mu, nu, rho, tot), coeff)
     assert reduce_closedness(expr).is_zero
     # m wedge n wedge r equals (r wedge m) wedge (m+n), so it is a
     # closedness multiple too and must be deleted
@@ -365,7 +375,7 @@ def test_reduce_wedge_at_N4():
             * n.component(nu)
             * r.component(rho)
         )
-        wedge3 = wedge3 + S3(mu, nu, rho, tot).scaled(coeff)
+        wedge3 = wedge3 + _scaled(S3(mu, nu, rho, tot), coeff)
     assert reduce_closedness(wedge3).is_zero
     # a constant unit 3-form is not: its wedge with (m+n) has a (m+n)_4 piece
     keep = S3(1, 2, 3, tot)
@@ -377,16 +387,16 @@ def test_reduce_wedge_at_N4():
 
 def test_redefine_golden():
     m, n = _sym("m"), _sym("n")
-    out = redefine(J(1, m).scaled(2) - J(2, n))
+    out = redefine(_scaled(J(1, m), 2) - J(2, n))
     want = (
-        J(1, m).scaled(2)
-        + G(1, 1, m).scaled(2 * m.component(1))
-        + G(1, 2, m).scaled(2 * m.component(2))
-        + G(1, 3, m).scaled(2 * m.component(3))
+        _scaled(J(1, m), 2)
+        + _scaled(G(1, 1, m), 2 * m.component(1))
+        + _scaled(G(1, 2, m), 2 * m.component(2))
+        + _scaled(G(1, 3, m), 2 * m.component(3))
         - J(2, n)
-        - G(2, 1, n).scaled(n.component(1))
-        - G(2, 2, n).scaled(n.component(2))
-        - G(2, 3, n).scaled(n.component(3))
+        - _scaled(G(2, 1, n), n.component(1))
+        - _scaled(G(2, 2, n), n.component(2))
+        - _scaled(G(2, 3, n), n.component(3))
     )
     assert out == want
     assert redefine(H(1, 1, 2, m)) == H(1, 1, 2, m)
@@ -594,7 +604,7 @@ def test_discharge_on_support():
     assert out.discharged() == out  # m_3 is not constrained by m+n = 0
     # but a coefficient proportional to (m+n)_3 dies on support
     tot = m + n
-    expr = out.scaled(tot.component(3))
+    expr = _scaled(out, tot.component(3))
     assert not expr.is_zero
     assert expr.discharged().is_zero
 

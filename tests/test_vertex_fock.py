@@ -13,7 +13,7 @@ import pytest
 
 from curralg.formal_algebra import generator_labels, make_table
 from curralg.lie_core import build_su
-from curralg.fock_oracle import state_add
+from curralg.fock_oracle import key_level, key_npart, state_add
 from curralg.wick_currents import measure_level, measure_k1_k2
 from curralg import vertex_fock
 from curralg.vertex_fock import (
@@ -25,8 +25,6 @@ from curralg.vertex_fock import (
     RealizedGenerators,
     TruncationSpec,
     VertexSpace,
-    boundary_probe_keys,
-    build_vertex,
     check_table_numeric,
     default_charges,
     default_probe_keys,
@@ -35,7 +33,6 @@ from curralg.vertex_fock import (
     p_slot_key,
     q_slot_key,
     stage_deviations,
-    total_level,
     _bracket_at,
     _expected_column,
     _fit,
@@ -85,6 +82,30 @@ def _dist(a: dict, b: dict) -> float:
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
 
 
+def _total_level(key: tuple) -> int:
+    """Excitation level of a basis key (qp_key, w, cur_key): trajectory plus current sector."""
+    return key_level(key[0]) + key_level(key[2])
+
+
+def boundary_probe_keys(space: VertexSpace) -> list:
+    """Probes where the lattice window or the particle cap can clip.
+
+    A commutator on these states loses weight asymmetrically between its two
+    application orders, so the deviation from the closed form is nonzero and
+    must shrink when every cutoff grows by one stage.
+    """
+    sp = space.spec
+    zero = (0,) * sp.N
+    edge = (sp.P,) + zero[1:]
+    cap_filler = (PHI1, (PHI2[0], sp.current_cap - 2)) if sp.current_cap > 2 else (PHI1,)
+    return [
+        (VACUUM_QP, edge, ()),
+        (p_slot_key(1), edge, ()),
+        (VACUUM_QP, zero, tuple(sorted(cap_filler))),
+        (VACUUM_QP, edge, (PHI1,)),
+    ]
+
+
 # -- truncation spec ---------------------------------------------------------
 
 
@@ -111,19 +132,19 @@ def test_scaled_stage_grows_every_biting_cutoff():
 def test_vertex_at_zero_momentum():
     space = _space()
     zero = (0, 0)
-    ident = build_vertex(zero, 0, space)
+    ident = OperatorMatrix(space, ("V", zero, 0))
     probe = (p_slot_key(1), (1, 0), (PHI1,))
     assert _as_dict(ident.column(probe)) == {probe: 1}
     for mode in (-2, -1, 1, 2):
-        assert _as_dict(build_vertex(zero, mode, space).column(probe)) == {}
+        assert _as_dict(OperatorMatrix(space, ("V", zero, mode)).column(probe)) == {}
 
 
 def test_vertex_zero_mode_shifts_vacuum():
     space = _space()
     m = (1, -1)
-    op = build_vertex(m, 0, space)
-    vac = space.vacuum_key()
-    shifted = space.vacuum_key(m)
+    op = OperatorMatrix(space, ("V", m, 0))
+    vac = (VACUUM_QP, (0, 0), ())
+    shifted = (VACUUM_QP, m, ())
     col = _as_dict(op.column(vac))
     assert col[shifted] == 1
     assert all(key[1] == m for key in col)
@@ -134,22 +155,22 @@ def test_vertex_creator_mode_on_vacuum():
     # basis rephased by i^(n_q - n_p); positive modes annihilate.
     space = _space()
     m = (1, -1)
-    vac = space.vacuum_key()
-    col = _as_dict(build_vertex(m, -1, space).column(vac))
+    vac = (VACUUM_QP, (0, 0), ())
+    col = _as_dict(OperatorMatrix(space, ("V", m, -1)).column(vac))
     want = {
         (q_slot_key(1), m, ()): m[0],
         (q_slot_key(2), m, ()): m[1],
     }
     assert _dist(col, want) == 0
-    assert _as_dict(build_vertex(m, 1, space).column(vac)) == {}
-    assert _as_dict(build_vertex(m, 2, space).column(vac)) == {}
+    assert _as_dict(OperatorMatrix(space, ("V", m, 1)).column(vac)) == {}
+    assert _as_dict(OperatorMatrix(space, ("V", m, 2)).column(vac)) == {}
 
 
 def test_vertex_mode_beyond_level_39():
     # (V_m)_{-40}|0> at N = M = 1 is the single state (q_{-1})^40 |m>,
     # weighted (i m)^40 / 40!; the amplitude needs 40!, past any short table.
     space = VertexSpace(SU2, TruncationSpec(N=1, L=40, P=2, M=1))
-    col = space.apply_vertex((1,), -40, {space.vacuum_key(): 1.0})
+    col = space.apply_vertex((1,), -40, {(VACUUM_QP, (0,), ()): 1.0})
     q40 = ((((("traj", 1), False, -1), 40),), (1,), ())
     assert list(col) == [q40]
     assert col[q40] == pytest.approx(1 / math.factorial(40))
@@ -158,7 +179,7 @@ def test_vertex_mode_beyond_level_39():
 def test_vertex_momentum_window_enforced():
     space = _space()
     with pytest.raises(BoundaryError):
-        build_vertex((3, 0), 0, space)
+        OperatorMatrix(space, ("V", (3, 0), 0))
 
 
 def test_vertex_elements_stable_under_level_growth():
@@ -168,16 +189,16 @@ def test_vertex_elements_stable_under_level_growth():
     big = _space(TruncationSpec(N=2, L=6, P=2, M=2, current_cap=3))
     m = (1, 0)
     probes = [
-        small.vacuum_key(),
+        (VACUUM_QP, (0, 0), ()),
         (p_slot_key(1), (0, 0), ()),
         (q_slot_key(2), (0, 0), ()),
     ]
     for mode in (-2, -1, 0, 1):
-        op_s = build_vertex(m, mode, small)
-        op_b = build_vertex(m, mode, big)
+        op_s = OperatorMatrix(small, ("V", m, mode))
+        op_b = OperatorMatrix(big, ("V", m, mode))
         for probe in probes:
-            col_s = {k: v for k, v in _as_dict(op_s.column(probe)).items() if total_level(k) <= 1}
-            col_b = {k: v for k, v in _as_dict(op_b.column(probe)).items() if total_level(k) <= 1}
+            col_s = {k: v for k, v in _as_dict(op_s.column(probe)).items() if _total_level(k) <= 1}
+            col_b = {k: v for k, v in _as_dict(op_b.column(probe)).items() if _total_level(k) <= 1}
             assert _dist(col_s, col_b) < 1e-10
 
 
@@ -193,7 +214,7 @@ def test_all_generators_preserve_total_level():
             op = gens.operator(label, m)
             for probe in probes:
                 for key in _as_dict(op.column(probe)):
-                    assert total_level(key) == total_level(probe), (label, m, probe)
+                    assert _total_level(key) == _total_level(probe), (label, m, probe)
 
 
 def test_realized_currents_annihilate_vacuum():
@@ -202,7 +223,7 @@ def test_realized_currents_annihilate_vacuum():
     for label in generator_labels(("J", "G", "H"), SU2.dim, DEFAULT.N):
         for m in ((0, 0), (1, 0), (0, 1), (1, -1)):
             for w in ((0, 0), (1, 0)):
-                assert _as_dict(gens.operator(label, m).column(space.vacuum_key(w))) == {}
+                assert _as_dict(gens.operator(label, m).column((VACUUM_QP, w, ()))) == {}
 
 
 def test_one_chain_closedness_matrix_identity():
@@ -299,7 +320,7 @@ def test_operator_keys_are_checked_when_the_handle_is_made():
     with pytest.raises(ValueError, match="wrong dimension"):
         gens.operator(("J", 1), (1, 0, 0))
     with pytest.raises(ValueError, match="wrong dimension"):
-        build_vertex((1, 0, 0), 0, space)
+        OperatorMatrix(space, ("V", (1, 0, 0), 0))
     assert not space._columns and not space._kernels and not space._current_memo and not space._vertex_memo
     assert gens.operator(("J", 1), (1, 0)).op_key == (("J", 1), (1, 0), True)
 
@@ -408,7 +429,7 @@ def test_column_store_shares_keys_and_the_empty_column():
         check_table_numeric(name, space, probes=_STORE_PROBES, charges=charges)
     # L's zero-mode term w_mu V_{m,0} is merged before the column is
     # flattened: on the shifted vacuum, L_1(0) has an empty kernel and only that term
-    shifted_vacuum = space.vacuum_key((1, 0))
+    shifted_vacuum = (VACUUM_QP, (1, 0), ())
     assert RealizedGenerators(space).operator(("L", 1), (0, 0)).column(shifted_vacuum) == (shifted_vacuum, 1.0)
     stored = [(op_key, key, col) for op_key, columns in space._columns.items() for key, col in columns.items()]
     # every column and kernel is a flat tuple: (key, amp, ...) and (qp_key, cur_key, amp, ...)
@@ -437,8 +458,8 @@ def test_column_refuses_a_lattice_label_of_the_wrong_dimension():
     space = VertexSpace(SU2, DEFAULT)
     gens = RealizedGenerators(space)
     for op, key in (
-        (build_vertex((1, 0), 0, space), (VACUUM_QP, (0,), ())),
-        (build_vertex((1, 0), 0, space), (VACUUM_QP, (0, 0, 7), ())),
+        (OperatorMatrix(space, ("V", (1, 0), 0)), (VACUUM_QP, (0,), ())),
+        (OperatorMatrix(space, ("V", (1, 0), 0)), (VACUUM_QP, (0, 0, 7), ())),
         (gens.operator(("L", 2), (1, 0)), (VACUUM_QP, (1,), ())),
         (gens.operator(("J", 1), (0, 1)), (p_slot_key(1), (1, 0, 0), (PHI1,))),
     ):
@@ -880,8 +901,6 @@ def test_boundary_deviations_shrink_at_next_stage():
 
 
 def test_boundary_probe_keys_sit_on_the_boundary():
-    from curralg.fock_oracle import key_npart
-
     for cap in (2, 3, 5):  # cap 2 fills with one phi quantum, a larger cap adds phi^2 quanta
         space = _space(dataclasses.replace(DEFAULT, current_cap=cap))
         keys = boundary_probe_keys(space)
@@ -939,7 +958,7 @@ def test_n1_diff_ext_sweep_is_exact(monkeypatch):
             out = _expected_column(gens, table, at, probe)
             (label1, m, _), (label2, n, _) = at.op_x.op_key, at.op_y.op_key
             if label1 == label2 == L1:
-                plant = _as_dict(build_vertex((m[0] + n[0],), 0, gens.space).column(probe))
+                plant = _as_dict(OperatorMatrix(gens.space, ("V", (m[0] + n[0],), 0)).column(probe))
                 state_add(out, plant, eps * shape(m[0], n[0]))
             return out
 

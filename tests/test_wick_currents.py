@@ -17,22 +17,22 @@ from hypothesis import given, settings, strategies as st
 from curralg.cli import oracle_sweep
 from curralg.lie_core import StructureConstants, build_su
 from curralg.fock_oracle import (
+    _add_at,
+    _osc_key,
     apply_body,
-    apply_oscillator,
     enumerate_keys,
     key_level,
     key_npart,
     state_add,
     states_equal,
-    vacuum,
 )
 from curralg.wick_currents import (
     AnomalyPatternError,
+    body_combine,
     build_currents,
     check_km_table,
     conventions,
     expected_bracket,
-    jacobi_residual,
     measure_k1_k2,
     measure_level,
     mode_commutator,
@@ -48,10 +48,21 @@ SU2_U1 = StructureConstants(dim=4, f=dict(SU2.f))
 # -- oracle mechanics, checked by hand ------------------------------------
 
 
+def apply_oscillator(state: dict, flavor, barred: bool, mode: int) -> dict:
+    """One oscillator on a state, key by key through the oracle's ``_osc_key``."""
+    out: dict = {}
+    for key, amp in state.items():
+        hit = _osc_key(key, flavor, barred, mode)
+        if hit is not None:
+            new_key, factor = hit
+            _add_at(out, new_key, amp * factor)
+    return out
+
+
 def test_oracle_creators_and_counts():
     # Xbar_{-1} twice builds a doubly occupied slot; X_1 annihilates it
     # with minus the occupation count, X_2 finds nothing.
-    st = apply_oscillator(vacuum(), "X", True, -1)
+    st = apply_oscillator({(): 1}, "X", True, -1)
     st = apply_oscillator(st, "X", True, -1)
     (key, amp), = st.items()
     assert key == ((("X", True, -1), 2),)
@@ -65,7 +76,7 @@ def test_oracle_creators_and_counts():
 
 def test_oracle_ccr_on_occupied_state():
     # [Xbar_j, X_k] = delta_{j+k,0} on a state with one unbarred zero mode.
-    base = apply_oscillator(vacuum(), "X", False, 0)
+    base = apply_oscillator({(): 1}, "X", False, 0)
     for j, k in ((1, -1), (2, -2), (1, -2)):
         xy = apply_oscillator(apply_oscillator(base, "X", False, k), "X", True, j)
         yx = apply_oscillator(apply_oscillator(base, "X", True, j), "X", False, k)
@@ -79,7 +90,7 @@ def test_oracle_ccr_on_occupied_state():
 
 def test_oracle_unbarred_annihilator_sign():
     # X_k kills slot (X, True, -k) with amplitude -count.
-    st = apply_oscillator(vacuum(), "X", True, -2)
+    st = apply_oscillator({(): 1}, "X", True, -2)
     down = apply_oscillator(st, "X", False, 2)
     assert down == {(): -1}
 
@@ -90,8 +101,8 @@ def test_oracle_bilinear_toy_commutator():
     # on the vacuum at m = 1 only the anomaly survives.
     C = {("A", "B"): Fraction(1)}
     D = {("B", "A"): Fraction(1)}
-    col = apply_body(apply_body(vacuum(), D, -1), C, 1)
-    back = apply_body(apply_body(vacuum(), C, 1), D, -1)
+    col = apply_body(apply_body({(): 1}, D, -1), C, 1)
+    back = apply_body(apply_body({(): 1}, C, 1), D, -1)
     state_add(col, back, -1)
     assert col == {(): -1}
 
@@ -99,7 +110,7 @@ def test_oracle_bilinear_toy_commutator():
 def test_oracle_bilinear_level_bookkeeping():
     # Every surviving term of a mode-m bilinear changes level by exactly -m.
     body = {("A", "B"): Fraction(1), ("B", "A"): Fraction(2)}
-    start = apply_oscillator(apply_oscillator(vacuum(), "A", True, -2), "B", False, -1)
+    start = apply_oscillator(apply_oscillator({(): 1}, "A", True, -2), "B", False, -1)
     for m in (-2, -1, 0, 1, 2, 3):
         out = apply_body(start, {("A", "B"): 1}, m)
         for key in out:
@@ -299,10 +310,28 @@ def test_current_annihilates_vacuum_at_positive_mode():
     fams = build_currents(SU2, 2)
     for lab in sorted(fams):
         for m in (1, 2, 3):
-            assert apply_body(vacuum(), fams[lab], m) == {}
+            assert apply_body({(): 1}, fams[lab], m) == {}
 
 
 # -- the one commutator on random bodies --------------------------------------
+
+
+def jacobi_residual(X: tuple, Y: tuple, Z: tuple):
+    """Exact jacobiator [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] of ``(body, mode)`` pairs,
+    summed from :func:`mode_commutator` over the three cyclic orders.
+
+    Returns (body, anomaly); inner anomalies are central and drop out of the
+    outer bracket, so only outer anomalies against inner bilinears survive.
+    """
+    body: dict = {}
+    anomaly = Fraction(0)
+    for (A, a), (B, b), (C, c) in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
+        inner, _ = mode_commutator(B, b, C, c)
+        outer, an = mode_commutator(A, a, inner, b + c)
+        body_combine(body, outer)
+        anomaly = anomaly + an
+    return body, anomaly
+
 
 _FLAVOR = st.sampled_from(("A", "B", "C"))
 _BODIES = st.dictionaries(
