@@ -339,10 +339,12 @@ class FockOracle:
         self._memo.pop(label, None)
 
     def apply_truncated(self, label, mode: int, col: tuple) -> State:
-        """The truncated matrix of ``label`` at ``mode`` applied to a flat column."""
+        """The truncated matrix of ``label`` at ``mode`` applied to a flat column; empty columns are skipped."""
         out: State = {}
         for i in range(0, len(col), 2):
-            _add_column(out, self.apply_exact(label, mode, col[i]), col[i + 1])
+            hit = self.apply_exact(label, mode, col[i])
+            if hit:
+                _add_column(out, hit, col[i + 1])
         return out
 
     def commutator_column(self, lab1, m: int, lab2, n: int, key: BasisKey) -> State:

@@ -24,9 +24,10 @@ Translation rule: every realized operator shifts the lattice label w by
 its momentum m, and but for one term of L its amplitudes do not depend on w,
 so a column is its kernel at w + m.  The kernel of an operator on an
 oscillator key (qp_key, cur_key) is its projected column on
-(qp_key, 0, cur_key) with the lattice label taken out, built once.  The
-column on (qp_key, w, cur_key) puts every kernel term at w + m, and is empty
-when w + m leaves the window, since all its terms land on that one point.
+(qp_key, 0, cur_key) with the lattice label taken out, built once and kept
+under that key's index.  The column on (qp_key, w, cur_key) puts every
+kernel term at w + m, and is empty when w + m leaves the window, since all
+its terms land on that one point.
 The term that depends on w is L_mu's zero mode w_mu V_{m,0}, which vanishes
 at w = 0: L applies it last, and a column at w_mu != 0 adds w_mu times
 V_{m,0}'s kernel last.  Built at amplitude 1.0 and kept in column order, a
@@ -39,19 +40,27 @@ once, and the vertex terms per (m, j, qp_key), in emission order and not
 merged.  A state adds ``amp * coeff`` per term in list order, so memoised
 and recomputed columns agree bit for bit.
 
-The kernels and the projected columns live per space, keyed by operator and
-oscillator key or basis key.  The operator key is the only
-description of an operator, and :meth:`VertexSpace.apply` maps it to the
-operator.  A column depends on the operator and the space alone, so every
-generator set on one space, and every table sweep and charge fit run on it,
-computes each kernel and each column once.  Both are stored flat, as
-immutable tuples: a kernel as (qp_key, cur_key, amp, ...), a column as
-(basis_key, amp, ...), the empty one as ``()``.  Most columns hold one or
-two terms, so a dict per column would cost more than its terms.  Every sum
-over stored columns runs through one accumulator,
-:func:`curralg.fock_oracle._add_column`, which the oracle's memo shares
-and which repeats :func:`curralg.fock_oracle.state_add`'s operations, so
-it is bit for bit the sum over column dicts.
+Each space indexes its basis: :meth:`VertexSpace.index` gives a basis key
+(qp_key, w, cur_key) one ``int`` the first time it meets the key, and
+:meth:`VertexSpace.key` maps it back.  Columns, the states they sum into
+and the stores that hold them are over these indices, so a hot lookup
+hashes an ``int``, not a key nested three tuples deep.  The entry points
+take and return basis keys, and map each probe to its index once.
+
+The kernels and the projected columns live per space and operator, keyed
+by index.  The operator key is the only description of an operator, and
+:meth:`VertexSpace.apply` maps it to the operator.  A column depends on the
+operator and the space alone, so every generator set on one space, and
+every table sweep and charge fit run on it, computes each kernel and each
+column once.  Both are stored flat, as immutable tuples: a kernel as
+(qp_key, cur_key, amp, ...), a column as (index, amp, ...), the empty one
+as ``()``.  Most columns hold one or two terms, so a dict per column would
+cost more than its terms.  Every sum over stored columns runs through one
+accumulator, :func:`curralg.fock_oracle._add_column`, which the oracle's
+memo shares and which repeats :func:`curralg.fock_oracle.state_add`'s
+operations.  A sum runs the same operations in the same order over indices
+as over keys, so every float and every dict order is the one the keys
+would give.
 
 A numeric table sweep makes the symbolic generators once per generator
 pair, the closed form's maps once per momentum pair, and the operator
@@ -191,12 +200,35 @@ class VertexSpace:
         # belong to this space; see apply_current and apply_vertex.
         self._current_memo: dict = {}  # (label, mode, cur_key) -> [(new_cur_key, factor)]
         self._vertex_memo: dict = {}  # (m, j, qp_key) -> [(new_qp_key, coeff)]
-        # Column kernels: (op_key, qp_key, cur_key) -> kernel (see kernel), the
-        # projected columns: operator key -> {basis key: column}, and the one
-        # stored copy of every lattice point and basis key in them; see OperatorMatrix.
+        # Column kernels: operator key -> {index of a w = 0 key: kernel}, the
+        # projected columns: operator key -> {index: column} (see OperatorMatrix),
+        # and the basis index, which grows as keys are met (see index).
         self._kernels: dict = {}
         self._columns: dict = {}
-        self._keys: dict = {}
+        self._index: dict = {}  # basis key -> index
+        self._keys: list = []  # index -> the one stored copy of its basis key
+        self._zero = (0,) * spec.N
+
+    # -- basis index ---------------------------------------------------------
+
+    def index(self, key: tuple) -> int:
+        """The index of the basis key ``key``, given the first time the space meets it.
+
+        Each key gets exactly one index, and ``key(index(k))`` is the space's
+        one stored copy of ``k``.  A key whose lattice label does not have N
+        components is refused before it gets one.
+        """
+        i = self._index.get(key)
+        if i is None:
+            if len(key[1]) != self.spec.N:
+                raise ValueError(f"basis key {key} has a lattice label of the wrong dimension")
+            i = self._index[key] = len(self._keys)
+            self._keys.append(key)
+        return i
+
+    def key(self, i: int) -> tuple:
+        """The basis key of the index ``i``."""
+        return self._keys[i]
 
     # -- truncation --------------------------------------------------------
 
@@ -379,41 +411,22 @@ class VertexSpace:
                 state_add(out, self.apply_vertex(m, 0, sub), key[1][mu - 1])
         return out
 
-    def kernel(self, op_key: tuple, qp_key: tuple, cur_key: tuple) -> tuple:
-        """The projected column of ``op_key`` on (qp_key, 0, cur_key), memoised.
-
-        Returned flat, as (qp_key1, cur_key1, amp1, qp_key2, ...) in column
-        order, the lattice label taken out.  Every term sits at w = m, inside
-        the window, so the projection filters only levels and caps, which no
-        operator's w enters.  At w = 0 L's zero-mode term vanishes.
-        """
-        hit = self._kernels.get((op_key, qp_key, cur_key))
-        if hit is None:
-            state = {(qp_key, (0,) * self.spec.N, cur_key): 1.0}
-            column = self.project(self.apply(op_key, state)).items()
-            hit = self._kernels[op_key, qp_key, cur_key] = tuple(
-                x for (qp2, _, cur2), amp in column for x in (qp2, cur2, amp)
-            )
-        return hit
-
     def _placed(self, kernel: tuple, w: tuple) -> tuple:
-        """A kernel's terms put at the lattice point w, as a flat column; w and
-        each key are the space's one stored copy."""
-        intern = self._keys.setdefault
-        w = intern(w, w)
+        """A kernel's terms put at the lattice point w, as a flat column over
+        basis indices; a key met here for the first time gets its index."""
+        index = self.index
         out = []
         append = out.append
         i, n = 0, len(kernel)
         while i < n:  # an index loop: most kernels hold one or two terms
-            key = (kernel[i], w, kernel[i + 1])
-            append(intern(key, key))
+            append(index((kernel[i], w, kernel[i + 1])))
             append(kernel[i + 2])
             i += 3
         return tuple(out)
 
 
 def _column_state(col: tuple) -> dict:
-    """A flat column as a state {key: amp}, in column order."""
+    """A flat column as a state {index: amp}, in column order."""
     it = iter(col)
     return dict(zip(it, it))
 
@@ -421,25 +434,26 @@ def _column_state(col: tuple) -> dict:
 class OperatorMatrix:
     """A truncated operator held as lazily computed sparse columns.
 
-    ``column(key)`` is the exact application to one basis state followed by
+    Columns and states are over basis indices (:meth:`VertexSpace.index`),
+    so no sum or store hashes a nested key tuple.  ``column(i)`` is the
+    exact application to the basis state of index ``i`` followed by
     projection onto the truncated space, so operator products compose with
     matrix semantics (project after every factor).  It is read off the
-    kernel of the key's oscillator part (:meth:`VertexSpace.kernel`), whose
-    terms it puts at w + m; for L_mu at w_mu != 0 it then adds w_mu times
-    the kernel of ("V", m, 0), L's zero-mode term.  It is empty when w + m
-    leaves the window.  ``op_key`` is the operator, ("V", m, j) for V_{m,j}
-    or (label, m, include_T) for a label in ``space.labels``, with m in the
-    lattice window.  Its kernels and columns live in the space: every handle
-    with the same key on one space fills the same stores.
+    kernel of the key's oscillator part (:meth:`kernel`), whose terms it
+    puts at w + m; for L_mu at w_mu != 0 it then adds w_mu times the kernel
+    of ("V", m, 0), L's zero-mode term.  It is empty when w + m leaves the
+    window.  ``op_key`` is the operator, ("V", m, j) for V_{m,j} or (label,
+    m, include_T) for a label in ``space.labels``, with m in the lattice
+    window.  Its kernels and columns live in the space: every handle with
+    the same key on one space fills the same stores.
 
-    A column is a flat tuple (key1, amp1, key2, amp2, ...) in the order of
-    the exact application, and the empty column is ``()``.  The keys, and
-    the lattice point w + m in them, are the space's one stored copy of
-    each.  L's zero-mode term is merged into the kernel's terms as
+    A column is a flat tuple (i1, amp1, i2, amp2, ...) in the order of the
+    exact application, and the empty column is ``()``.  L's zero-mode term
+    is merged into the kernel's terms as
     :func:`curralg.fock_oracle.state_add` would, before the column is
-    flattened.  :meth:`apply` takes a flat column and returns a state dict,
-    and every sum over columns runs through one accumulator, so each float
-    is the one a column dict would give.
+    flattened.  :meth:`apply` takes a flat column and returns a state dict
+    {index: amp}, and every sum over columns runs through one accumulator,
+    so each float is the one a column dict over basis keys would give.
     """
 
     def __init__(self, space: VertexSpace, op_key: tuple):
@@ -453,25 +467,45 @@ class OperatorMatrix:
         self.space = space
         self.op_key = op_key
         self._columns = space._columns.setdefault(op_key, {})
+        self._kernels = space._kernels.setdefault(op_key, {})
+        # L_mu's zero-mode term w_mu V_{m,0}: (mu - 1, the handle of V_{m,0}, whose kernels it reads)
+        self._zero_mode = (label[1] - 1, OperatorMatrix(space, ("V", m, 0))) if label[0] == "L" else None
 
-    def column(self, key: tuple) -> tuple:
-        hit = self._columns.get(key)
+    def kernel(self, i: int) -> tuple:
+        """The projected column on the basis key of index ``i``, a key at w = 0, memoised.
+
+        Returned flat, as (qp_key1, cur_key1, amp1, qp_key2, ...) in column
+        order, the lattice label taken out.  Every term sits at w = m, inside
+        the window, so the projection filters only levels and caps, which no
+        operator's w enters.  At w = 0 L's zero-mode term vanishes.
+        """
+        hit = self._kernels.get(i)
         if hit is None:
-            qp_key, w, cur_key = key
-            head, m, _ = self.op_key
-            if len(w) != len(m):
-                raise ValueError(f"basis key {key} has a lattice label of the wrong dimension")
             space = self.space
-            w2 = tuple(map(add, w, m))
+            column = space.project(space.apply(self.op_key, {space.key(i): 1.0})).items()
+            hit = self._kernels[i] = tuple(x for (qp2, _, cur2), amp in column for x in (qp2, cur2, amp))
+        return hit
+
+    def column(self, i: int) -> tuple:
+        """The flat column on the basis key of index ``i``, over indices, memoised."""
+        hit = self._columns.get(i)
+        if hit is None:
+            space = self.space
+            qp_key, w, cur_key = space.key(i)
+            w2 = tuple(map(add, w, self.op_key[1]))
             hit = ()
             if space.in_window(w2):
-                kernel = space.kernel(self.op_key, qp_key, cur_key)
+                # the kernel lives under the index of the key at w = 0
+                i0 = space.index((qp_key, space._zero, cur_key)) if any(w) else i
+                kernel = self.kernel(i0)
                 hit = space._placed(kernel, w2) if kernel else ()
-                if head[0] == "L" and w[head[1] - 1]:
-                    merged = _column_state(hit)
-                    _add_column(merged, space._placed(space.kernel(("V", m, 0), qp_key, cur_key), w2), w[head[1] - 1])
-                    hit = tuple(itertools.chain.from_iterable(merged.items()))
-            self._columns[key] = hit
+                if self._zero_mode is not None:
+                    mu, v0 = self._zero_mode
+                    if w[mu]:
+                        merged = _column_state(hit)
+                        _add_column(merged, space._placed(v0.kernel(i0), w2), w[mu])
+                        hit = tuple(itertools.chain.from_iterable(merged.items()))
+            self._columns[i] = hit
         return hit
 
     def apply(self, col: tuple) -> dict:
@@ -483,9 +517,9 @@ class OperatorMatrix:
                 _add_column(out, hit, col[i + 1])
         return out
 
-    def commutator_column(self, other: "OperatorMatrix", key: tuple) -> dict:
-        out = self.apply(other.column(key))
-        state_add(out, other.apply(self.column(key)), -1.0)
+    def commutator_column(self, other: "OperatorMatrix", i: int) -> dict:
+        out = self.apply(other.column(i))
+        state_add(out, other.apply(self.column(i)), -1.0)
         return out
 
 
@@ -572,21 +606,22 @@ def _fit(
     ``x`` and ``y`` are (label, momentum) pairs of realized generators;
     ``bilinear`` lists (label, momentum, coeff) columns added to the
     commutator in that order, a term with a zero coeff dropped before its
-    handle is made; ``reference(probe)`` is the flat column the sum should
-    be a multiple of.  A probe where both columns vanish is skipped, and an empty
-    reference under a nonzero column fits c = 0 with the column's norm as its
-    residual.  The probes must agree on c within _FIT_TOL.  Returns
+    handle is made; ``reference(i)`` is the flat column the sum should be a
+    multiple of on the probe of index ``i``.  Each probe, a basis key, is
+    mapped to its index once.  A probe where both columns vanish is skipped,
+    and an empty reference under a nonzero column fits c = 0 with the
+    column's norm as its residual.  The probes must agree on c within _FIT_TOL.  Returns
     (c, worst residual); the caller judges the residual.
     """
     op_x = gens.operator(*x)
     op_y = gens.operator(*y)
     terms = [(gens.operator(label, r), a) for label, r, a in bilinear if a != 0]
     vals, resids = [], []
-    for probe in probes:
-        col = op_x.commutator_column(op_y, probe)
+    for i in map(gens.space.index, probes):
+        col = op_x.commutator_column(op_y, i)
         for op, a in terms:
-            _add_column(col, op.column(probe), a)
-        ref = _column_state(reference(probe))
+            _add_column(col, op.column(i), a)
+        ref = _column_state(reference(i))
         if not col and not ref:
             continue
         c, resid = _column_ratio(col, ref) if ref else (0.0, _column_distance(col, {}))
@@ -693,8 +728,9 @@ def _bracket_at(gens: RealizedGenerators, charges: dict, label1: tuple, m: tuple
     return _BracketAt(x, y, gens.operator(label1, m), gens.operator(label2, n), *_closed_form_maps(charges, m, n))
 
 
-def _expected_column(gens: RealizedGenerators, table, at: _BracketAt, probe: tuple) -> dict:
-    """Realize the closed form of one formal bracket as a numeric column on one probe.
+def _expected_column(gens: RealizedGenerators, table, at: _BracketAt, probe: int) -> dict:
+    """Realize the closed form of one formal bracket as a numeric column on
+    the probe of index ``probe``, as a state {index: amp}.
 
     Per probe it makes one :func:`formal_algebra.bracket` call (pinned until
     ROADMAP item 2) and one column read per nonzero term; the rest comes
@@ -740,10 +776,10 @@ def _numeric_context(table_name: str, space: VertexSpace, charges: dict) -> tupl
     return fa.make_table(table_name, space.sc, space.spec.N), RealizedGenerators(space)
 
 
-def _deviation(gens: RealizedGenerators, table, at: _BracketAt, probe: tuple) -> float:
+def _deviation(gens: RealizedGenerators, table, at: _BracketAt, probe: int) -> float:
     """Distance between the realized commutator column and the closed form
-    of the same bracket, on one probe state; only what reads the probe runs
-    here, the rest comes hoisted in ``at``."""
+    of the same bracket, on the probe of index ``probe``; only what reads
+    the probe runs here, the rest comes hoisted in ``at``."""
     lhs = at.op_x.commutator_column(at.op_y, probe)
     return _column_distance(lhs, _expected_column(gens, table, at, probe))
 
@@ -770,9 +806,10 @@ def check_table_numeric(
     must satisfy 2 * window <= P.
 
     Symbolic generators are made once per generator pair, the closed form's
-    maps once per momentum pair, operator handles once per both; per probe
-    runs :func:`_deviation`.  Loops run m, n, probe, and only a strictly
-    larger deviation replaces the worst row, so the first of equal ones wins.
+    maps once per momentum pair, operator handles once per both, and each
+    probe's index once; per probe runs :func:`_deviation`.  Loops run m, n,
+    probe, and only a strictly larger deviation replaces the worst row, so
+    the first of equal ones wins.
     """
     if window < 0:
         raise ValueError(f"window must not be negative, got {window}")
@@ -787,6 +824,7 @@ def check_table_numeric(
         probes = default_probe_keys(space)
     for probe in probes:
         _check_probe(space, probe)
+    indices = [space.index(probe) for probe in probes]
     momenta = [(mv, nv) + _closed_form_maps(charges, mv, nv) for mv in vecs for nv in vecs]
     m_symbol, n_symbol = fa.Momentum.symbol("m", N), fa.Momentum.symbol("n", N)
     labels = fa.generator_labels(table.species, table.sc.dim, table.N)
@@ -798,10 +836,10 @@ def check_table_numeric(
             worst = BracketDeviation(lab1, lab2, (), (), 0.0)
             for mv, nv, vectors, assignment in momenta:
                 at = _BracketAt(x, y, gens.operator(lab1, mv), gens.operator(lab2, nv), vectors, assignment)
-                for probe in probes:
-                    dev = _deviation(gens, table, at, probe)
+                for i in indices:
+                    dev = _deviation(gens, table, at, i)
                     if dev > worst.deviation:
-                        worst = BracketDeviation(lab1, lab2, mv, nv, dev, probe)
+                        worst = BracketDeviation(lab1, lab2, mv, nv, dev, space.key(i))
             rows.append(worst)
     return rows
 
@@ -813,7 +851,7 @@ def _check_probe(space: VertexSpace, probe: tuple) -> None:
 
 
 def _column_distance(a: dict, b: dict) -> float:
-    """max |a - b| over the keys of either state: a's keys, then b's keys missing from a."""
+    """max |a - b| over the indices of either state: a's, then b's missing from a."""
     worst = 0.0
     get = b.get
     for key, amp in a.items():
@@ -839,7 +877,8 @@ def stage_deviations(
     labels must be generators of the table, and its probe must lie inside
     the cutoffs.  A closed form holds generators at m + n, so m, n and m + n
     must each lie in the lattice window.  Every element is checked before any
-    column is built.
+    column is built, and each probe is mapped to its index when its element
+    is measured.
     """
     if not elements:
         raise ValueError("element list is empty")
@@ -857,7 +896,7 @@ def stage_deviations(
         _check_probe(space, probe)
     out = []
     for lab1, mv, lab2, nv, probe in elements:
-        dev = _deviation(gens, table, _bracket_at(gens, charges, lab1, mv, lab2, nv), probe)
+        dev = _deviation(gens, table, _bracket_at(gens, charges, lab1, mv, lab2, nv), space.index(probe))
         out.append(BracketDeviation(lab1, lab2, mv, nv, dev, probe))
     return out
 

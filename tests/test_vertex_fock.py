@@ -62,9 +62,24 @@ def _charges(spec: TruncationSpec = DEFAULT) -> tuple:
 
 
 def _as_dict(col: tuple) -> dict:
-    """A flat column (key1, amp1, key2, amp2, ...) as {key: amp}, in column order."""
+    """A flat column (i1, amp1, i2, amp2, ...) as {i: amp}, in column order."""
     it = iter(col)
     return dict(zip(it, it))
+
+
+def _keyed(space: VertexSpace, state: dict) -> dict:
+    """A state over basis indices as {basis key: amp}, in its order."""
+    return {space.key(i): amp for i, amp in state.items()}
+
+
+def _column(op: OperatorMatrix, key: tuple) -> dict:
+    """The column of ``op`` on the basis key ``key``, as {basis key: amp} in column order."""
+    return _keyed(op.space, _as_dict(op.column(op.space.index(key))))
+
+
+def _commutator(op_x: OperatorMatrix, op_y: OperatorMatrix, key: tuple) -> dict:
+    """The commutator column [op_x, op_y] on the basis key ``key``, as {basis key: amp}."""
+    return _keyed(op_x.space, op_x.commutator_column(op_y, op_x.space.index(key)))
 
 
 def _merge(dst: dict, src: dict, factor=1) -> dict:
@@ -134,9 +149,9 @@ def test_vertex_at_zero_momentum():
     zero = (0, 0)
     ident = OperatorMatrix(space, ("V", zero, 0))
     probe = (p_slot_key(1), (1, 0), (PHI1,))
-    assert _as_dict(ident.column(probe)) == {probe: 1}
+    assert _column(ident, probe) == {probe: 1}
     for mode in (-2, -1, 1, 2):
-        assert _as_dict(OperatorMatrix(space, ("V", zero, mode)).column(probe)) == {}
+        assert _column(OperatorMatrix(space, ("V", zero, mode)), probe) == {}
 
 
 def test_vertex_zero_mode_shifts_vacuum():
@@ -145,7 +160,7 @@ def test_vertex_zero_mode_shifts_vacuum():
     op = OperatorMatrix(space, ("V", m, 0))
     vac = (VACUUM_QP, (0, 0), ())
     shifted = (VACUUM_QP, m, ())
-    col = _as_dict(op.column(vac))
+    col = _column(op, vac)
     assert col[shifted] == 1
     assert all(key[1] == m for key in col)
 
@@ -156,14 +171,14 @@ def test_vertex_creator_mode_on_vacuum():
     space = _space()
     m = (1, -1)
     vac = (VACUUM_QP, (0, 0), ())
-    col = _as_dict(OperatorMatrix(space, ("V", m, -1)).column(vac))
+    col = _column(OperatorMatrix(space, ("V", m, -1)), vac)
     want = {
         (q_slot_key(1), m, ()): m[0],
         (q_slot_key(2), m, ()): m[1],
     }
     assert _dist(col, want) == 0
-    assert _as_dict(OperatorMatrix(space, ("V", m, 1)).column(vac)) == {}
-    assert _as_dict(OperatorMatrix(space, ("V", m, 2)).column(vac)) == {}
+    assert _column(OperatorMatrix(space, ("V", m, 1)), vac) == {}
+    assert _column(OperatorMatrix(space, ("V", m, 2)), vac) == {}
 
 
 def test_vertex_mode_beyond_level_39():
@@ -197,8 +212,8 @@ def test_vertex_elements_stable_under_level_growth():
         op_s = OperatorMatrix(small, ("V", m, mode))
         op_b = OperatorMatrix(big, ("V", m, mode))
         for probe in probes:
-            col_s = {k: v for k, v in _as_dict(op_s.column(probe)).items() if _total_level(k) <= 1}
-            col_b = {k: v for k, v in _as_dict(op_b.column(probe)).items() if _total_level(k) <= 1}
+            col_s = {k: v for k, v in _column(op_s, probe).items() if _total_level(k) <= 1}
+            col_b = {k: v for k, v in _column(op_b, probe).items() if _total_level(k) <= 1}
             assert _dist(col_s, col_b) < 1e-10
 
 
@@ -213,7 +228,7 @@ def test_all_generators_preserve_total_level():
         for m in momenta:
             op = gens.operator(label, m)
             for probe in probes:
-                for key in _as_dict(op.column(probe)):
+                for key in _column(op, probe):
                     assert _total_level(key) == _total_level(probe), (label, m, probe)
 
 
@@ -223,7 +238,7 @@ def test_realized_currents_annihilate_vacuum():
     for label in generator_labels(("J", "G", "H"), SU2.dim, DEFAULT.N):
         for m in ((0, 0), (1, 0), (0, 1), (1, -1)):
             for w in ((0, 0), (1, 0)):
-                assert _as_dict(gens.operator(label, m).column((VACUUM_QP, w, ()))) == {}
+                assert _column(gens.operator(label, m), (VACUUM_QP, w, ())) == {}
 
 
 def test_one_chain_closedness_matrix_identity():
@@ -234,12 +249,12 @@ def test_one_chain_closedness_matrix_identity():
             acc: dict = {}
             for rho in (1, 2):
                 if m[rho - 1]:
-                    _merge(acc, _as_dict(gens.operator(("S1", rho), m).column(probe)), m[rho - 1])
+                    _merge(acc, _column(gens.operator(("S1", rho), m), probe), m[rho - 1])
             assert _dist(acc, {}) == 0
     for rho in (1, 2):
         op = gens.operator(("S1", rho), (0, 0))
         for probe in default_probe_keys(_space()):
-            assert _as_dict(op.column(probe)) == {}
+            assert _column(op, probe) == {}
 
 
 def test_current_bracket_f_channel():
@@ -248,12 +263,12 @@ def test_current_bracket_f_channel():
     m, n = (1, 0), (0, 1)
     r = (1, 1)
     probe = (p_slot_key(1), (0, 0), (PHI1,))
-    got = gens.operator(("J", 1), m).commutator_column(gens.operator(("J", 2), n), probe)
+    got = _commutator(gens.operator(("J", 1), m), gens.operator(("J", 2), n), probe)
     want: dict = {}
     for c in (1, 2, 3):
         coeff = float(SU2.f_at(1, 2, c))
         if coeff:
-            _merge(want, _as_dict(gens.operator(("J", c), r).column(probe)), coeff)
+            _merge(want, _column(gens.operator(("J", c), r), probe), coeff)
     assert _dist(got, want) < 1e-12
 
 
@@ -268,18 +283,16 @@ def test_l_s1_bracket_matches_module_action():
                 (p_slot_key(1), (0, 0), ()),
                 (p_slot_key(2), (1, 0), ()),
             ):
-                got = gens.operator(("L", mu), m).commutator_column(
-                    gens.operator(("S1", nu), n), probe
-                )
+                got = _commutator(gens.operator(("L", mu), m), gens.operator(("S1", nu), n), probe)
                 want: dict = {}
                 if n[mu - 1]:
-                    _merge(want, _as_dict(gens.operator(("S1", nu), r).column(probe)), n[mu - 1])
+                    _merge(want, _column(gens.operator(("S1", nu), r), probe), n[mu - 1])
                 if mu == nu:
                     for rho in (1, 2):
                         if m[rho - 1]:
                             _merge(
                                 want,
-                                _as_dict(gens.operator(("S1", rho), r).column(probe)),
+                                _column(gens.operator(("S1", rho), r), probe),
                                 m[rho - 1],
                             )
                 assert _dist(got, want) < 1e-12, (mu, nu, probe)
@@ -290,7 +303,7 @@ def test_h_family_commutes_numerically():
     probe = (p_slot_key(1), (0, 0), (PHI1,))
     op1 = gens.operator(("H", 1, 1, 2), (1, 0))
     op2 = gens.operator(("H", 2, 1, 2), (0, -1))
-    assert _dist(op1.commutator_column(op2, probe), {}) == 0
+    assert _dist(_commutator(op1, op2, probe), {}) == 0
 
 
 def test_generator_momentum_window_enforced():
@@ -349,7 +362,7 @@ _MEMO_STATES = [
 def _memo_columns(space: VertexSpace) -> list:
     gens = RealizedGenerators(space)
     return [
-        _as_dict(gens.operator(label, m).column(key))
+        _column(gens.operator(label, m), key)
         for label in _MEMO_LABELS
         for m in _MEMO_MOMENTA
         for key in _MEMO_STATES
@@ -366,7 +379,7 @@ def test_term_memos_give_the_columns_of_a_fresh_space():
         for m in _MEMO_MOMENTA:
             for key in _MEMO_STATES:
                 gens = RealizedGenerators(VertexSpace(SU2, DEFAULT))
-                fresh.append(_as_dict(gens.operator(label, m).column(key)))
+                fresh.append(_column(gens.operator(label, m), key))
     assert again == fresh
     assert any(again)
 
@@ -412,13 +425,13 @@ def test_column_store_keeps_include_T_apart():
     m = (1, 1)
     with_T = RealizedGenerators(space, include_T=True).operator(("L", 1), m)
     without_T = RealizedGenerators(space, include_T=False).operator(("L", 1), m)
-    cols_T = [_as_dict(with_T.column(key)) for key in _MEMO_STATES]
-    cols_no_T = [_as_dict(without_T.column(key)) for key in _MEMO_STATES]
+    cols_T = [_column(with_T, key) for key in _MEMO_STATES]
+    cols_no_T = [_column(without_T, key) for key in _MEMO_STATES]
     assert cols_T != cols_no_T
     assert {key for key in space._columns if key[0] == ("L", 1)} == {(("L", 1), m, True), (("L", 1), m, False)}
     for include_T, cols in ((True, cols_T), (False, cols_no_T)):
         fresh = RealizedGenerators(VertexSpace(SU2, DEFAULT), include_T=include_T).operator(("L", 1), m)
-        assert cols == [_as_dict(fresh.column(key)) for key in _MEMO_STATES]
+        assert cols == [_column(fresh, key) for key in _MEMO_STATES]
 
 
 def test_column_store_shares_keys_and_the_empty_column():
@@ -429,32 +442,38 @@ def test_column_store_shares_keys_and_the_empty_column():
         check_table_numeric(name, space, probes=_STORE_PROBES, charges=charges)
     # L's zero-mode term w_mu V_{m,0} is merged before the column is
     # flattened: on the shifted vacuum, L_1(0) has an empty kernel and only that term
-    shifted_vacuum = (VACUUM_QP, (1, 0), ())
+    shifted_vacuum = space.index((VACUUM_QP, (1, 0), ()))
     assert RealizedGenerators(space).operator(("L", 1), (0, 0)).column(shifted_vacuum) == (shifted_vacuum, 1.0)
-    stored = [(op_key, key, col) for op_key, columns in space._columns.items() for key, col in columns.items()]
-    # every column and kernel is a flat tuple: (key, amp, ...) and (qp_key, cur_key, amp, ...)
+    stored = [(op_key, i, col) for op_key, columns in space._columns.items() for i, col in columns.items()]
+    kernels = [kernel for by_key in space._kernels.values() for kernel in by_key.values()]
+    # every column and kernel is a flat tuple: (index, amp, ...) and (qp_key, cur_key, amp, ...)
     assert all(type(col) is tuple and len(col) % 2 == 0 for _, _, col in stored)
-    assert all(type(kernel) is tuple and len(kernel) % 3 == 0 for kernel in space._kernels.values())
+    assert all(type(kernel) is tuple and len(kernel) % 3 == 0 for kernel in kernels)
     assert {type(amp) for _, _, col in stored for amp in col[1::2]} == {float}
-    assert {type(amp) for kernel in space._kernels.values() for amp in kernel[2::3]} == {float}
-    # every key is the space's stored copy, one object per distinct key
-    basis_keys = [key2 for _, _, col in stored for key2 in col[::2]]
-    assert all(space._keys[key2] is key2 for key2 in basis_keys)
-    assert len({id(key2) for key2 in basis_keys}) == len(set(basis_keys)) < len(basis_keys)
+    assert {type(amp) for kernel in kernels for amp in kernel[2::3]} == {float}
+    # columns and stores hold basis indices, shared between columns; the index holds one object per key
+    indices = [j for _, _, col in stored for j in col[::2]] + [i for _, i, _ in stored]
+    assert {type(j) for j in indices} == {int}
+    assert set(indices) <= set(range(len(space._keys))) and len(set(indices)) < len(indices)
+    assert len({id(key) for key in space._keys}) == len(set(space._keys)) == len(space._keys)
     empty = [col for _, _, col in stored if not col]
     assert empty and all(col == () for col in empty)
     fresh = VertexSpace(SU2, DEFAULT)
     shifted = [
-        (op_key, key, col) for op_key, key, col in stored if op_key[0][0] == "L" and key[1][op_key[0][1] - 1]
+        (op_key, space.key(i), col)
+        for op_key, i, col in stored
+        if op_key[0][0] == "L" and space.key(i)[1][op_key[0][1] - 1]
     ]
     assert any(col for _, _, col in shifted)
     for op_key, key, col in shifted:
-        assert col == OperatorMatrix(fresh, op_key).column(key), (op_key, key)
+        want = _column(OperatorMatrix(fresh, op_key), key)
+        assert list(_keyed(space, _as_dict(col)).items()) == list(want.items()), (op_key, key)
 
 
 def test_column_refuses_a_lattice_label_of_the_wrong_dimension():
     # the lattice label must have N components: a shorter or longer one is
-    # refused by name, and nothing is stored for it
+    # refused by name when the key is indexed, so no column is read, and
+    # nothing is stored for it
     space = VertexSpace(SU2, DEFAULT)
     gens = RealizedGenerators(space)
     for op, key in (
@@ -464,8 +483,28 @@ def test_column_refuses_a_lattice_label_of_the_wrong_dimension():
         (gens.operator(("J", 1), (0, 1)), (p_slot_key(1), (1, 0, 0), (PHI1,))),
     ):
         with pytest.raises(ValueError, match=re.escape(f"basis key {key} has a lattice label of the wrong dimension")):
-            op.column(key)
-    assert not any(space._columns.values()) and not space._kernels and not space._keys
+            op.column(space.index(key))
+    assert not any(space._columns.values()) and not any(space._kernels.values())
+    assert not space._index and not space._keys
+
+
+def test_basis_index_is_one_to_one_over_the_stored_keys():
+    # a space enumerates no basis when it is built: a key gets its index when it is first met
+    space = VertexSpace(SU2, DEFAULT)
+    assert not space._index and not space._keys
+    measure_c1_c2(space)
+    check_table_numeric("EMB2", space, probes=_STORE_PROBES, charges=dict(_charges()))
+    keys = space._keys
+    assert len(keys) > 1 and sorted(space._index.values()) == list(range(len(keys)))
+    assert len(set(keys)) == len(keys)
+    for i, key in enumerate(keys):
+        copy = tuple(list(key))  # an equal key, another object
+        assert copy is not key and space.index(copy) == i
+        assert space.key(space.index(copy)) is key
+    # a new key gets the next index, once
+    new, n = (p_slot_key(1) + p_slot_key(2), (2, -2), (PHI1,)), len(keys)
+    assert new not in space._index
+    assert space.index(new) == n and space.index(new) == n and space.key(n) is new
 
 
 # Oscillator keys, each met at several lattice points: the centre, the
@@ -534,7 +573,7 @@ def test_kernel_columns_are_the_projected_columns(name):
         for qp_key, cur_key in _KERNEL_OSC:
             for w in _KERNEL_W:
                 key = (qp_key, w, cur_key)
-                col = _as_dict(op.column(key))
+                col = _column(op, key)
                 want = space.project(space.apply(op_key, {key: 1.0}))
                 assert list(col.items()) == list(want.items()), (op_key, key)
                 ordered.update(repr(list(col.items())).encode())
@@ -558,7 +597,7 @@ def test_kernel_columns_are_the_projected_columns(name):
     assert order_free.hexdigest() == sorted_digest
     # one kernel per operator and oscillator key it serves, whatever the
     # lattice point, and V_{m,0}'s for L_mu's columns at w_mu != 0
-    assert len(space._kernels) == len(served)
+    assert sum(map(len, space._kernels.values())) == len(served)
 
 
 def test_vertex_level_equals_wick_level():
@@ -630,8 +669,8 @@ _FIT_PROBES = [(p_slot_key(1), (0, 0), ()), (p_slot_key(2), (0, 0), ())]
 _J_E1, _J_E2 = (("J", 1), (1, 0)), (("J", 1), (0, 1))
 
 
-def _s1_column(probe):
-    return _gens().operator(("S1", 1), (1, 1)).column(probe)
+def _s1_column(i):
+    return _gens().operator(("S1", 1), (1, 1)).column(i)
 
 
 def test_fit_kernel_reads_the_level():
@@ -641,8 +680,8 @@ def test_fit_kernel_reads_the_level():
 def test_fit_kernel_refuses_probes_that_disagree():
     scale = dict(zip(_FIT_PROBES, (1.0, 2.0)))
 
-    def reference(probe):
-        return tuple(x for key, amp in _as_dict(_s1_column(probe)).items() for x in (key, amp * scale[probe]))
+    def reference(i):
+        return tuple(x for j, amp in _as_dict(_s1_column(i)).items() for x in (j, amp * scale[_gens().space.key(i)]))
 
     with pytest.raises(FitError, match="varies across probes"):
         _fit(_gens(), _J_E1, _J_E2, [], reference, _FIT_PROBES, "k")
@@ -657,7 +696,7 @@ def test_fit_kernel_refuses_when_no_probe_is_usable():
 def test_fit_kernel_reads_an_empty_reference_as_zero():
     gens = _gens()
     op_x, op_y = gens.operator(*_J_E1), gens.operator(*_J_E2)
-    norm = max(max(abs(a) for a in op_x.commutator_column(op_y, probe).values()) for probe in _FIT_PROBES)
+    norm = max(max(abs(a) for a in _commutator(op_x, op_y, probe).values()) for probe in _FIT_PROBES)
     assert norm > 0
     assert _fit(gens, _J_E1, _J_E2, [], lambda probe: (), _FIT_PROBES, "k") == (0.0, norm)
 
@@ -684,7 +723,8 @@ def test_numeric_table_sweep_is_exact_on_safe_probes(table_name):
 def test_expected_columns_lie_inside_the_cutoffs(table_name):
     """The closed-form column is a sum of projected columns, so projecting
     it again changes nothing, on interior and boundary probes alike."""
-    space, gens, charges = _space(), _gens(), dict(_charges())
+    gens, charges = _gens(), dict(_charges())
+    space = gens.space
     table = make_table(table_name, SU2, DEFAULT.N)
     labels = generator_labels(table.species, SU2.dim, DEFAULT.N)
     vecs = [(1, 0), (0, -1), (-1, 1)]
@@ -694,7 +734,8 @@ def test_expected_columns_lie_inside_the_cutoffs(table_name):
             for lab2 in labels[i:]:
                 for m in vecs:
                     for n in vecs:
-                        col = _expected_column(gens, table, _bracket_at(gens, charges, lab1, m, lab2, n), probe)
+                        at = _bracket_at(gens, charges, lab1, m, lab2, n)
+                        col = _keyed(space, _expected_column(gens, table, at, space.index(probe)))
                         assert space.project(col) == col, (lab1, m, lab2, n, probe)
                         checked += bool(col)
     assert checked
@@ -830,6 +871,27 @@ def test_sweep_work_counts(monkeypatch):
     assert calls == {"bracket": 36 * 81 * 9, "column": 121095}
 
 
+def test_sweep_reads_columns_by_index_and_reports_key_probes(monkeypatch):
+    """The CLASSICAL_MF sweep at su(2), N = 2 maps each probe to its index
+    once: every column read takes an int, and the rows still name their
+    probes as basis keys.  The boundary probes give rows a nonzero
+    deviation, so they name a probe."""
+    space, charges = _space(), dict(_charges())
+    probes = default_probe_keys(space) + boundary_probe_keys(space)
+    arg_types = set()
+    column = OperatorMatrix.column
+
+    def typed_column(self, i):
+        arg_types.add(type(i))
+        return column(self, i)
+
+    monkeypatch.setattr(OperatorMatrix, "column", typed_column)
+    rows = check_table_numeric("CLASSICAL_MF", space, charges, probes=probes)
+    assert arg_types == {int}
+    named = [row.probe for row in rows if row.deviation > 0]
+    assert named and all(type(probe) is tuple and probe in probes for probe in named)
+
+
 # [J^2((-1,-1)), J^8((-1,1))] at su(3), N = 2: the formal CLASSICAL_MF bracket
 # has a d-channel term, EMB2's has none, and both sweeps read the raw J of EMB2
 SU3_SPEC = TruncationSpec(N=2, L=4, P=2, M=2, current_cap=3)
@@ -925,8 +987,8 @@ def test_n1_family_closes_exactly(include_T):
     for m in range(-2, 3):
         for n in range(-2, 3):
             for probe in default_probe_keys(space):
-                col = gens.operator(("L", 1), (m,)).commutator_column(gens.operator(("L", 1), (n,)), probe)
-                state_add(col, _as_dict(gens.operator(("L", 1), (m + n,)).column(probe)), -(n - m))
+                col = _commutator(gens.operator(("L", 1), (m,)), gens.operator(("L", 1), (n,)), probe)
+                state_add(col, _column(gens.operator(("L", 1), (m + n,)), probe), -(n - m))
                 assert col == {}, (m, n, probe)
 
 
