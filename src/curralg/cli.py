@@ -93,7 +93,7 @@ def resolve_algebra(cfg: RunConfig) -> tuple:
             raise UsageError(f"cannot read algebra file: {exc}")
         try:
             return StructureConstants.from_text(text), cfg.algebra_file
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise UsageError(f"algebra file {cfg.algebra_file}: {exc}")
     return build_su(parse_su(cfg.algebra)), cfg.algebra
 

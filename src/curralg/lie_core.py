@@ -192,24 +192,28 @@ class StructureConstants:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "dim":
-                if dim is not None:
-                    raise ValueError(f"line {lineno}: duplicate dim line")
-                if len(parts) != 2:
-                    raise ValueError(f"line {lineno}: expected 'dim <n>'")
-                dim = int(parts[1])
-                continue
-            if parts[0] not in ("f", "d"):
-                raise ValueError(f"line {lineno}: unknown tensor {parts[0]!r}")
-            if dim is None:
-                raise ValueError(f"line {lineno}: dim line must come first")
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: expected '{parts[0]} a b c value'")
-            key = (int(parts[1]), int(parts[2]), int(parts[3]))
-            tensor = f if parts[0] == "f" else d
-            if key in tensor:
-                raise ValueError(f"line {lineno}: duplicate entry {parts[0]}{key}")
-            tensor[key] = parse_scalar(parts[4])
+            try:
+                if parts[0] == "dim":
+                    if dim is not None:
+                        raise ValueError("duplicate dim line")
+                    if len(parts) != 2:
+                        raise ValueError("expected 'dim <n>'")
+                    dim = int(parts[1])
+                    continue
+                if parts[0] not in ("f", "d"):
+                    raise ValueError(f"unknown tensor {parts[0]!r}")
+                if dim is None:
+                    raise ValueError("dim line must come first")
+                if len(parts) != 5:
+                    raise ValueError(f"expected '{parts[0]} a b c value'")
+                key = (int(parts[1]), int(parts[2]), int(parts[3]))
+                tensor = f if parts[0] == "f" else d
+                if key in tensor:
+                    raise ValueError(f"duplicate entry {parts[0]}{key}")
+                tensor[key] = parse_scalar(parts[4])
+            except (ValueError, ZeroDivisionError) as exc:
+                # int() and parse_scalar name the bad text, not its line
+                raise ValueError(f"line {lineno}: {exc}") from None
         if dim is None:
             raise ValueError("missing dim line")
         return cls(dim=dim, f=f, d=d)

@@ -1,11 +1,12 @@
 """Exact multivariate polynomials over the scalar ring.
 
 Coefficients are exact scalars: ``int`` in the integral case, else
-``Fraction`` or ``SurdSum``.  Variables are plain strings; a monomial is a
-sorted tuple of (variable, exponent) pairs.  The symbolic bracket engine
-keeps momentum components and charge parameters as polynomial
-indeterminates, so every cancellation it reports is an identity in those
-symbols rather than a numeric coincidence.
+``Fraction`` or ``SurdSum``, a ring with no division, so
+:meth:`Poly.divmod_linear` needs a rational lead.  Variables are plain
+strings; a monomial is a sorted tuple of (variable, exponent) pairs.  The
+symbolic bracket engine keeps momentum components and charge parameters as
+polynomial indeterminates, so every cancellation it reports is an identity
+in those symbols rather than a numeric coincidence.
 
 Integral coefficients stay ``int`` (variables and powers start from ``1``),
 so a table whose structure constants are integers does no ``Fraction``
@@ -16,7 +17,8 @@ constant or zero polynomial also hashes like its scalar, which it equals.
 A product with a scalar or a constant polynomial scales term by term; the
 symbolic sweeps mostly scale by the ``int`` 1 or -1, so a factor 1 returns
 the operand itself (a ``Poly`` is immutable) and a factor -1 negates term by
-term.  A monomial product merges the two sorted tuples in one scan.  The
+term.  A monomial product merges the two sorted tuples in one scan, and a
+``formal_algebra.Momentum`` sum shares that merge.  The
 binary operators test ``type(other) is Poly`` before the coefficient types,
 because ``isinstance`` against ``Fraction`` goes through its ABC.
 """
@@ -38,7 +40,8 @@ _COEFF_TYPES = (int, Fraction, SurdSum)
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     """Product of two monomials: one merge of the sorted pairs, reusing the
-    pairs of a variable that only one factor holds."""
+    pairs of a variable that only one factor holds.  A zero sum is dropped:
+    only a ``formal_algebra.Momentum`` sum, which shares this merge, has one."""
     if not m1:
         return m2
     if not m2:
@@ -55,7 +58,9 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
             out.append(q)
             j += 1
         else:
-            out.append((p[0], p[1] + q[1]))
+            e = p[1] + q[1]
+            if e:
+                out.append((p[0], e))
             i += 1
             j += 1
     return (*out, *m1[i:], *m2[j:])
@@ -203,7 +208,8 @@ class Poly:
         ``lin`` must contain the bare variable ``x`` (exponent 1, alone in
         its monomial) and no other monomial involving ``x``; the remainder
         is then free of ``x`` and the pair (q, r) with self == q*lin + r is
-        unique.
+        unique.  The lead, ``x``'s coefficient, is inverted as a ``Fraction``,
+        so it must be rational; a ``SurdSum`` lead raises ``TypeError``.
         """
         x_mono: Monomial = ((x, 1),)
         lead = lin.terms.get(x_mono)
@@ -212,7 +218,7 @@ class Poly:
         for mono in lin.terms:
             if mono != x_mono and any(v == x for v, _ in mono):
                 raise ValueError(f"divisor must be linear in {x!r}")
-        rest = Poly({m: c for m, c in lin.terms.items() if m != x_mono})
+        inv = as_int_if_integral(1 / Fraction(lead))
         quot = Poly()
         rem = self
         while True:
@@ -225,7 +231,7 @@ class Poly:
             e = exps.pop(x)
             if e > 1:
                 exps[x] = e - 1
-            piece = Poly({tuple(sorted(exps.items())): coef * _inv(lead)})
+            piece = Poly({tuple(sorted(exps.items())): coef * inv})
             quot = quot + piece
             rem = rem - piece * lin
 
@@ -246,12 +252,6 @@ def _scaled(p: Poly, c: Scalar) -> Poly:
     if c == 0:
         return Poly()
     return Poly._of({m: x * c for m, x in p.terms.items()})
-
-
-def _inv(s: Scalar) -> Scalar:
-    if isinstance(s, (int, Fraction)):
-        return as_int_if_integral(1 / Fraction(s))
-    return 1 / s
 
 
 def format_poly(p: Poly) -> str:

@@ -3,9 +3,10 @@
 Scalars are ``int`` (the integral case, which callers keep wherever they
 can), ``fractions.Fraction`` or :class:`SurdSum`, a finite sum
 ``sum_r c_r * sqrt(r)`` with squarefree integer radicands ``r >= 2`` and
-rational coefficients ``c_r``.  All arithmetic stays inside this ring, so
-quantities built from unitary structure constants can be compared for
-exact equality; nothing in this module ever rounds.
+rational coefficients ``c_r``.  They form a ring (``+``, ``-``, ``*``, with
+no division, inverse or power), which is all the arithmetic the tensors
+need, so quantities built from unitary structure constants can be compared
+for exact equality; nothing in this module ever rounds.
 
 Arithmetic that lands on a purely rational value is demoted back to
 ``Fraction``, so a ``SurdSum`` instance always carries at least one
@@ -43,15 +44,6 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         d += 1 if d == 2 else 2
     # leftover n is 1 or a prime occurring exactly once
     return s, r * n
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1 if d == 2 else 2
-    return n
 
 
 def _make(terms: dict[int, Fraction]) -> Scalar:
@@ -134,24 +126,6 @@ class SurdSum:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, SurdSum)):
-            return NotImplemented
-        return self * _invert(other)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Fraction(other) * _invert(self)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out: Scalar = Fraction(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- comparison and conversion ---------------------------------------
 
     def __eq__(self, other):
@@ -176,28 +150,6 @@ class SurdSum:
 
     def __str__(self):
         return format_scalar(self)
-
-
-def _invert(x: Scalar) -> Scalar:
-    if not isinstance(x, SurdSum):
-        if x == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return 1 / Fraction(x)
-    # Split x = a + sqrt(p)*b on a prime p occurring in some radicand and
-    # rationalize; a*a - p*b*b involves one prime fewer, so this terminates.
-    p = _smallest_prime_factor(max(r for r in x._terms if r > 1))
-    a_terms: dict[int, Fraction] = {}
-    b_terms: dict[int, Fraction] = {}
-    for r, c in x._terms.items():
-        if r % p == 0:
-            b_terms[r // p] = c
-        else:
-            a_terms[r] = c
-    a = _make(a_terms)
-    b = _make(b_terms)
-    num = a - _make({p: Fraction(1)}) * b
-    den = a * a - p * b * b
-    return num * _invert(den)
 
 
 def as_int_if_integral(x: Scalar) -> Scalar:

@@ -344,43 +344,43 @@ class VertexSpace:
 
     # -- realized generators --------------------------------------------------
 
-    def apply(self, op_key: tuple, state: dict) -> dict:
-        """Apply the operator ``op_key`` names (see :class:`OperatorMatrix`)."""
+    def apply(self, op_key: tuple, key: tuple) -> dict:
+        """Apply the operator ``op_key`` names (see :class:`OperatorMatrix`) to the basis key ``key``."""
         head, m, arg = op_key
         if head == "V":
-            return self.apply_vertex(m, arg, state)
+            return self.apply_vertex(m, arg, {key: 1.0})
         if head[0] == "S1":
-            return self.apply_S1(head[1], m, state)
+            return self.apply_S1(head[1], m, key)
         if head[0] == "L":
-            return self.apply_L(head[1], m, state, include_T=arg)
-        return self._dressed_current(head, m, state)
+            return self.apply_L(head[1], m, key, include_T=arg)
+        return self._dressed_current(head, m, key)
 
-    def _dressed_current(self, label: tuple, m: tuple, state: dict) -> dict:
-        """sum_j V_{m,j} C_{-j} for a current family C; finite per state."""
+    def _dressed_current(self, label: tuple, m: tuple, key: tuple) -> dict:
+        """sum_j V_{m,j} C_{-j} on one basis key, for a current family C; a finite sum."""
         out: dict = {}
-        for key, amp in state.items():
-            sub = {key: amp}
-            lo = -key_level(key[2])
-            hi = key_level(key[0])  # p annihilation bounds the positive modes
-            for j in range(lo, hi + 1):
-                mid = self.apply_current(label, -j, sub)
-                if mid:
-                    state_add(out, self.apply_vertex(m, j, mid))
+        unit = {key: 1.0}
+        lo = -key_level(key[2])
+        hi = key_level(key[0])  # p annihilation bounds the positive modes
+        for j in range(lo, hi + 1):
+            mid = self.apply_current(label, -j, unit)
+            if mid:
+                state_add(out, self.apply_vertex(m, j, mid))
         return out
 
-    def apply_S1(self, rho: int, m: tuple, state: dict) -> dict:
-        """The closed one-chain: sum_{k != 0} (-ik) q^rho_k V_{m,-k}."""
+    def apply_S1(self, rho: int, m: tuple, key: tuple) -> dict:
+        """The closed one-chain on one basis key: sum_{k != 0} (-ik) q^rho_k V_{m,-k}."""
         out: dict = {}
+        unit = {key: 1.0}
         for k in range(-self.spec.M, self.spec.M + 1):
             if k == 0:
                 continue
-            mid = self.apply_vertex(m, -k, state)
+            mid = self.apply_vertex(m, -k, unit)
             if mid:
                 state_add(out, self._qp_osc(mid, rho, False, k), k)
         return out
 
-    def apply_L(self, mu: int, m: tuple, state: dict, include_T: bool = True) -> dict:
-        """L_mu(m): the dressed momentum part, the current part, then the zero-mode term, key by key.
+    def apply_L(self, mu: int, m: tuple, key: tuple, include_T: bool = True) -> dict:
+        """L_mu(m) on one basis key: the dressed momentum part, the current part, then the zero-mode term.
 
         The momentum part is -i :V_m p_mu: with p's creation modes left of
         the vertex factor and annihilation modes right; in the rephased basis
@@ -392,23 +392,22 @@ class VertexSpace:
         (see :class:`OperatorMatrix`).
         """
         out: dict = {}
-        for key, amp in state.items():
-            sub = {key: amp}
-            for k in range(1, self.spec.M + 1):
-                # p_{mu,-k} V_{m,k}: vertex first, then the p creator
-                mid = self.apply_vertex(m, k, sub)
-                if mid:
-                    state_add(out, self._qp_osc(mid, mu, True, -k))
-                # V_{m,-k} p_{mu,k}: the p annihilator first
-                mid = self._qp_osc(sub, mu, True, k)
-                if mid:
-                    state_add(out, self.apply_vertex(m, -k, mid))
-            if include_T:
-                for nu in range(1, self.spec.N + 1):
-                    if m[nu - 1]:
-                        state_add(out, self._dressed_current(("T", nu, mu), m, sub), m[nu - 1])
-            if key[1][mu - 1]:
-                state_add(out, self.apply_vertex(m, 0, sub), key[1][mu - 1])
+        unit = {key: 1.0}
+        for k in range(1, self.spec.M + 1):
+            # p_{mu,-k} V_{m,k}: vertex first, then the p creator
+            mid = self.apply_vertex(m, k, unit)
+            if mid:
+                state_add(out, self._qp_osc(mid, mu, True, -k))
+            # V_{m,-k} p_{mu,k}: the p annihilator first
+            mid = self._qp_osc(unit, mu, True, k)
+            if mid:
+                state_add(out, self.apply_vertex(m, -k, mid))
+        if include_T:
+            for nu in range(1, self.spec.N + 1):
+                if m[nu - 1]:
+                    state_add(out, self._dressed_current(("T", nu, mu), m, key), m[nu - 1])
+        if key[1][mu - 1]:
+            state_add(out, self.apply_vertex(m, 0, unit), key[1][mu - 1])
         return out
 
     def _placed(self, kernel: tuple, w: tuple) -> tuple:
@@ -482,7 +481,7 @@ class OperatorMatrix:
         hit = self._kernels.get(i)
         if hit is None:
             space = self.space
-            column = space.project(space.apply(self.op_key, {space.key(i): 1.0})).items()
+            column = space.project(space.apply(self.op_key, space.key(i))).items()
             hit = self._kernels[i] = tuple(x for (qp2, _, cur2), amp in column for x in (qp2, cur2, amp))
         return hit
 

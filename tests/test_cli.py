@@ -103,6 +103,19 @@ def test_malformed_algebra_file_is_a_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [("dim 3\nf 1 2 3 1\nf 2 3 x 1\n", 3), ("dim 3\nf 1 2 3 one\n", 2), ("dim three\n", 1), ("dim 3\nd 1 1 2 1/0\n", 2)],
+    ids=["index", "value", "dim", "zero-denominator"],
+)
+def test_unreadable_algebra_file_entry_names_its_line(capsys, tmp_path, text, lineno):
+    bad = tmp_path / "garbled.txt"
+    bad.write_text(text)
+    code, _, err = run(capsys, "verify-lie", "--algebra-file", str(bad))
+    assert code == 2
+    assert err.count("line ") == 1 and f"line {lineno}: " in err
+
+
 def test_missing_algebra_file_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify-lie", "--algebra-file", str(tmp_path / "nope.txt"))
     assert code == 2

@@ -85,14 +85,15 @@ def test_su3_textbook_values():
     assert sc.f_at(2, 5, 7) == half
     assert sc.f_at(3, 4, 5) == half
     assert sc.f_at(3, 6, 7) == -half
-    assert sc.f_at(4, 5, 8) == r3 / 2
-    assert sc.f_at(6, 7, 8) == r3 / 2
-    assert sc.d_at(1, 1, 8) == 1 / r3
-    assert sc.d_at(2, 2, 8) == 1 / r3
-    assert sc.d_at(3, 3, 8) == 1 / r3
-    assert sc.d_at(8, 8, 8) == -1 / r3
-    assert sc.d_at(4, 4, 8) == -1 / (2 * r3)
-    assert sc.d_at(7, 7, 8) == -1 / (2 * r3)
+    # as products, since the scalars have no division: 1 / r3 = r3 / 3, -1 / (2 r3) = -r3 / 6
+    assert sc.f_at(4, 5, 8) == r3 * half
+    assert sc.f_at(6, 7, 8) == r3 * half
+    assert sc.d_at(1, 1, 8) == r3 * Fraction(1, 3)
+    assert sc.d_at(2, 2, 8) == r3 * Fraction(1, 3)
+    assert sc.d_at(3, 3, 8) == r3 * Fraction(1, 3)
+    assert sc.d_at(8, 8, 8) == r3 * Fraction(-1, 3)
+    assert sc.d_at(4, 4, 8) == r3 * Fraction(-1, 6)
+    assert sc.d_at(7, 7, 8) == r3 * Fraction(-1, 6)
     assert sc.d_at(1, 4, 6) == half
     assert sc.d_at(1, 5, 7) == half
     assert sc.d_at(2, 4, 7) == -half

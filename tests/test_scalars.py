@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from curralg.scalars import SurdSum, _invert, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
+from curralg.scalars import SurdSum, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
 
 
 def test_perfect_squares_stay_rational():
@@ -28,7 +28,7 @@ def test_radicand_normalization():
     # sqrt(8) = 2*sqrt(2), sqrt(12) = 2*sqrt(3)
     assert sqrt_scalar(8) == 2 * sqrt_scalar(2)
     assert sqrt_scalar(12) == 2 * sqrt_scalar(3)
-    assert sqrt_scalar(Fraction(1, 3)) == sqrt_scalar(3) / 3
+    assert sqrt_scalar(Fraction(1, 3)) == sqrt_scalar(3) * Fraction(1, 3)
 
 
 def test_mixed_products():
@@ -44,16 +44,6 @@ def test_addition_cancels_to_rational():
     r5 = sqrt_scalar(5)
     assert (1 + r5) + (1 - r5) == 2
     assert isinstance((1 + r5) - r5, (int, Fraction))
-
-
-def test_division_and_inverse():
-    r3 = sqrt_scalar(3)
-    assert (1 / r3) * r3 == 1
-    x = Fraction(2, 3) + 5 * sqrt_scalar(2) - sqrt_scalar(3)
-    assert x * (1 / x) == 1
-    # nested mix of three radicals
-    y = 1 + sqrt_scalar(2) + sqrt_scalar(3) + sqrt_scalar(5)
-    assert y / y == 1
 
 
 def test_zero_division_raises():
@@ -106,7 +96,7 @@ def test_as_int_if_integral_demotes_only_integral_fractions():
     assert as_int_if_integral(root) is root
 
 
-# -- properties of the exact field ---------------------------------------------
+# -- properties of the exact ring ----------------------------------------------
 
 # Sums of up to three rational multiples of sqrt(r) over radicands built from
 # the primes 2, 3 and 5; radicand 1 is the rational part.
@@ -128,14 +118,6 @@ def test_surd_sums_satisfy_the_field_axioms(x, y, z):
     assert x + 0 == x and x * 1 == x
     assert x - x == 0 and x + (-x) == 0
     assert x - y == -(y - x)
-
-
-@settings(max_examples=300, deadline=None)
-@given(scalars)
-def test_invert_is_the_multiplicative_inverse(x):
-    assume(x != 0)
-    assert x * _invert(x) == 1
-    assert _invert(_invert(x)) == x
 
 
 @settings(max_examples=300, deadline=None)
