@@ -8,17 +8,21 @@ checks), report (all of the above in one document).
 Exit codes: 0 all checks pass, 1 a verification failed, 2 the request
 itself was invalid.  Configuration comes from flags, optionally layered
 over a flat ``key = value`` file; flags win.
+
+Every run pays for this module's imports before its first sweep, so it
+imports only what every run uses: ``json`` loads for ``--format json``
+alone, and the records are named tuples or slotted classes, not
+dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .scalars import format_scalar
 from .lie_core import StructureConstants, build_su, verify_identities
@@ -35,41 +39,65 @@ class UsageError(ValueError):
     """Invalid flags or configuration; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    algebra: str = "su2"
-    algebra_file: str = ""
-    dim: int = 2
-    tables: tuple = fa.TABLE_NAMES
-    level: int = 4
-    momentum_window: int = 1
-    mode_window: int = 3
-    tolerance: float = 1e-8
-    format: str = "text"
-    output: str = ""
-    timestamp: bool = True
+    """The settings of one run.  Construction checks every value and raises
+    :class:`UsageError` on the first bad one."""
 
-    def __post_init__(self):
-        if not self.algebra_file:
-            parse_su(self.algebra)  # raises UsageError on bad selectors
-        if self.dim < 1:
-            raise UsageError(f"dim must be at least 1, got {self.dim}")
-        if not self.tables:
+    __slots__ = (
+        "algebra", "algebra_file", "dim", "tables", "level", "momentum_window",
+        "mode_window", "tolerance", "format", "output", "timestamp",
+    )
+
+    def __init__(
+        self,
+        algebra: str = "su2",
+        algebra_file: str = "",
+        dim: int = 2,
+        tables: tuple = fa.TABLE_NAMES,
+        level: int = 4,
+        momentum_window: int = 1,
+        mode_window: int = 3,
+        tolerance: float = 1e-8,
+        format: str = "text",
+        output: str = "",
+        timestamp: bool = True,
+    ):
+        if not algebra_file:
+            parse_su(algebra)  # raises UsageError on bad selectors
+        if dim < 1:
+            raise UsageError(f"dim must be at least 1, got {dim}")
+        if not tables:
             raise UsageError("tables must name at least one table")
-        bad = [t for t in self.tables if t not in fa.TABLE_NAMES]
+        bad = [t for t in tables if t not in fa.TABLE_NAMES]
         if bad:
             raise UsageError(f"unknown tables {bad}; known: {', '.join(fa.TABLE_NAMES)}")
-        repeated = sorted({t for t in self.tables if self.tables.count(t) > 1})
+        repeated = sorted({t for t in tables if tables.count(t) > 1})
         if repeated:
             raise UsageError(f"tables named more than once: {', '.join(repeated)}")
-        if self.level < 1:
+        if level < 1:
             raise UsageError("level must be at least 1")
-        if self.momentum_window < 1 or self.mode_window < 1:
+        if momentum_window < 1 or mode_window < 1:
             raise UsageError("momentum and mode windows must be at least 1")
-        if not 0 <= self.tolerance < math.inf:
-            raise UsageError(f"tolerance must be finite and not negative, got {self.tolerance!r}")
-        if self.format not in ("text", "json"):
-            raise UsageError(f"format must be text or json, got {self.format!r}")
+        if not 0 <= tolerance < math.inf:
+            raise UsageError(f"tolerance must be finite and not negative, got {tolerance!r}")
+        if format not in ("text", "json"):
+            raise UsageError(f"format must be text or json, got {format!r}")
+        self.algebra = algebra
+        self.algebra_file = algebra_file
+        self.dim = dim
+        self.tables = tables
+        self.level = level
+        self.momentum_window = momentum_window
+        self.mode_window = mode_window
+        self.tolerance = tolerance
+        self.format = format
+        self.output = output
+        self.timestamp = timestamp
+
+
+# verify-lie, the cheapest command, takes about 160 s at su(8) on a 2-vCPU
+# host and grows about as dim^4 = (n^2 - 1)^4 in n
+_SU_MAX_N = 8
 
 
 def parse_su(name: str) -> int:
@@ -80,6 +108,8 @@ def parse_su(name: str) -> int:
     n = int(m.group(2))
     if n < 2:
         raise UsageError(f"{name}: the su(n) family needs n >= 2 (su({n}) has no adjoint basis)")
+    if n > _SU_MAX_N:
+        raise UsageError(f"{name}: su(n) is supported up to n = {_SU_MAX_N}")
     return n
 
 
@@ -98,7 +128,9 @@ def resolve_algebra(cfg: RunConfig) -> tuple:
     return build_su(parse_su(cfg.algebra)), cfg.algebra
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# setting -> its declared type as the string _PARSE is keyed by ("str",
+# "int", ...); annotations are strings under ``from __future__ import annotations``
+_CONFIG_TYPES = RunConfig.__init__.__annotations__
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
@@ -120,12 +152,12 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = _PARSE[RunConfig.__dataclass_fields__[key].type](value)
+            values[key] = _PARSE[_CONFIG_TYPES[key]](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}")
     return values
@@ -144,7 +176,7 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-# option text -> value, by the declared type of the RunConfig field
+# option text -> value, by the declared type of the RunConfig argument
 _PARSE = {"str": str, "int": int, "float": float, "bool": _parse_bool, "tuple": _split_tables}
 
 
@@ -252,8 +284,7 @@ def cmd_verify_tables(cfg: RunConfig) -> tuple:
 _CURRENT_CAP = 3  # current-sector particle cap of verify-fock's oracle and measure's vertex space
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of one engine-versus-oracle sweep."""
 
     pairs: int
@@ -536,7 +567,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in RunConfig.__slots__:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -576,6 +607,8 @@ def main(argv=None) -> int:
     # only a completed measurement carries its own JSON document
     report, ok, *doc = out
     if cfg.format == "json":
+        import json  # loaded only for the JSON format
+
         text = json.dumps(doc[0], indent=2) + "\n" if doc else report.render_json()
     else:
         text = report.render_text(timestamp=cfg.timestamp)

@@ -20,7 +20,6 @@ exact statement about normal forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -676,8 +675,7 @@ def all_generators(table: AlgebraTable, sym: Momentum) -> list[tuple[str, Expres
     return [(_generator(x).render(), x) for x in gens]
 
 
-@dataclass
-class SymbolicReport:
+class SymbolicReport(NamedTuple):
     """How many items a symbolic sweep checked, and its first failures as
     (label, detail) pairs in sweep order.  An EMB1 obstruction sweep also
     counts its (J, G, G) triples and, in CONCRETE_3D mode, records whether

@@ -11,13 +11,17 @@ of one trace ``t = tr(T^a T^b T^c)``, whose conjugate is ``tr(T^b T^a T^c)``:
 
     f^{abc} = -2i tr([T^a, T^b] T^c) = 4 Im t
     d^{abc} =  2  tr({T^a, T^b} T^c) = 4 Re t
+
+Each generator is a scalar times a sparse matrix of Gaussian integers, so
+the traces are exact integer sums over the few nonzero entries, and the
+scalar factor is applied once per nonzero entry of f and d.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import Scalar, as_int_if_integral, format_scalar, parse_scalar, sqrt_scalar
 
@@ -31,82 +35,33 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# complex numbers as (re, im) pairs of exact scalars
-_CZERO = (_ZERO, _ZERO)
-
-
-def _cadd(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _cmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = _CZERO
-            for k in range(n):
-                if a[i][k] != _CZERO and b[k][j] != _CZERO:
-                    acc = _cadd(acc, _cmul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_trace_prod(a, b):
-    """tr(a @ b) without forming the product."""
-    n = len(a)
-    acc = _CZERO
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != _CZERO and b[j][i] != _CZERO:
-                acc = _cadd(acc, _cmul(a[i][j], b[j][i]))
-    return acc
-
-
-def _zeros(n):
-    return [[_CZERO for _ in range(n)] for _ in range(n)]
-
 
 def su_generators(n: int) -> list:
     """Hermitian generators of su(n) with tr(T^a T^b) = delta^{ab}/2.
 
-    Ordering: for each k = 2..n the off-diagonal pairs (j, k) contribute a
-    symmetric then an antisymmetric generator for j = 1..k-1, followed by
-    the diagonal generator of rank k-1.  For n = 2 this is the Pauli basis
-    over 2, for n = 3 the standard lambda-matrix basis over 2.
+    Each generator is ``(scale, entries)``: T = scale * G, where ``entries``
+    maps the 0-based position ``(i, j)`` of each nonzero entry of G to its
+    value as an ``(re, im)`` pair, integers in this basis.  Ordering: for
+    each k = 2..n the off-diagonal pairs (j, k) contribute a symmetric then
+    an antisymmetric generator for j = 1..k-1, followed by the diagonal
+    generator of rank k-1.  For n = 2 this is the Pauli basis over 2, for
+    n = 3 the standard lambda-matrix basis over 2.
     """
     if n < 2:
         raise ValueError(f"su({n}) has no semisimple generator set; need n >= 2")
     half = Fraction(1, 2)
     gens = []
-    for k in range(2, n + 1):
-        for j in range(1, k):
-            sym = _zeros(n)
-            sym[j - 1][k - 1] = (half, _ZERO)
-            sym[k - 1][j - 1] = (half, _ZERO)
-            gens.append(sym)
-            asym = _zeros(n)
-            asym[j - 1][k - 1] = (_ZERO, -half)
-            asym[k - 1][j - 1] = (_ZERO, half)
-            gens.append(asym)
-        m = k - 1
-        c = half * sqrt_scalar(Fraction(2, m * (m + 1)))
-        diag = _zeros(n)
-        for i in range(m):
-            diag[i][i] = (c, _ZERO)
-        diag[m][m] = (-m * c, _ZERO)
-        gens.append(diag)
+    for k in range(1, n):
+        for j in range(k):
+            gens.append((half, {(j, k): (1, 0), (k, j): (1, 0)}))
+            gens.append((half, {(j, k): (0, -1), (k, j): (0, 1)}))
+        diag = {(i, i): (1, 0) for i in range(k)}
+        diag[k, k] = (-k, 0)
+        gens.append((half * sqrt_scalar(Fraction(2, k * (k + 1))), diag))
     return gens
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one exact identity sweep."""
 
     name: str
@@ -115,8 +70,7 @@ class IdentityCheck:
     violation_value: Scalar | None = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property
@@ -124,7 +78,6 @@ class IdentityReport:
         return all(c.passed for c in self.checks)
 
 
-@dataclass
 class StructureConstants:
     """Exact f and d tensors over a basis with unit metric.
 
@@ -135,22 +88,20 @@ class StructureConstants:
     are built here and read-only: nothing mutates them after construction.
     """
 
-    dim: int
-    f: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
-    d: dict[tuple[int, int, int], Scalar] = field(default_factory=dict)
-    f_rows: dict = field(init=False, repr=False, compare=False)
-    d_rows: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim", "f", "d", "f_rows", "d_rows")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, f: dict | None = None, d: dict | None = None):
+        if dim < 1:
             raise ValueError("dim must be positive")
-        for name, tensor in (("f", self.f), ("d", self.d)):
+        f, d = f or {}, d or {}
+        for name, tensor in (("f", f), ("d", d)):
             for key in tensor:
-                if len(key) != 3 or not all(1 <= i <= self.dim for i in key):
-                    raise ValueError(f"{name}{key}: indices must lie in 1..{self.dim}")
+                if len(key) != 3 or not all(1 <= i <= dim for i in key):
+                    raise ValueError(f"{name}{key}: indices must lie in 1..{dim}")
+        self.dim = dim
         # filtered copies: the caller's dicts are left as they were passed
-        self.f = {key: val for key, val in self.f.items() if val != 0}
-        self.d = {key: val for key, val in self.d.items() if val != 0}
+        self.f = {key: val for key, val in f.items() if val != 0}
+        self.d = {key: val for key, val in d.items() if val != 0}
         self.f_rows = _rows(self.f)
         self.d_rows = _rows(self.d)
 
@@ -222,34 +173,53 @@ class StructureConstants:
 def build_su(n: int) -> StructureConstants:
     """Structure constants of su(n) in the standard hermitian basis."""
     gens = su_generators(n)
-    dim = n * n - 1
-    prods = [[_mat_mul(gens[a], gens[b]) for b in range(dim)] for a in range(dim)]
-
-    # metric sanity: 2 tr(T^a T^b) must be exactly delta^{ab}
-    for a in range(dim):
-        for b in range(dim):
-            tr = _CZERO
-            for i in range(n):
-                tr = _cadd(tr, prods[a][b][i][i])
-            expect = Fraction(1 if a == b else 0)
-            if tr[0] * 2 != expect or tr[1] != 0:
-                raise AssertionError(f"generator normalisation broken at ({a + 1},{b + 1})")
+    # by_row[b][k]: the (j, value) entries of row k of G^b
+    by_row = []
+    for _, entries in gens:
+        rows: dict = {}
+        for (k, j), z in entries.items():
+            rows.setdefault(k, []).append((j, z))
+        by_row.append(rows)
+    # closing[(i, j)]: the (c, G^c[j][i]) pairs over the nonzero G^c[j][i], so
+    # tr(P G^c) sums P[i][j] G^c[j][i] over the nonzero entries of P alone
+    closing: dict = {}
+    for c, (_, entries) in enumerate(gens):
+        for (j, i), z in entries.items():
+            closing.setdefault((i, j), []).append((c, z))
 
     f: dict = {}
     d: dict = {}
-    for a in range(dim):
-        for b in range(dim):
-            for c in range(dim):
+    for a, (sa, ga) in enumerate(gens):
+        for b, (sb, _) in enumerate(gens):
+            # P = G^a G^b over the nonzero entries only
+            prod: dict = {}
+            for (i, k), (xr, xi) in ga.items():
+                for j, (yr, yi) in by_row[b].get(k, ()):
+                    pr, pi = prod.get((i, j), (0, 0))
+                    prod[i, j] = (pr + xr * yr - xi * yi, pi + xr * yi + xi * yr)
+            # metric sanity: 2 tr(T^a T^b) = 2 s_a s_b tr(G^a G^b) must be exactly delta^{ab}
+            scale_ab = 4 * sa * sb
+            tr_re = tr_im = 0
+            for (i, j), (pr, pi) in prod.items():
+                if i == j:
+                    tr_re, tr_im = tr_re + pr, tr_im + pi
+            if tr_im != 0 or scale_ab * tr_re != (2 if a == b else 0):
+                raise AssertionError(f"generator normalisation broken at ({a + 1},{b + 1})")
+            traces: dict = {}
+            for ij, (pr, pi) in prod.items():
+                for c, (zr, zi) in closing.get(ij, ()):
+                    t_re, t_im = traces.get(c, (0, 0))
+                    traces[c] = (t_re + pr * zr - pi * zi, t_im + pr * zi + pi * zr)
+            for c in sorted(traces):
                 # tr(T^b T^a T^c) is the conjugate of t for hermitian generators; a
                 # basis that is not hermitian breaks the symmetries verify_identities checks
-                t = _mat_trace_prod(prods[a][b], gens[c])
-                fval = 4 * t[1]
-                dval = 4 * t[0]
-                if fval != 0:
-                    f[(a + 1, b + 1, c + 1)] = fval
-                if dval != 0:
-                    d[(a + 1, b + 1, c + 1)] = dval
-    return StructureConstants(dim=dim, f=f, d=d)
+                t_re, t_im = traces[c]
+                scale = scale_ab * gens[c][0]
+                if t_im != 0:
+                    f[a + 1, b + 1, c + 1] = scale * t_im
+                if t_re != 0:
+                    d[a + 1, b + 1, c + 1] = scale * t_re
+    return StructureConstants(dim=len(gens), f=f, d=d)
 
 
 def _rows(tensor: dict) -> dict:

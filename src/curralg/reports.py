@@ -4,13 +4,12 @@ Every command line front end emits one of these: ordered sections of
 ``key = value`` rows.  Values are stored as strings so exact literals stay
 exact; rendering adds nothing non-deterministic except the optional
 timestamp header, which callers can switch off to get byte-identical
-output for identical input.
+output for identical input.  ``datetime`` and ``json`` are imported where
+the header and the JSON rendering need them, so a run that uses neither
+never loads them.
 """
 
 from __future__ import annotations
-
-import datetime
-import json
 
 __all__ = ["Report", "certification_floor"]
 
@@ -47,6 +46,8 @@ class Report:
     def render_text(self, timestamp: bool = True) -> str:
         lines = [f"# {self.title}"]
         if timestamp:
+            import datetime
+
             now = datetime.datetime.now(datetime.timezone.utc)
             lines.append("generated: " + now.isoformat(timespec="seconds"))
         for name, rows in self._sections:
@@ -57,5 +58,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def render_json(self) -> str:
+        import json
+
         sections = {name: dict(rows) for name, rows in self._sections}
         return json.dumps({"title": self.title, "sections": sections}, indent=2) + "\n"

@@ -81,10 +81,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import formal_algebra as fa
 from .fock_oracle import _add_at, _add_column, _key_with, _osc_key, apply_body, key_level, key_level_npart, state_add
@@ -126,7 +125,6 @@ class FitError(ValueError):
     """A charge fit found no usable matrix element or an inconsistent column."""
 
 
-@dataclass(frozen=True)
 class TruncationSpec:
     """Cutoffs for the truncated Fock space.
 
@@ -135,21 +133,34 @@ class TruncationSpec:
     of the trajectory oscillators (0 < |k| <= M).  ``current_cap`` bounds the
     current-sector particle number; a level bound alone keeps infinitely
     many current zero-mode states, so the cap is part of the truncation.
+    Construction checks every cutoff; two specs are equal when their
+    cutoffs are.
     """
 
-    N: int = 2
-    L: int = 4
-    P: int = 2
-    M: int = 2
-    current_cap: int = 3
+    __slots__ = ("N", "L", "P", "M", "current_cap")
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __init__(self, N: int = 2, L: int = 4, P: int = 2, M: int = 2, current_cap: int = 3):
+        if N < 1:
             raise ValueError("N must be at least 1")
-        if self.L < 1 or self.P < 1 or self.M < 1:
+        if L < 1 or P < 1 or M < 1:
             raise ValueError("L, P, M must be at least 1")
-        if self.current_cap < 2:
+        if current_cap < 2:
             raise ValueError("current_cap below 2 leaves no room for a bilinear")
+        self.N, self.L, self.P, self.M, self.current_cap = N, L, P, M, current_cap
+
+    def _cutoffs(self) -> tuple:
+        return (self.N, self.L, self.P, self.M, self.current_cap)
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncationSpec):
+            return NotImplemented
+        return self._cutoffs() == other._cutoffs()
+
+    def __hash__(self):
+        return hash(self._cutoffs())
+
+    def __repr__(self):
+        return "TruncationSpec(N={}, L={}, P={}, M={}, current_cap={})".format(*self._cutoffs())
 
     def scaled_stage(self) -> "TruncationSpec":
         """The next truncation stage: every cutoff that can bite grows."""
@@ -575,8 +586,7 @@ def default_probe_keys(space: VertexSpace) -> list:
     return probes
 
 
-@dataclass(frozen=True)
-class ChargeFit:
+class ChargeFit(NamedTuple):
     c1: float
     c2: float
     k_s1: float
@@ -691,8 +701,7 @@ def measure_c1_c2(space: VertexSpace, include_T: bool = True) -> ChargeFit:
     return ChargeFit(c1=c1, c2=c2, k_s1=k_s1, residual=max(res1, res2))
 
 
-@dataclass(frozen=True)
-class BracketDeviation:
+class BracketDeviation(NamedTuple):
     """Worst deviation of one realized bracket from its closed form."""
 
     label1: tuple

@@ -30,8 +30,8 @@ scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lie_core import StructureConstants
 from .scalars import Scalar, as_int_if_integral, format_scalar
@@ -289,8 +289,7 @@ def _tt_slopes(fams: dict, N: int):
     return k1, k2
 
 
-@dataclass(frozen=True)
-class BracketCheck:
+class BracketCheck(NamedTuple):
     lab1: tuple
     lab2: tuple
     ok: bool

@@ -6,11 +6,12 @@ suite.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -61,11 +62,14 @@ def _cmul(x, y):
 
 
 def _combine(x, a, y, b):
-    """x a + y b for matrices of (re, im) pairs and complex pairs x, y."""
-    return [
-        [tuple(p + q for p, q in zip(_cmul(x, u), _cmul(y, v))) for u, v in zip(row_a, row_b)]
-        for row_a, row_b in zip(a, b)
-    ]
+    """x a + y b for sparse generators (scale, {(i, j): (re, im)}) and complex
+    pairs x, y, as a generator of scale 1."""
+    out = {}
+    for coef, (scale, entries) in ((x, a), (y, b)):
+        for ij, z in entries.items():
+            term = _cmul((coef[0] * scale, coef[1] * scale), z)
+            out[ij] = tuple(p + q for p, q in zip(out.get(ij, (0, 0)), term))
+    return Fraction(1), out
 
 
 def test_verify_lie_reports_a_non_hermitian_basis(capsys, monkeypatch):
@@ -88,6 +92,16 @@ def test_verify_lie_reports_a_non_hermitian_basis(capsys, monkeypatch):
     assert code == 1
     assert "f-first-pair-antisymmetry = FAIL at (1, 1, 1), residual 21/8*sqrt(3)" in out
     assert "status = FAIL" in out
+
+
+def test_oversized_su_selector_is_a_usage_error():
+    # a selector past the bound fails before any of its n^2 - 1 generators is built
+    for selector in ("su99999999999999", "su(9)"):
+        with pytest.raises(UsageError, match="supported up to n = 8"):
+            parse_su(selector)
+        with pytest.raises(UsageError, match="supported up to n = 8"):
+            RunConfig(algebra=selector)
+    assert parse_su("su(8)") == 8
 
 
 def test_su1_is_a_usage_error(capsys):
@@ -166,7 +180,7 @@ def test_emb1_status_follows_the_support_check(capsys, monkeypatch):
     def flipped(table):
         rep = real(table)
         if table.chain_mode == "CONCRETE_3D":
-            rep = dataclasses.replace(rep, nonzero_on_support=not rep.nonzero_on_support)
+            rep = rep._replace(nonzero_on_support=not rep.nonzero_on_support)
         return rep
 
     monkeypatch.setattr(cli.fa, "emb1_obstruction", flipped)
@@ -623,7 +637,7 @@ def test_runconfig_validation_errors():
 
 def test_every_config_key_is_a_flag():
     # config keys mirror the flags, so no setting is reachable from a file alone
-    keys = {f.name for f in fields(RunConfig)}
+    keys = set(RunConfig.__slots__)
     sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     for name, parser in sub.choices.items():
         assert keys <= {a.dest for a in parser._actions}, name
@@ -686,6 +700,30 @@ def test_timestamp_header_present_by_default(capsys):
     code, out, _ = run(capsys, "verify-lie", "--algebra", "su2")
     assert code == 0
     assert out.splitlines()[1].startswith("generated: ")
+
+
+def _fresh_interpreter(*args) -> str:
+    """stdout of ``python args...`` in a new process that imports this curralg."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cold_import_loads_only_what_every_run_needs():
+    # json and datetime load for --format json and the timestamp header only;
+    # the records are named tuples and slotted classes, so dataclasses (and the
+    # inspect it imports) never loads
+    probe = (
+        "import sys; before = set(sys.modules); import curralg.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'datetime'} & (set(sys.modules) - before)))"
+    )
+    assert _fresh_interpreter("-c", probe) == "[]\n"
+    doc = json.loads(_fresh_interpreter("-m", "curralg.cli", "verify-lie", "--algebra", "su2", "--format", "json"))
+    assert doc["sections"]["result"]["status"] == "PASS"
+    text = _fresh_interpreter("-m", "curralg.cli", "verify-lie", "--algebra", "su2")
+    assert text.splitlines()[1].startswith("generated: ")
 
 
 def test_verify_json_format(capsys):

@@ -213,3 +213,100 @@ def test_rows_are_the_sparse_view_of_the_entries():
             assert all(v == tensor[a, b, c] for c, v in row)
     # a zero entry has no row
     assert (1, 3) not in sc.f_rows and (2, 2) not in sc.d_rows
+
+
+# -- dense reference ------------------------------------------------------
+# The construction build_su replaced: dense n x n matrices of exact
+# (re, im) pairs, the scalar factor inside every entry, and the trace of
+# T^a T^b T^c taken over whole matrix products.
+
+_CZERO = (Fraction(0), Fraction(0))
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = _CZERO
+            for k in range(n):
+                if a[i][k] != _CZERO and b[k][j] != _CZERO:
+                    acc = _cadd(acc, _cmul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _mat_trace_prod(a, b):
+    """tr(a @ b) without forming the product."""
+    n = len(a)
+    acc = _CZERO
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != _CZERO and b[j][i] != _CZERO:
+                acc = _cadd(acc, _cmul(a[i][j], b[j][i]))
+    return acc
+
+
+def _dense_generators(n):
+    half, zero = Fraction(1, 2), Fraction(0)
+    gens = []
+    for k in range(2, n + 1):
+        for j in range(1, k):
+            sym = [[_CZERO] * n for _ in range(n)]
+            sym[j - 1][k - 1] = sym[k - 1][j - 1] = (half, zero)
+            gens.append(sym)
+            asym = [[_CZERO] * n for _ in range(n)]
+            asym[j - 1][k - 1] = (zero, -half)
+            asym[k - 1][j - 1] = (zero, half)
+            gens.append(asym)
+        m = k - 1
+        c = half * sqrt_scalar(Fraction(2, m * (m + 1)))
+        diag = [[_CZERO] * n for _ in range(n)]
+        for i in range(m):
+            diag[i][i] = (c, zero)
+        diag[m][m] = (-m * c, zero)
+        gens.append(diag)
+    return gens
+
+
+def _dense_build_su(n):
+    gens = _dense_generators(n)
+    dim = n * n - 1
+    f: dict = {}
+    d: dict = {}
+    for a in range(dim):
+        for b in range(dim):
+            prod = _mat_mul(gens[a], gens[b])
+            for c in range(dim):
+                t = _mat_trace_prod(prod, gens[c])
+                if t[1] != 0:
+                    f[(a + 1, b + 1, c + 1)] = 4 * t[1]
+                if t[0] != 0:
+                    d[(a + 1, b + 1, c + 1)] = 4 * t[0]
+    return StructureConstants(dim=dim, f=f, d=d)
+
+
+def _typed(mapping: dict) -> list:
+    """Items in order, with each scalar's exact type beside its value."""
+    return [(key, type(val), val) for key, val in mapping.items()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_build_su_matches_the_dense_construction(n):
+    sparse, dense = build_su(n), _dense_build_su(n)
+    assert sparse.dim == dense.dim
+    assert _typed(sparse.f) == _typed(dense.f)
+    assert _typed(sparse.d) == _typed(dense.d)
+    for rows, want in ((sparse.f_rows, dense.f_rows), (sparse.d_rows, dense.d_rows)):
+        assert list(rows) == list(want)
+        assert [_typed(dict(row)) for row in rows.values()] == [_typed(dict(row)) for row in want.values()]
